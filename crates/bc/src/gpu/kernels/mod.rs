@@ -24,8 +24,7 @@ pub mod delete;
 
 use super::buffers::{
     ScratchBuffers, SlackGraphBuffers, StateBuffers, ADJ_BORN_SHIFT, ADJ_VERTEX_MASK,
-    DEV_BORN_MASK, DEV_BORN_SHIFT, DEV_DIRTY_BIT, DEV_LEN_MASK, DEV_SKIPS_BIT, SKIP_SLOTS,
-    SKIP_WORDS,
+    DEV_BORN_MASK, DEV_BORN_SHIFT, DEV_DIRTY_BIT, DEV_LEN_MASK, DEV_SKIPS_BIT, SKIP_WORDS,
 };
 use dynbc_gpusim::Lane;
 use dynbc_graph::slack::epoch_visible;
@@ -94,39 +93,32 @@ impl<'a> GraphView<'a> {
         {
             RowCheck::Packed
         } else {
-            let mut skips = [usize::MAX; SKIP_SLOTS];
-            let mut k = 0;
+            let mut mask = [0u64; 4];
             for w in 0..SKIP_WORDS {
                 let word = lane.read(&self.store.staged_skips, SKIP_WORDS * v as usize + w);
-                if !self.collect_skips(start, word, &mut skips, &mut k) {
+                if !self.collect_skips(word, &mut mask) {
                     break;
                 }
             }
-            RowCheck::SkipAt(skips)
+            RowCheck::SkipAt { start, mask }
         };
         (start, end, check)
     }
 
-    /// Decodes one staged-skip word, appending the capacity slots this
-    /// view must not see to `out`. Entries are sorted descending by
-    /// born, so the first visible entry (or the 0 terminator) ends the
-    /// prefix of invisible slots; returns whether the *next* word still
-    /// needs reading.
+    /// Decodes one staged-skip word, setting in `mask` the row offset
+    /// of every slot this view must not see. Entries are sorted
+    /// descending by born, so the first visible entry (or the 0
+    /// terminator) ends the prefix of invisible slots; returns whether
+    /// the *next* word still needs reading.
     #[inline]
-    fn collect_skips(
-        &self,
-        start: usize,
-        w: u64,
-        out: &mut [usize; SKIP_SLOTS],
-        k: &mut usize,
-    ) -> bool {
+    fn collect_skips(&self, w: u64, mask: &mut [u64; 4]) -> bool {
         for i in 0..4 {
             let entry = (w >> (16 * i)) as u16;
             if entry == 0 || u32::from(entry >> 8) <= self.ver {
                 return false;
             }
-            out[*k] = start + usize::from(entry as u8);
-            *k += 1;
+            let off = entry as u8;
+            mask[usize::from(off >> 6)] |= 1 << (off & 63);
         }
         true
     }
@@ -144,8 +136,8 @@ impl<'a> GraphView<'a> {
                 let w = lane.read(&self.store.adj, e);
                 (w >> ADJ_BORN_SHIFT <= self.ver).then_some(w & ADJ_VERTEX_MASK)
             }
-            RowCheck::SkipAt(skips) => {
-                if skips.contains(&e) {
+            RowCheck::SkipAt { start, mask } => {
+                if skipped(*start, mask, e) {
                     None // invisible staged slot: stepped over, never read
                 } else {
                     Some(lane.read(&self.store.adj, e) & ADJ_VERTEX_MASK)
@@ -189,18 +181,17 @@ impl<'a> GraphView<'a> {
         {
             RowCheck::Packed
         } else {
-            let mut skips = [usize::MAX; SKIP_SLOTS];
-            let mut k = 0;
+            let mut mask = [0u64; 4];
             for w in 0..SKIP_WORDS {
                 let word = self
                     .store
                     .staged_skips
                     .host_get(SKIP_WORDS * v as usize + w);
-                if !self.collect_skips(start, word, &mut skips, &mut k) {
+                if !self.collect_skips(word, &mut mask) {
                     break;
                 }
             }
-            RowCheck::SkipAt(skips)
+            RowCheck::SkipAt { start, mask }
         };
         (start, end, check)
     }
@@ -213,8 +204,8 @@ impl<'a> GraphView<'a> {
                 let w = self.store.adj.host_get(e);
                 (w >> ADJ_BORN_SHIFT <= self.ver).then_some(w & ADJ_VERTEX_MASK)
             }
-            RowCheck::SkipAt(skips) => {
-                if skips.contains(&e) {
+            RowCheck::SkipAt { start, mask } => {
+                if skipped(*start, mask, e) {
                     None
                 } else {
                     Some(self.store.adj.host_get(e) & ADJ_VERTEX_MASK)
@@ -242,22 +233,32 @@ impl<'a> GraphView<'a> {
 /// A row scan's visibility grade, decided once per header read (see
 /// [`GraphView::row`]). Kernels pass it to [`GraphView::slot`] per
 /// slot; only the `Epoch` grade ever reads epoch words.
-// The SkipAt array lives on the scanning lane's stack for exactly one
-// row and is passed by reference; boxing it would put an allocation on
-// the per-row hot path.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RowCheck {
     /// Soft row: visibility rides in the born byte packed into each
     /// adjacency word — no reads beyond the scan's own payload.
     Packed,
-    /// Soft row with pending invisible staged slots at the listed
-    /// capacity positions (`usize::MAX` pads unused entries): the scan
-    /// steps over them without reading.
-    SkipAt([usize; SKIP_SLOTS]),
+    /// Soft row with pending invisible staged slots: bit `i` of `mask`
+    /// marks the slot at capacity position `start + i` (staged offsets
+    /// are a byte, so 256 bits cover them all). The scan steps over
+    /// marked slots without reading.
+    SkipAt {
+        /// The row's first capacity slot.
+        start: usize,
+        /// Invisible staged slots as a bitmask over row offsets.
+        mask: [u64; 4],
+    },
     /// Hard-dirty row (tombstones, staged deaths, or an overflowing
     /// born): per-slot epoch check required.
     Epoch,
+}
+
+/// Whether slot `e` of a `SkipAt` row starting at `start` is an
+/// invisible staged slot the scan steps over.
+#[inline]
+fn skipped(start: usize, mask: &[u64; 4], e: usize) -> bool {
+    let off = e - start;
+    mask.get(off / 64).is_some_and(|w| w >> (off % 64) & 1 != 0)
 }
 
 /// Everything a kernel needs to locate its data: graph view, state,

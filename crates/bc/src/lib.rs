@@ -41,4 +41,4 @@ pub mod topology;
 pub use brandes::{brandes_approx, brandes_exact, brandes_state, sample_sources};
 pub use cases::{classify, CaseCounts, Classified, InsertionCase};
 pub use dynamic::{BatchResult, CpuDynamicBc, OpOutcome, SourceOutcome, UpdateResult};
-pub use state::BcState;
+pub use state::{top_k, BcState};

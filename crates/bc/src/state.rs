@@ -6,6 +6,8 @@
 //! gain is well worth the extra space".
 
 use dynbc_graph::VertexId;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Full dynamic-BC state: scores plus the per-source SSSP data.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,19 +53,65 @@ impl BcState {
         self.sources.iter().position(|&x| x == s)
     }
 
-    /// The vertices with the `top` largest BC scores, descending (ties by
-    /// vertex id). The paper notes "the relative ranking of the vertices
+    /// The vertices with the `top` largest BC scores, in [`top_k`]
+    /// order. The paper notes "the relative ranking of the vertices
     /// tends to be more informative than the magnitude of their scores".
     pub fn top_ranked(&self, top: usize) -> Vec<(VertexId, f64)> {
-        let mut idx: Vec<VertexId> = (0..self.n as VertexId).collect();
-        idx.sort_by(|&a, &b| {
-            self.bc[b as usize]
-                .partial_cmp(&self.bc[a as usize])
-                .expect("BC scores are never NaN")
-                .then(a.cmp(&b))
-        });
-        idx.truncate(top);
-        idx.into_iter().map(|v| (v, self.bc[v as usize])).collect()
+        top_k(&self.bc, top)
+    }
+}
+
+/// The `k` highest scores of `scores` as `(vertex, score)` pairs, where
+/// the vertex is the score's index: sorted by descending score, ties
+/// broken by ascending vertex id (`-0.0` ties `+0.0`).
+///
+/// One pass in ascending vertex id keeps the best `k` seen so far in a
+/// heap rooted at the worst of them; a later vertex displaces the root
+/// only with a strictly greater score, since on a tie its higher id
+/// ranks it lower. O(n log k) time and O(k) memory, where a full sort
+/// would pay O(n log n) to return `k` entries.
+///
+/// # Panics
+/// Panics if any score is NaN.
+pub fn top_k(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
+    let mut kept = BinaryHeap::with_capacity(k.min(scores.len()));
+    for (v, &score) in scores.iter().enumerate() {
+        assert!(!score.is_nan(), "BC scores are never NaN");
+        if kept.len() < k {
+            kept.push(Ranked(score, v as VertexId));
+        } else if let Some(mut worst) = kept.peek_mut() {
+            if score > worst.0 {
+                *worst = Ranked(score, v as VertexId);
+            }
+        }
+    }
+    kept.into_sorted_vec()
+        .into_iter()
+        .map(|Ranked(score, v)| (v, score))
+        .collect()
+}
+
+/// A `(score, vertex)` entry ordered by rank: greater means ranked
+/// lower (smaller score, then larger id), so a max-heap's root is the
+/// worst entry kept. Scores are never NaN.
+#[derive(PartialEq)]
+struct Ranked(f64, VertexId);
+
+impl Eq for Ranked {}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .0
+            .partial_cmp(&self.0)
+            .expect("BC scores are never NaN")
+            .then(self.1.cmp(&other.1))
     }
 }
 

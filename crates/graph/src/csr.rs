@@ -13,17 +13,13 @@
 //! STINGER; we keep all structure maintenance out of every timed
 //! region). `Csr` remains the canonical immutable form: construction
 //! input, oracle for equivalence checks (`SlackCsr::to_csr()`
-//! canonicalizes to these exact bytes), and host-side analytics. The
-//! in-place [`insert_edge`](Csr::insert_edge) /
-//! [`remove_edge`](Csr::remove_edge) splices keep a standalone `Csr`
-//! current where one is still the right tool.
+//! canonicalizes to these exact bytes), and host-side analytics.
 
 use crate::edgelist::EdgeList;
 use crate::VertexId;
 
-/// CSR adjacency for a simple undirected graph. Structurally immutable
-/// except for the single-edge splices, which preserve every invariant
-/// (sorted rows, paired arcs).
+/// Immutable CSR adjacency for a simple undirected graph: every row is
+/// sorted and every arc is paired with its reverse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     /// Row offsets, length `n + 1`.
@@ -79,89 +75,6 @@ impl Csr {
                 .all(|w| w[0] < w[1]))
         );
         Self { offsets, adj }
-    }
-
-    /// Inserts the undirected edge `(u, v)` in place, keeping both rows
-    /// sorted. One three-segment copy of `adj` plus an offset sweep —
-    /// equal, byte for byte, to rebuilding the snapshot from the mutated
-    /// graph, at memcpy cost instead of a full degree/scatter/sort pass.
-    ///
-    /// # Panics
-    /// Panics on self loops, out-of-range endpoints, or a duplicate edge.
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) {
-        let (p1, w1, p2, w2) = self.splice_points(u, v, true);
-        let mut adj = Vec::with_capacity(self.adj.len() + 2);
-        adj.extend_from_slice(&self.adj[..p1]);
-        adj.push(w1);
-        adj.extend_from_slice(&self.adj[p1..p2]);
-        adj.push(w2);
-        adj.extend_from_slice(&self.adj[p2..]);
-        self.adj = adj;
-        let (lo, hi) = (u.min(v) as usize, u.max(v) as usize);
-        for o in &mut self.offsets[lo + 1..=hi] {
-            *o += 1;
-        }
-        for o in &mut self.offsets[hi + 1..] {
-            *o += 2;
-        }
-    }
-
-    /// Removes the undirected edge `(u, v)` in place; the exact inverse
-    /// of [`insert_edge`](Csr::insert_edge).
-    ///
-    /// # Panics
-    /// Panics on self loops, out-of-range endpoints, or an absent edge.
-    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) {
-        let (p1, _, p2, _) = self.splice_points(u, v, false);
-        let mut adj = Vec::with_capacity(self.adj.len() - 2);
-        adj.extend_from_slice(&self.adj[..p1]);
-        adj.extend_from_slice(&self.adj[p1 + 1..p2]);
-        adj.extend_from_slice(&self.adj[p2 + 1..]);
-        self.adj = adj;
-        let (lo, hi) = (u.min(v) as usize, u.max(v) as usize);
-        for o in &mut self.offsets[lo + 1..=hi] {
-            *o -= 1;
-        }
-        for o in &mut self.offsets[hi + 1..] {
-            *o -= 2;
-        }
-    }
-
-    /// The two arc slots of edge `(u, v)` as `(index, value)` pairs in
-    /// ascending index order: for an insert, where each new arc lands in
-    /// the current `adj`; for a removal, where each doomed arc sits.
-    fn splice_points(
-        &self,
-        u: VertexId,
-        v: VertexId,
-        insert: bool,
-    ) -> (usize, VertexId, usize, VertexId) {
-        assert_ne!(u, v, "self loop");
-        let n = self.vertex_count();
-        assert!(
-            (u as usize) < n && (v as usize) < n,
-            "edge ({u}, {v}) out of range for {n} vertices"
-        );
-        let pos = |row: VertexId, w: VertexId| -> usize {
-            let r = self.neighbors(row);
-            let p = r.partition_point(|&x| x < w);
-            if insert {
-                assert!(p == r.len() || r[p] != w, "edge ({u}, {v}) already present");
-            } else {
-                assert!(p < r.len() && r[p] == w, "edge ({u}, {v}) not present");
-            }
-            self.offsets[row as usize] + p
-        };
-        let pu = pos(u, v);
-        let pv = pos(v, u);
-        // On an index tie (both slots at the same empty-row boundary) the
-        // entry written first ends up in the lower-numbered row once the
-        // offsets shift, so order by row, not just by slot index.
-        if pu < pv || (pu == pv && u < v) {
-            (pu, v, pv, u)
-        } else {
-            (pv, u, pu, v)
-        }
     }
 
     /// Number of vertices.
@@ -241,58 +154,6 @@ mod tests {
         assert_eq!(g.vertex_count(), 4);
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.arc_count(), 8);
-    }
-
-    #[test]
-    fn edge_splices_match_rebuild() {
-        // Maintain one CSR by in-place splices while replaying the same
-        // ops on a DynGraph; after every op the splice result must equal
-        // a from-scratch snapshot, byte for byte.
-        let mut g = crate::dynamic::DynGraph::new(9);
-        let mut csr = g.to_csr();
-        let script: &[(bool, VertexId, VertexId)] = &[
-            // Descending endpoints into empty rows: both arc slots tie on
-            // the same offset boundary, exercising the row tie-break.
-            (true, 7, 3),
-            (false, 7, 3),
-            (true, 0, 1),
-            (true, 1, 2),
-            (true, 2, 3),
-            (true, 0, 3),
-            (true, 4, 5),
-            (true, 3, 4),
-            (true, 0, 8),
-            (true, 7, 8),
-            (false, 2, 3),
-            (true, 2, 6),
-            (false, 0, 1),
-            (true, 0, 1),
-            (false, 4, 5),
-            (true, 5, 6),
-            (true, 1, 8),
-        ];
-        for &(insert, u, v) in script {
-            if insert {
-                g.insert_edge(u, v);
-                csr.insert_edge(u, v);
-            } else {
-                g.remove_edge(u, v);
-                csr.remove_edge(u, v);
-            }
-            assert_eq!(csr, g.to_csr(), "after {:?}", (insert, u, v));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "already present")]
-    fn insert_splice_rejects_duplicate() {
-        triangle_plus_tail().insert_edge(0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not present")]
-    fn remove_splice_rejects_absent() {
-        triangle_plus_tail().remove_edge(0, 3);
     }
 
     #[test]

@@ -72,20 +72,11 @@ impl Snapshot {
 
     /// The `k` highest-BC vertices as `(vertex, score)` pairs, sorted by
     /// descending score with ascending vertex id breaking ties — the
-    /// same total order as `BcState::top_ranked`, so service answers are
-    /// comparable with oracle output.
+    /// same selection as `BcState::top_ranked` ([`dynbc_bc::top_k`]),
+    /// so service answers are comparable with oracle output. O(n log k)
+    /// time and O(k) memory.
     pub fn top_k(&self, k: usize) -> Vec<(u32, f64)> {
-        let mut idx: Vec<u32> = (0..self.scores.len() as u32).collect();
-        idx.sort_by(|&a, &b| {
-            self.scores[b as usize]
-                .partial_cmp(&self.scores[a as usize])
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-        idx.truncate(k);
-        idx.into_iter()
-            .map(|v| (v, self.scores[v as usize]))
-            .collect()
+        dynbc_bc::top_k(&self.scores, k)
     }
 }
 

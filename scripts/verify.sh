@@ -26,10 +26,12 @@ echo "== tier-1: release build =="
 cargo build --release
 
 echo "== tier-1: test suite =="
-cargo test -q
+# --no-fail-fast: one failing test binary must not hide the results of
+# the binaries after it; the step still fails if any test failed.
+cargo test -q --no-fail-fast
 
 echo "== workspace tests =="
-cargo test --workspace -q
+cargo test --workspace -q --no-fail-fast
 
 echo "== determinism regression: DYNBC_HOST_THREADS=1 =="
 DYNBC_HOST_THREADS=1 cargo test -q --test determinism_host_threads
