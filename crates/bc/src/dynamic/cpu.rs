@@ -237,13 +237,16 @@ impl CpuDynamicBc {
     /// bit for bit — to applying the same ops one at a time.
     ///
     /// # Panics
-    /// Panics (before touching any engine state) if any op is a self
-    /// loop, a duplicate insertion, or a removal of an absent edge.
+    /// Panics (before touching any engine state) if any op has an
+    /// out-of-range endpoint, is a self loop, a duplicate insertion, or a
+    /// removal of an absent edge.
     pub fn apply_batch(&mut self, batch: &[EdgeOp]) -> BatchResult {
         // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
         let wall_start = std::time::Instant::now();
         let tel_on = self.telemetry.is_some();
-        plan::validate_batch(&mut self.graph, batch);
+        let g = &self.graph;
+        plan::validate_batch(g.vertex_count(), |u, v| g.has_edge(u, v), batch)
+            .unwrap_or_else(|e| panic!("{e}"));
         let validate_wall = if tel_on {
             wall_start.elapsed().as_secs_f64()
         } else {
@@ -262,7 +265,8 @@ impl CpuDynamicBc {
             // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
             let op_t = tel_on.then(std::time::Instant::now);
             let mut ops = OpCounter::new();
-            let planned = plan::plan_op(&mut self.graph, &self.state.d, op);
+            self.graph.apply_op(op);
+            let planned = plan::plan_op(&self.state.d, op, |v| self.graph.neighbors(v));
             // Classification charge: one two-load compare per source,
             // plus the surviving-predecessor scans for removals.
             ops.queue_ops += planned.sources.len() as u64;
@@ -820,6 +824,54 @@ mod tests {
     fn duplicate_insert_panics() {
         let mut eng = CpuDynamicBc::new(&path5(), &[0]);
         eng.insert_edge(0, 1);
+    }
+
+    #[test]
+    fn removal_batch_is_bit_identical_to_sequential_ops() {
+        // Validation must not reorder adjacency lists: the ops before a
+        // removal traverse them, and neighbour order is float
+        // accumulation order.
+        let mut rng = StdRng::seed_from_u64(11);
+        let n = 300;
+        let el = gen::ba(&mut rng, n, 3);
+        let sources: Vec<u32> = (0..n as u32).step_by(17).collect();
+        let mut probe = DynGraph::from_edge_list(&el);
+        let mut ops = Vec::new();
+        while ops.len() < 8 {
+            let a = rng.gen_range(0..n as u32);
+            let b = rng.gen_range(0..n as u32);
+            let op = match probe.neighbors(a).next() {
+                Some(w) if ops.len() % 2 == 1 => EdgeOp::Remove(a, w),
+                _ => EdgeOp::Insert(a, b),
+            };
+            if probe.apply_op(op) {
+                ops.push(op);
+            }
+        }
+        let mut batched = CpuDynamicBc::new(&el, &sources);
+        let br = batched.apply_batch(&ops);
+        let mut sequential = CpuDynamicBc::new(&el, &sources);
+        for (i, &op) in ops.iter().enumerate() {
+            let r = sequential.apply_batch(&[op]);
+            assert_eq!(br.per_op[i].per_source, r.per_op[0].per_source, "op {i}");
+        }
+        let bits = |e: &CpuDynamicBc| e.state().bc.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&batched), bits(&sequential));
+    }
+
+    #[test]
+    fn out_of_range_endpoint_panics_before_state_change() {
+        let el = path5();
+        let mut eng = CpuDynamicBc::new(&el, &[0]);
+        let bc = eng.state().bc.clone();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eng.apply_batch(&[EdgeOp::Insert(0, 2), EdgeOp::Insert(5, 1)])
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("out of range"), "{msg}");
+        assert_eq!(eng.graph().to_edge_list(), el);
+        assert_eq!(eng.state().bc, bc);
     }
 
     #[test]

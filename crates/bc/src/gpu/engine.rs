@@ -8,8 +8,9 @@
 //! Updates flow through the three-layer batch pipeline:
 //!
 //! 1. the **plan layer** ([`crate::plan`]) validates the batch against
-//!    the graph, commits ops in submission order, and classifies every
-//!    `(source, op)` pair — Case 1 / D1 sources are dropped before any
+//!    the engine's one host graph, the [`SlackCsr`] store, and classifies
+//!    every `(source, op)` pair as this module commits the ops in
+//!    submission order — Case 1 / D1 sources are dropped before any
 //!    launch ("figuring out which case each source node has to compute
 //!    is trivial");
 //! 2. the **exec layer** (`super::exec`) fuses each stage's surviving
@@ -50,7 +51,7 @@ use dynbc_gpusim::{
     telemetry_from_env, CacheConfig, CacheCounters, DeviceConfig, Gpu, GpuBuffer, KernelStats,
     ProfileReport,
 };
-use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp, SlackCsr, VertexId};
+use dynbc_graph::{Csr, EdgeList, EdgeOp, SlackCsr, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
 
 /// Fine-grained work decomposition: one thread per arc, or one thread per
@@ -141,7 +142,6 @@ impl TouchedEstimator {
 pub struct GpuDynamicBc {
     gpu: Gpu,
     par: Parallelism,
-    graph: DynGraph,
     st: StateBuffers,
     scr: ScratchBuffers,
     case_buf: GpuBuffer<u32>,
@@ -161,11 +161,13 @@ pub struct GpuDynamicBc {
     ///
     /// [`T_UNTOUCHED`]: crate::gpu::buffers::T_UNTOUCHED
     scratch_t_dirty: bool,
-    /// Host side of the device-resident dynamic adjacency: each committed
-    /// op splices an O(degree) epoch delta into the slack rows instead of
-    /// rebuilding a CSR snapshot. Settled (and possibly compacted) after
-    /// every stage; `slack.to_csr()` canonicalizes to the exact bytes
-    /// `graph.to_csr()` produces.
+    /// The engine's one host graph, and the host side of the
+    /// device-resident dynamic adjacency: batches are validated and
+    /// classified against it, and each committed op splices an
+    /// O(degree) epoch delta into the slack rows instead of rebuilding a
+    /// CSR snapshot. Settled (and possibly compacted) after every stage;
+    /// `slack.to_csr()` canonicalizes to the exact bytes
+    /// `Csr::from_edge_list` produces over the same edge set.
     slack: SlackCsr,
     /// Device mirror of `slack`, kept current by replaying its delta
     /// journal ([`SlackGraphBuffers::sync`]) — every kernel of every
@@ -203,8 +205,6 @@ impl GpuDynamicBc {
         Self {
             gpu: Gpu::new(device),
             par,
-            // dynbc-lint: allow(hot-path-rebuild) — one-time engine construction, not the batch update path
-            graph: DynGraph::from_edge_list(el),
             st: StateBuffers::upload(&state),
             scr,
             case_buf: GpuBuffer::new(sources.len(), 0).named("case"),
@@ -429,9 +429,9 @@ impl GpuDynamicBc {
         self.par
     }
 
-    /// The engine's current graph.
-    pub fn graph(&self) -> &DynGraph {
-        &self.graph
+    /// The engine's current graph: the slack store its kernels read.
+    pub fn graph(&self) -> &SlackCsr {
+        &self.slack
     }
 
     /// Cumulative simulated seconds across all updates.
@@ -493,13 +493,16 @@ impl GpuDynamicBc {
     /// ops into SMs idled by heavy ones.
     ///
     /// # Panics
-    /// Panics (before touching any engine state) if any op is a self
-    /// loop, a duplicate insertion, or a removal of an absent edge.
+    /// Panics (before touching any engine state) if any op has an
+    /// out-of-range endpoint, is a self loop, a duplicate insertion, or a
+    /// removal of an absent edge.
     pub fn apply_batch(&mut self, batch: &[EdgeOp]) -> BatchResult {
         // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
         let wall_start = std::time::Instant::now();
         let tel_on = self.telemetry.is_some();
-        plan::validate_batch(&mut self.graph, batch);
+        let g = &self.slack;
+        plan::validate_batch(g.vertex_count(), |u, v| g.has_edge(u, v), batch)
+            .unwrap_or_else(|e| panic!("{e}"));
         let validate_wall = if tel_on {
             wall_start.elapsed().as_secs_f64()
         } else {
@@ -519,18 +522,18 @@ impl GpuDynamicBc {
         let mut stage_idx = 0usize;
         while next < batch.len() {
             // Plan one stage (host side, off the simulated clock): commit
-            // each op to the graph and classify it against the stage-start
-            // distances — valid because only the stage's last op may
-            // change any distance. Each op splices an O(degree) versioned
-            // delta into the slack store; its work items read the store at
-            // that version, so the fused launch sees exactly the adjacency
-            // the sequential path would.
+            // each op to the slack store and classify it against the
+            // stage-start distances — valid because only the stage's last
+            // op may change any distance. Each op splices an O(degree)
+            // versioned delta into the store; its classification and its
+            // work items read the store at that version, so the fused
+            // launch sees exactly the adjacency the sequential path would.
             // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
             let plan_t = tel_on.then(std::time::Instant::now);
             // Stage-start distance rows, borrowed straight from the
             // device buffer (classification only reads; nothing writes
             // `d` until the stage executes). The borrow is a field-level
-            // split from `self.graph` / `self.scr`, so no k×n copy.
+            // split from `self.slack` / `self.scr`, so no k×n copy.
             let d_flat = self.st.d.host();
             let n = self.st.n;
             let d_rows: Vec<&[u32]> = (0..self.st.k)
@@ -539,17 +542,18 @@ impl GpuDynamicBc {
             let stage_base = next;
             let mut stage: Vec<PlannedOp> = Vec::new();
             while next < batch.len() {
-                let planned = plan::plan_op(&mut self.graph, &d_rows, batch[next]);
-                // Mirror the committed op into the slack store at stage
-                // version `slot + 1`: an O(degree) epoch splice instead of
-                // the O(V + E) snapshot clone per op the CSR path cost.
-                // Even Case-1-only ops (which launch nothing) apply their
+                // Commit the op to the slack store at stage version
+                // `slot + 1`: an O(degree) epoch splice instead of the
+                // O(V + E) snapshot clone per op the CSR path cost. Even
+                // Case-1-only ops (which launch nothing) apply their
                 // delta — later ops of the stage read versions above them.
                 let ver = stage.len() as u32 + 1;
-                match planned.op {
+                match batch[next] {
                     EdgeOp::Insert(u, v) => self.slack.insert_edge_versioned(u, v, ver),
                     EdgeOp::Remove(u, v) => self.slack.remove_edge_versioned(u, v, ver),
                 }
+                let planned =
+                    plan::plan_op(&d_rows, batch[next], |v| self.slack.neighbors_at(v, ver));
                 next += 1;
                 let cut = planned.cuts_stage();
                 stage.push(planned);
@@ -779,7 +783,7 @@ impl GpuDynamicBc {
 mod tests {
     use super::*;
     use crate::brandes::sample_sources;
-    use dynbc_graph::gen;
+    use dynbc_graph::{gen, DynGraph};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1129,6 +1133,23 @@ mod tests {
             br.model_seconds,
             seq_seconds
         );
+    }
+
+    #[test]
+    fn out_of_range_endpoint_panics_before_state_change() {
+        let el = EdgeList::from_pairs(4, [(0, 1), (1, 2)]);
+        for backend in [Backend::Simulator, Backend::Native] {
+            let mut eng = engine(&el, &[0], Parallelism::Node).with_backend(backend);
+            let bc = eng.bc_scores();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                eng.apply_batch(&[EdgeOp::Insert(2, 3), EdgeOp::Insert(0, 4)])
+            }))
+            .unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("out of range"), "{backend}: {msg}");
+            assert_eq!(eng.graph().to_csr(), Csr::from_edge_list(&el), "{backend}");
+            assert_eq!(eng.bc_scores(), bc, "{backend}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use super::exec::Backend;
 use crate::dynamic::result::{BatchResult, UpdateResult};
 use crate::obs::batch_observation;
 use dynbc_gpusim::{telemetry_from_env, CacheConfig, CacheCounters, DeviceConfig, ProfileReport};
-use dynbc_graph::{DynGraph, EdgeList, EdgeOp, VertexId};
+use dynbc_graph::{EdgeList, EdgeOp, SlackCsr, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
 
 /// Dynamic BC across several (simulated) GPUs.
@@ -168,7 +168,7 @@ impl MultiGpuDynamicBc {
 
     /// The shared graph (every replica is identical; the first is
     /// authoritative).
-    pub fn graph(&self) -> &DynGraph {
+    pub fn graph(&self) -> &SlackCsr {
         self.devices[0].graph()
     }
 
@@ -200,8 +200,9 @@ impl MultiGpuDynamicBc {
     /// whole-batch makespan over devices.
     ///
     /// # Panics
-    /// Panics (before touching any device state) if any op is a self
-    /// loop, a duplicate insertion, or a removal of an absent edge.
+    /// Panics (before touching any device state) if any op has an
+    /// out-of-range endpoint, is a self loop, a duplicate insertion, or a
+    /// removal of an absent edge.
     pub fn apply_batch(&mut self, batch: &[EdgeOp]) -> BatchResult {
         // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
         let wall_start = std::time::Instant::now();
@@ -290,14 +291,15 @@ impl MultiGpuDynamicBc {
         }
     }
 
-    /// Gathers the global BC scores: the host-side reduction over the
-    /// per-device partial vectors (untimed staging, like all host↔device
-    /// transfers in this workspace).
+    /// Gathers the global BC scores: the host-side reduction, in device
+    /// order, over the per-device partial vectors — an O(n) download per
+    /// device (untimed staging, like all host↔device transfers in this
+    /// workspace).
     pub fn bc(&self) -> Vec<f64> {
         let n = self.devices[0].graph().vertex_count();
         let mut bc = vec![0.0f64; n];
         for dev in &self.devices {
-            for (acc, x) in bc.iter_mut().zip(dev.state_snapshot().bc) {
+            for (acc, x) in bc.iter_mut().zip(dev.bc_scores()) {
                 *acc += x;
             }
         }
@@ -433,6 +435,29 @@ mod tests {
             t4 < t1 * 0.55,
             "4 devices should cut update time well below 1 device: {t1} -> {t4}"
         );
+    }
+
+    #[test]
+    fn out_of_range_endpoint_panics_before_state_change() {
+        let el = EdgeList::from_pairs(5, [(0, 1), (1, 2)]);
+        let mut multi = MultiGpuDynamicBc::new(
+            &el,
+            &[0, 2, 4],
+            DeviceConfig::test_tiny(),
+            Parallelism::Node,
+            3,
+        );
+        let bc = multi.bc();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            multi.apply_batch(&[EdgeOp::Insert(2, 3), EdgeOp::Insert(5, 0)])
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("out of range"), "{msg}");
+        for dev in &multi.devices {
+            assert_eq!(dev.graph().to_csr(), dynbc_graph::Csr::from_edge_list(&el));
+        }
+        assert_eq!(multi.bc(), bc);
     }
 
     #[test]

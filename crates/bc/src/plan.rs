@@ -28,7 +28,7 @@
 //! [`PlannedOp::cuts_stage`] is that boundary predicate.
 
 use crate::cases::{CaseCounts, InsertionCase, INF};
-use dynbc_graph::{DynGraph, EdgeOp, VertexId};
+use dynbc_graph::{BatchOpError, BatchOpErrorKind, EdgeOp, VertexId};
 
 /// A classified `(source, op)` pair, oriented so `u_high` is the endpoint
 /// nearer the source ("higher in the BFS tree") and `u_low` the farther
@@ -84,7 +84,7 @@ pub fn classify(d: &[u32], u: VertexId, v: VertexId) -> Classified {
 }
 
 /// Classifies the removal `(u, v)` for a source with **pre-removal**
-/// distance array `d`; `g` must already reflect the removal (the
+/// distance array `d`; `neighbors` must already reflect the removal (the
 /// surviving-predecessor scan must not see the deleted edge).
 ///
 /// The deletion duals map onto [`InsertionCase`]: D1 → `Same` (equal
@@ -92,7 +92,12 @@ pub fn classify(d: &[u32], u: VertexId, v: VertexId) -> Classified {
 /// `d_low − 1` keeps all distances intact; only path counts shrink),
 /// D3 → `Distant` (the removed edge was `u_low`'s sole predecessor, so
 /// distances grow and the engine falls back to a fresh source pass).
-pub fn classify_removal(d: &[u32], u: VertexId, v: VertexId, g: &DynGraph) -> Classified {
+pub fn classify_removal<I: Iterator<Item = VertexId>>(
+    d: &[u32],
+    u: VertexId,
+    v: VertexId,
+    neighbors: impl Fn(VertexId) -> I,
+) -> Classified {
     let du = d[u as usize];
     let dv = d[v as usize];
     if du == dv {
@@ -107,9 +112,7 @@ pub fn classify_removal(d: &[u32], u: VertexId, v: VertexId, g: &DynGraph) -> Cl
     // (handled above as Same).
     let (u_high, u_low) = if du < dv { (u, v) } else { (v, u) };
     let d_low = d[u_low as usize];
-    let survives = g
-        .neighbors(u_low)
-        .any(|x| d[x as usize] != INF && d[x as usize] + 1 == d_low);
+    let survives = neighbors(u_low).any(|x| d[x as usize] != INF && d[x as usize] + 1 == d_low);
     Classified {
         case: if survives {
             InsertionCase::Adjacent
@@ -157,31 +160,23 @@ impl PlannedOp {
     }
 }
 
-/// Commits `op` to `g` and classifies every source against the distance
+/// Classifies every source of the committed `op` against the distance
 /// rows `d` (`d[row]` = that source's distances, valid at the current
-/// stage start).
-///
-/// Removals are committed *before* classification — the
-/// surviving-predecessor scan must not see the deleted edge — while
-/// insertion classification only reads distances, so one commit-then-
-/// classify order serves both.
-///
-/// # Panics
-/// Panics if the op is a no-op (self loop, duplicate insert, absent
-/// removal); callers are expected to have validated the batch via
-/// [`validate_batch`] first.
-pub fn plan_op<R: AsRef<[u32]>>(g: &mut DynGraph, d: &[R], op: EdgeOp) -> PlannedOp {
-    let applied = g.apply_op(op);
-    assert!(
-        applied,
-        "plan_op: {op} is a no-op (validate the batch first)"
-    );
+/// stage start). `neighbors` yields the adjacency *after* `op`: the
+/// caller commits the op first, because the removal
+/// surviving-predecessor scan must not see the deleted edge, while
+/// insertion classification only reads distances.
+pub fn plan_op<R: AsRef<[u32]>, I: Iterator<Item = VertexId>>(
+    d: &[R],
+    op: EdgeOp,
+    neighbors: impl Fn(VertexId) -> I,
+) -> PlannedOp {
     let (u, v) = op.endpoints();
     let sources: Vec<Classified> = match op {
         EdgeOp::Insert(..) => d.iter().map(|row| classify(row.as_ref(), u, v)).collect(),
         EdgeOp::Remove(..) => d
             .iter()
-            .map(|row| classify_removal(row.as_ref(), u, v, g))
+            .map(|row| classify_removal(row.as_ref(), u, v, &neighbors))
             .collect(),
     };
     let mut cases = CaseCounts::default();
@@ -189,7 +184,7 @@ pub fn plan_op<R: AsRef<[u32]>>(g: &mut DynGraph, d: &[R], op: EdgeOp) -> Planne
     for c in &sources {
         cases.record(c.case);
         if !op.is_insert() && c.case != InsertionCase::Same {
-            scan_edges += u64::from(g.degree(c.u_low));
+            scan_edges += neighbors(c.u_low).count() as u64;
         }
     }
     PlannedOp {
@@ -200,24 +195,45 @@ pub fn plan_op<R: AsRef<[u32]>>(g: &mut DynGraph, d: &[R], op: EdgeOp) -> Planne
     }
 }
 
-/// Checks a whole batch against the graph before any engine state is
-/// touched: commits it (all or nothing, with rollback inside
-/// [`DynGraph::apply_batch`]) and immediately undoes it again, leaving
-/// the graph at its pre-batch edge set.
-///
-/// # Panics
-/// Panics with the offending op's diagnostics if any op is invalid; the
-/// graph is left unchanged in that case too.
-pub fn validate_batch(g: &mut DynGraph, ops: &[EdgeOp]) {
-    match g.apply_batch(ops) {
-        Ok(()) => g.undo_batch(ops),
-        Err(e) => panic!("{e}"),
+/// Checks a whole batch before any engine state is touched, without
+/// changing the graph: each op is checked against `has_edge` on the
+/// pre-batch graph of `n` vertices, overlaid with the ops before it in
+/// the batch. Reports the first invalid op.
+pub fn validate_batch(
+    n: usize,
+    has_edge: impl Fn(VertexId, VertexId) -> bool,
+    ops: &[EdgeOp],
+) -> Result<(), BatchOpError> {
+    // Edge presence after the batch's earlier ops, keyed by the ordered
+    // endpoint pair; lookups only, so hash order never matters.
+    let mut overlay = std::collections::HashMap::new();
+    for (index, &op) in ops.iter().enumerate() {
+        let (u, v) = op.endpoints();
+        let key = (u.min(v), u.max(v));
+        let kind = if key.1 as usize >= n {
+            BatchOpErrorKind::OutOfRange
+        } else if u == v {
+            BatchOpErrorKind::SelfLoop
+        } else {
+            let present = overlay.get(&key).copied().unwrap_or_else(|| has_edge(u, v));
+            match (op.is_insert(), present) {
+                (true, true) => BatchOpErrorKind::AlreadyPresent,
+                (false, false) => BatchOpErrorKind::NotPresent,
+                _ => {
+                    overlay.insert(key, op.is_insert());
+                    continue;
+                }
+            }
+        };
+        return Err(BatchOpError { index, op, kind });
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynbc_graph::DynGraph;
 
     #[test]
     fn same_level_is_case1() {
@@ -272,7 +288,7 @@ mod tests {
         }
         let d = [0u32, 1, 1, 2];
         g.remove_edge(1, 3);
-        let c = classify_removal(&d, 1, 3, &g);
+        let c = classify_removal(&d, 1, 3, |x| g.neighbors(x));
         assert_eq!(c.case, InsertionCase::Adjacent);
         assert_eq!((c.u_high, c.u_low), (1, 3));
     }
@@ -285,7 +301,7 @@ mod tests {
         g.insert_edge(1, 2);
         let d = [0u32, 1, 2];
         g.remove_edge(1, 2);
-        let c = classify_removal(&d, 2, 1, &g);
+        let c = classify_removal(&d, 2, 1, |x| g.neighbors(x));
         assert_eq!(c.case, InsertionCase::Distant);
         assert_eq!((c.u_high, c.u_low), (1, 2));
     }
@@ -298,7 +314,10 @@ mod tests {
         }
         let d = [0u32, 1, 1, INF];
         g.remove_edge(1, 2);
-        assert_eq!(classify_removal(&d, 1, 2, &g).case, InsertionCase::Same);
+        assert_eq!(
+            classify_removal(&d, 1, 2, |x| g.neighbors(x)).case,
+            InsertionCase::Same
+        );
     }
 
     #[test]
@@ -311,8 +330,8 @@ mod tests {
             g.insert_edge(0, w);
         }
         let d = vec![vec![0u32, 1, 1, 1], vec![1u32, 2, 1, 0]];
-        let p = plan_op(&mut g, &d, EdgeOp::Insert(1, 2));
-        assert!(g.has_edge(1, 2), "plan_op commits the op");
+        let p = plan_op(&d, EdgeOp::Insert(1, 2), |x| g.neighbors(x));
+        assert!(!g.has_edge(1, 2), "plan_op does not commit the op");
         assert_eq!(p.cases.same, 1);
         assert_eq!(p.cases.adjacent, 1);
         let items: Vec<_> = p.items().collect();
@@ -322,13 +341,34 @@ mod tests {
     }
 
     #[test]
+    fn plan_op_scans_post_removal_degree() {
+        // Diamond 0-1-3, 0-2-3 plus leaf 3-4: removing (1,3) is D2 for
+        // source 0, and the surviving-predecessor scan charges vertex
+        // 3's degree after the removal (2: vertices 2 and 4).
+        let mut g = DynGraph::new(5);
+        for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)] {
+            g.insert_edge(u, v);
+        }
+        let d = vec![vec![0u32, 1, 1, 2, 3]];
+        let op = EdgeOp::Remove(1, 3);
+        assert!(g.apply_op(op));
+        let p = plan_op(&d, op, |x| g.neighbors(x));
+        assert_eq!(p.cases.adjacent, 1);
+        assert_eq!(p.scan_edges, 2);
+    }
+
+    #[test]
     fn stage_cut_on_distance_changing_item() {
         let mut g = DynGraph::new(4);
         g.insert_edge(0, 1);
         // Source 0: vertex 3 unreachable → component merge → Distant.
         let d = vec![vec![0u32, 1, INF, INF]];
-        let p = plan_op(&mut g, &d, EdgeOp::Insert(1, 2));
+        let p = plan_op(&d, EdgeOp::Insert(1, 2), |x| g.neighbors(x));
         assert!(p.cuts_stage());
+    }
+
+    fn validate(g: &DynGraph, ops: &[EdgeOp]) -> Result<(), BatchOpError> {
+        validate_batch(g.vertex_count(), |u, v| g.has_edge(u, v), ops)
     }
 
     #[test]
@@ -336,21 +376,78 @@ mod tests {
         let mut g = DynGraph::new(5);
         g.insert_edge(0, 1);
         let before = g.to_edge_list();
-        validate_batch(
-            &mut g,
+        // Inserting then removing the same edge within one batch, and
+        // removing then re-inserting one, are both valid.
+        validate(
+            &g,
             &[
                 EdgeOp::Insert(1, 2),
+                EdgeOp::Remove(2, 1),
                 EdgeOp::Remove(0, 1),
                 EdgeOp::Insert(0, 1),
             ],
-        );
+        )
+        .unwrap();
+        assert_eq!(g.to_edge_list(), before);
+        // A failed validation leaves the graph unchanged as well.
+        validate(&g, &[EdgeOp::Remove(0, 1), EdgeOp::Remove(1, 0)]).unwrap_err();
         assert_eq!(g.to_edge_list(), before);
     }
 
     #[test]
-    #[should_panic(expected = "not present")]
-    fn validate_batch_panics_on_bad_op() {
-        let mut g = DynGraph::new(3);
-        validate_batch(&mut g, &[EdgeOp::Remove(0, 1)]);
+    fn validate_batch_reports_duplicate_insert_at_its_index() {
+        let mut g = DynGraph::new(6);
+        g.insert_edge(0, 1);
+        // Op 2 re-inserts the edge op 0 already inserted.
+        let err = validate(
+            &g,
+            &[
+                EdgeOp::Insert(2, 3),
+                EdgeOp::Remove(0, 1),
+                EdgeOp::Insert(3, 2),
+            ],
+        )
+        .unwrap_err();
+        assert_eq!(err.index, 2);
+        assert_eq!(err.kind, BatchOpErrorKind::AlreadyPresent);
+        assert!(err.to_string().contains("already present"), "{err}");
+    }
+
+    #[test]
+    fn validate_batch_rejects_bad_ops() {
+        let mut g = DynGraph::new(4);
+        g.insert_edge(0, 1);
+        for (op, kind, phrase) in [
+            (
+                EdgeOp::Insert(1, 1),
+                BatchOpErrorKind::SelfLoop,
+                "self-loop insertion",
+            ),
+            (
+                EdgeOp::Remove(2, 2),
+                BatchOpErrorKind::SelfLoop,
+                "self-loop removal",
+            ),
+            (
+                EdgeOp::Remove(0, 2),
+                BatchOpErrorKind::NotPresent,
+                "not present",
+            ),
+            (
+                EdgeOp::Insert(0, 4),
+                BatchOpErrorKind::OutOfRange,
+                "out of range",
+            ),
+            // The range check comes first.
+            (
+                EdgeOp::Remove(4, 4),
+                BatchOpErrorKind::OutOfRange,
+                "out of range",
+            ),
+        ] {
+            let err = validate(&g, &[EdgeOp::Insert(2, 3), op]).unwrap_err();
+            assert_eq!((err.index, err.op, err.kind), (1, op, kind));
+            assert!(err.to_string().contains(phrase), "{err}");
+        }
     }
 }

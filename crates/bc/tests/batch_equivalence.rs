@@ -5,10 +5,10 @@
 //! regardless of how many host threads execute the simulated blocks.
 
 use dynbc_bc::dynamic::CpuDynamicBc;
-use dynbc_bc::gpu::{GpuDynamicBc, MultiGpuDynamicBc, Parallelism};
+use dynbc_bc::gpu::{Backend, GpuDynamicBc, MultiGpuDynamicBc, Parallelism};
 use dynbc_bc::CaseCounts;
 use dynbc_gpusim::DeviceConfig;
-use dynbc_graph::{DynGraph, EdgeList, EdgeOp};
+use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,7 +34,9 @@ fn arb_graph() -> impl Strategy<Value = EdgeList> {
 /// random vertex pair becomes a removal if the edge currently exists and
 /// an insertion otherwise, tracked against a probe graph so the stream
 /// never contains self loops, duplicate insertions, or absent removals.
-fn op_stream(el: &EdgeList, seed: u64, len: usize) -> Vec<EdgeOp> {
+/// Also returns the probe's final graph: an oracle for the engines'
+/// stores that shares no code with them.
+fn op_stream(el: &EdgeList, seed: u64, len: usize) -> (Vec<EdgeOp>, Csr) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut probe = DynGraph::from_edge_list(el);
     let n = probe.vertex_count() as u32;
@@ -55,7 +57,7 @@ fn op_stream(el: &EdgeList, seed: u64, len: usize) -> Vec<EdgeOp> {
         assert!(probe.apply_op(op));
         ops.push(op);
     }
-    ops
+    (ops, probe.to_csr())
 }
 
 fn sources_for(el: &EdgeList) -> Vec<u32> {
@@ -89,7 +91,7 @@ proptest! {
 
     #[test]
     fn cpu_batch_is_bit_identical_to_sequential(el in arb_graph(), seed in 0u64..1_000, len in 2usize..8) {
-        let ops = op_stream(&el, seed, len);
+        let (ops, _) = op_stream(&el, seed, len);
         if ops.is_empty() { return Ok(()); }
         let (seq_bits, seq_cases) = sequential_cpu(&el, &ops);
 
@@ -104,7 +106,7 @@ proptest! {
 
     #[test]
     fn gpu_batch_is_bit_identical_to_sequential(el in arb_graph(), seed in 0u64..1_000, len in 2usize..8) {
-        let ops = op_stream(&el, seed, len);
+        let (ops, probe) = op_stream(&el, seed, len);
         if ops.is_empty() { return Ok(()); }
         let sources = sources_for(&el);
         let device = DeviceConfig::test_tiny();
@@ -136,12 +138,19 @@ proptest! {
                     "{:?} t{}: batched BC bits", par, threads
                 );
             }
+            // The engine's one host graph tracks the independent probe on
+            // the simulator and the native backend alike.
+            for backend in [Backend::Simulator, Backend::Native] {
+                let mut eng = GpuDynamicBc::new(&el, &sources, device, par).with_backend(backend);
+                eng.apply_batch(&ops);
+                prop_assert_eq!(eng.graph().to_csr(), probe.clone(), "{:?} {}: store", par, backend);
+            }
         }
     }
 
     #[test]
     fn multi_gpu_batch_is_bit_identical_to_sequential(el in arb_graph(), seed in 0u64..1_000, len in 2usize..6) {
-        let ops = op_stream(&el, seed, len);
+        let (ops, probe) = op_stream(&el, seed, len);
         if ops.is_empty() { return Ok(()); }
         let sources = sources_for(&el);
         let device = DeviceConfig::test_tiny();
@@ -161,6 +170,7 @@ proptest! {
                 prop_assert_eq!(op.cases, seq_cases[i], "t{}: op {} case tallies", threads, i);
             }
             prop_assert_eq!(bits(&eng.bc()), seq_bits.clone(), "t{}: batched BC bits", threads);
+            prop_assert_eq!(eng.graph().to_csr(), probe.clone(), "t{}: store", threads);
         }
     }
 }

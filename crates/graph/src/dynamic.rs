@@ -11,13 +11,13 @@
 //! * cache-friendly iteration (16 neighbours per block),
 //! * block recycling through a free list.
 //!
-//! Streaming experiments mutate a [`DynGraph`] for planning and
-//! validation; the analytics kernels read adjacency through the
-//! device-resident [`SlackCsr`](crate::slack::SlackCsr) store, which the
-//! engines keep current with O(degree) deltas per committed op (all
-//! structure maintenance stays outside timed regions, matching the
-//! paper's methodology). Immutable [`Csr`] snapshots remain the oracle
-//! form for equivalence checks.
+//! [`DynGraph`] is the store of the CPU reference engine, which the
+//! equivalence proptests compare the GPU engines against. The GPU
+//! engines keep one host graph, the [`SlackCsr`](crate::slack::SlackCsr)
+//! store their kernels read, and keep it current with O(degree) deltas
+//! per committed op (all structure maintenance stays outside timed
+//! regions, matching the paper's methodology). Immutable [`Csr`]
+//! snapshots remain the oracle form for equivalence checks.
 
 use crate::csr::Csr;
 use crate::edgelist::EdgeList;
@@ -49,8 +49,8 @@ impl Block {
 /// One streaming mutation of the edge set.
 ///
 /// A batch of these is the unit of work for the dynamic-BC engines'
-/// `apply_batch`; the graph side is [`DynGraph::apply_batch`], which
-/// commits a whole batch in submission order or none of it.
+/// `apply_batch`, which validate the whole batch before committing any
+/// op and then commit the ops in submission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeOp {
     /// Insert the undirected edge `{u, v}`.
@@ -71,14 +71,6 @@ impl EdgeOp {
     pub fn is_insert(self) -> bool {
         matches!(self, EdgeOp::Insert(..))
     }
-
-    /// The mutation that undoes this one.
-    pub fn inverse(self) -> EdgeOp {
-        match self {
-            EdgeOp::Insert(u, v) => EdgeOp::Remove(u, v),
-            EdgeOp::Remove(u, v) => EdgeOp::Insert(u, v),
-        }
-    }
 }
 
 impl std::fmt::Display for EdgeOp {
@@ -90,7 +82,8 @@ impl std::fmt::Display for EdgeOp {
     }
 }
 
-/// Why a batch was rejected by [`DynGraph::apply_batch`].
+/// Why a batch was rejected by the engines' batch validation (the plan
+/// layer's `validate_batch` in `dynbc-bc`).
 ///
 /// The display strings keep the phrases the single-op engines always
 /// panicked with ("self-loop", "already present", "not present") so
@@ -114,6 +107,8 @@ pub enum BatchOpErrorKind {
     AlreadyPresent,
     /// Removal of an edge the graph does not have.
     NotPresent,
+    /// An endpoint is not a vertex of the graph.
+    OutOfRange,
 }
 
 impl std::fmt::Display for BatchOpError {
@@ -123,6 +118,7 @@ impl std::fmt::Display for BatchOpError {
             (BatchOpErrorKind::SelfLoop, false) => "self-loop removal",
             (BatchOpErrorKind::AlreadyPresent, _) => "edge already present",
             (BatchOpErrorKind::NotPresent, _) => "edge not present",
+            (BatchOpErrorKind::OutOfRange, _) => "endpoint out of range",
         };
         write!(f, "batch op {} ({}): {what}", self.index, self.op)
     }
@@ -251,49 +247,6 @@ impl DynGraph {
         match op {
             EdgeOp::Insert(u, v) => self.insert_edge(u, v),
             EdgeOp::Remove(u, v) => self.remove_edge(u, v),
-        }
-    }
-
-    /// Commits a batch of mutations in submission order, all or nothing.
-    ///
-    /// If any op is a no-op against the state it would see (self loop,
-    /// duplicate insert, absent removal), the already-applied prefix is
-    /// rolled back — inverse ops in reverse order — and the offending op
-    /// is reported. On success the graph reflects every op.
-    ///
-    /// # Panics
-    /// Panics if an endpoint is out of range (same as [`insert_edge`]).
-    ///
-    /// [`insert_edge`]: DynGraph::insert_edge
-    pub fn apply_batch(&mut self, ops: &[EdgeOp]) -> Result<(), BatchOpError> {
-        for (index, &op) in ops.iter().enumerate() {
-            if self.apply_op(op) {
-                continue;
-            }
-            let (u, v) = op.endpoints();
-            let kind = if u == v {
-                BatchOpErrorKind::SelfLoop
-            } else if op.is_insert() {
-                BatchOpErrorKind::AlreadyPresent
-            } else {
-                BatchOpErrorKind::NotPresent
-            };
-            self.undo_batch(&ops[..index]);
-            return Err(BatchOpError { index, op, kind });
-        }
-        Ok(())
-    }
-
-    /// Reverts a batch previously committed by [`DynGraph::apply_batch`]:
-    /// inverse ops applied in reverse order.
-    ///
-    /// # Panics
-    /// Panics if the batch is not actually undoable from the current
-    /// state (i.e. it was never applied, or the graph moved on since).
-    pub fn undo_batch(&mut self, ops: &[EdgeOp]) {
-        for &op in ops.iter().rev() {
-            let undone = self.apply_op(op.inverse());
-            assert!(undone, "undo_batch: {op} was not applied");
         }
     }
 
@@ -552,72 +505,6 @@ mod tests {
         g.remove_edge(0, 2);
         g.insert_edge(2, 9);
         assert_eq!(g.to_csr(), Csr::from_edge_list(&g.to_edge_list()));
-    }
-
-    #[test]
-    fn apply_batch_commits_in_order() {
-        let mut g = DynGraph::new(6);
-        g.apply_batch(&[
-            EdgeOp::Insert(0, 1),
-            EdgeOp::Insert(1, 2),
-            EdgeOp::Remove(0, 1),
-            EdgeOp::Insert(0, 1),
-        ])
-        .unwrap();
-        assert_eq!(g.edge_count(), 2);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 2));
-    }
-
-    #[test]
-    fn apply_batch_rolls_back_on_invalid_op() {
-        let mut g = DynGraph::new(6);
-        g.insert_edge(0, 1);
-        let before = g.to_edge_list();
-        // Op 2 re-inserts an edge op 0 already inserted: the whole batch
-        // must be refused and the graph left exactly as it was.
-        let err = g
-            .apply_batch(&[
-                EdgeOp::Insert(2, 3),
-                EdgeOp::Remove(0, 1),
-                EdgeOp::Insert(2, 3),
-            ])
-            .unwrap_err();
-        assert_eq!(err.index, 2);
-        assert_eq!(err.kind, BatchOpErrorKind::AlreadyPresent);
-        assert!(err.to_string().contains("already present"), "{err}");
-        assert_eq!(g.to_edge_list(), before);
-        assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn apply_batch_rejects_self_loops_and_absent_removals() {
-        let mut g = DynGraph::new(4);
-        let err = g.apply_batch(&[EdgeOp::Insert(1, 1)]).unwrap_err();
-        assert_eq!(err.kind, BatchOpErrorKind::SelfLoop);
-        assert!(err.to_string().contains("self-loop insertion"), "{err}");
-        let err = g.apply_batch(&[EdgeOp::Remove(0, 2)]).unwrap_err();
-        assert_eq!(err.kind, BatchOpErrorKind::NotPresent);
-        assert!(err.to_string().contains("not present"), "{err}");
-        assert_eq!(g.edge_count(), 0);
-    }
-
-    #[test]
-    fn undo_batch_restores_edge_set() {
-        let mut g = DynGraph::new(8);
-        for w in 1..6 {
-            g.insert_edge(0, w);
-        }
-        let before = g.to_edge_list();
-        let ops = [
-            EdgeOp::Remove(0, 2),
-            EdgeOp::Insert(2, 3),
-            EdgeOp::Remove(0, 4),
-            EdgeOp::Insert(0, 6),
-        ];
-        g.apply_batch(&ops).unwrap();
-        g.undo_batch(&ops);
-        assert_eq!(g.to_edge_list(), before);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! * [`EdgeList`] — canonical undirected edge lists (generator/I-O
 //!   interchange format);
 //! * [`Csr`] — the immutable R/C adjacency snapshot the kernels consume;
-//! * [`DynGraph`] — a STINGER-lite blocked store for streaming updates;
+//! * [`DynGraph`] — a STINGER-lite blocked store for streaming updates,
+//!   the store of the CPU reference engine;
 //! * [`SlackCsr`] — a slack-CSR dynamic adjacency store (per-row gaps,
-//!   tombstoned removals, epoch-versioned batch views) that the engines
-//!   mirror on the device instead of snapshotting a fresh [`Csr`] per op;
+//!   tombstoned removals, epoch-versioned batch views): the GPU engines'
+//!   one host graph, mirrored on the device instead of snapshotting a
+//!   fresh [`Csr`] per op;
 //! * [`gen`] — synthetic generators for the seven DIMACS-10 families of the
 //!   paper's Table I;
 //! * [`suite`] — the reconstructed benchmark suite itself;

@@ -319,6 +319,15 @@ impl SlackCsr {
             .map(|s| self.adj[s])
     }
 
+    /// The neighbours of `v` at stage version `ver` (0 = stage start,
+    /// `j + 1` = after the stage's op `j`), in sorted order.
+    pub fn neighbors_at(&self, v: VertexId, ver: u32) -> impl Iterator<Item = VertexId> + '_ {
+        let (start, end) = self.occupied(v);
+        (start..end)
+            .filter(move |&s| epoch_visible(self.epochs[s], ver))
+            .map(|s| self.adj[s])
+    }
+
     // -- settled (immediate) mutation --------------------------------
 
     /// Inserts `{u, v}` as a settled edge. Returns `false` (store
@@ -426,7 +435,7 @@ impl SlackCsr {
             self.mutable,
             "SlackCsr::from_csr_exact layouts are immutable"
         );
-        let (start, mut end) = self.occupied(u);
+        let (_, mut end) = self.occupied(u);
         let mut pos = self.lower_bound(u, w);
         // Revival: a settled tombstone of the same value keeps its slot.
         let mut probe = pos;
@@ -445,13 +454,11 @@ impl SlackCsr {
             // Row full: rebuild the layout with fresh slack. Slot ids
             // change, so recompute the insertion point.
             self.relayout(false);
-            let (s, e) = self.occupied(u);
+            let (_, e) = self.occupied(u);
             debug_assert!(e < self.row_start[u as usize + 1] as usize);
-            let _ = s;
             end = e;
             pos = self.lower_bound(u, w);
         }
-        let _ = start;
         self.adj.copy_within(pos..end, pos + 1);
         self.epochs.copy_within(pos..end, pos + 1);
         self.adj[pos] = w;
@@ -697,19 +704,13 @@ mod tests {
         slack.remove_edge_versioned(0, 1, 2);
         slack.remove_edge_versioned(2, 3, 3);
         slack.insert_edge_versioned(2, 3, 4);
-        let visible = |s: &SlackCsr, v: u32, ver: u32| -> Vec<u32> {
-            let (start, end) = s.occupied(v);
-            (start..end)
-                .filter(|&i| epoch_visible(s.epochs()[i], ver))
-                .map(|i| s.adj()[i])
-                .collect()
-        };
-        assert_eq!(visible(&slack, 2, 0), vec![1], "stage start");
-        assert_eq!(visible(&slack, 2, 1), vec![1, 3], "after op 0");
-        assert_eq!(visible(&slack, 0, 1), vec![1], "op 1 not yet visible");
-        assert_eq!(visible(&slack, 0, 2), Vec::<u32>::new(), "after op 1");
-        assert_eq!(visible(&slack, 2, 3), vec![1], "after op 2");
-        assert_eq!(visible(&slack, 2, 4), vec![1, 3], "after op 3");
+        let visible = |v, ver| slack.neighbors_at(v, ver).collect::<Vec<_>>();
+        assert_eq!(visible(2, 0), vec![1], "stage start");
+        assert_eq!(visible(2, 1), vec![1, 3], "after op 0");
+        assert_eq!(visible(0, 1), vec![1], "op 1 not yet visible");
+        assert_eq!(visible(0, 2), Vec::<u32>::new(), "after op 1");
+        assert_eq!(visible(2, 3), vec![1], "after op 2");
+        assert_eq!(visible(2, 4), vec![1, 3], "after op 3");
         slack.settle();
         let oracle = csr_of(5, &[(1, 2), (2, 3), (3, 4)]);
         assert_eq!(slack.to_csr(), oracle);

@@ -51,11 +51,8 @@ fn main() {
         let a = rng.gen_range(0..n as u32);
         let c1 = rng.gen_range(0..n as u32);
         let c2 = rng.gen_range(0..n as u32);
-        let b = if engine.graph().degree(c1) >= engine.graph().degree(c2) {
-            c1
-        } else {
-            c2
-        };
+        let degree = |v| engine.graph().neighbors(v).count();
+        let b = if degree(c1) >= degree(c2) { c1 } else { c2 };
         if a == b || engine.graph().has_edge(a, b) {
             continue;
         }

@@ -37,9 +37,8 @@ fn random_stream(el: &EdgeList, count: usize, seed: u64) -> Vec<(u32, u32)> {
     out
 }
 
-fn assert_state_matches(state: &BcState, graph: &DynGraph, ctx: &str) {
-    let csr = graph.to_csr();
-    let fresh = dynbc::bc::brandes::brandes_state(&csr, &state.sources);
+fn assert_state_matches(state: &BcState, csr: &Csr, ctx: &str) {
+    let fresh = dynbc::bc::brandes::brandes_state(csr, &state.sources);
     for i in 0..state.sources.len() {
         prop_assert_eq_stub(&state.d[i], &fresh.d[i], ctx, "d");
         for v in 0..state.n {
@@ -88,7 +87,7 @@ proptest! {
             engine.insert_edge(u, v);
             assert_state_matches(
                 engine.state(),
-                engine.graph(),
+                &engine.graph().to_csr(),
                 &format!("cpu family={family} seed={seed} step={step}"),
             );
         }
@@ -110,10 +109,15 @@ proptest! {
         for &(u, v) in &stream {
             engine.insert_edge(u, v);
         }
+        // The oracle graph comes from the stream, not the engine's store.
+        let mut after = el.clone();
+        for &(u, v) in &stream {
+            after.insert_edge(u, v);
+        }
         let snapshot = engine.state_snapshot();
         assert_state_matches(
             &snapshot,
-            engine.graph(),
+            &Csr::from_edge_list(&after),
             &format!("gpu-{par} family={family} n={n} seed={seed}"),
         );
     }
