@@ -20,10 +20,12 @@
 //!   through it is retracted explicitly.
 //! * **Case D3** (`u_high` was `u_low`'s only predecessor): distances
 //!   grow, which is genuinely harder than insertion (new distances are
-//!   not derivable from one relaxation). Following the paper's scope, the
-//!   engine falls back to a single-source Brandes re-pass and score diff
-//!   for the affected source — still incremental at the update level
-//!   (unaffected sources skip), but coarser-grained. See DESIGN.md.
+//!   not derivable from one relaxation). This engine answers it with a
+//!   single-source Brandes re-pass and score diff for the affected
+//!   source — still incremental at the update level (unaffected sources
+//!   skip), but coarser-grained. It stays the re-pass on purpose: it is
+//!   the reference the node-parallel GPU path's incremental D3 repair
+//!   (`gpu/kernels/delete.rs`) is tested against. See DESIGN.md §4c.
 
 use super::cpu::{CpuDynamicBc, INF, T_DOWN, T_UNTOUCHED, T_UP};
 use super::result::UpdateResult;

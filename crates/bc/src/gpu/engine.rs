@@ -594,6 +594,10 @@ impl GpuDynamicBc {
                 self.scr.t.fill(crate::gpu::buffers::T_UNTOUCHED);
                 self.scratch_t_dirty = false;
             }
+            // Per-kind item counts for the stage span (telemetry only).
+            let kind_items = tel_on.then(|| exec::kind_counts(&exec::stage_items(&stage)));
+            // Per-kind native wall seconds, when a native path ran.
+            let mut kind_wall: Option<[f64; 3]> = None;
             // dynbc-lint: allow(no-wall-clock) — router wall latency is an observability metric; routing decisions key on the touched-set estimate, not this clock
             let route_t = std::time::Instant::now();
             let (touched, routed) = match self.backend {
@@ -620,14 +624,16 @@ impl GpuDynamicBc {
                 }
                 Backend::Native => {
                     let workers = self.gpu.host_threads();
-                    let touched = crate::native::run_stage(
+                    let (touched, wall) = crate::native::run_stage(
                         cfg,
                         &self.st,
                         &self.scr,
                         &stage,
                         &self.store,
                         workers,
+                        tel_on,
                     );
+                    kind_wall = Some(wall);
                     (touched, None)
                 }
                 Backend::Hybrid => {
@@ -649,14 +655,16 @@ impl GpuDynamicBc {
                         let threshold = (self.st.n as f64 / 4.0).max(1024.0);
                         let cpu = predicted <= threshold;
                         let workers = if cpu { 1 } else { self.gpu.host_threads() };
-                        let touched = crate::native::run_stage(
+                        let (touched, wall) = crate::native::run_stage(
                             cfg,
                             &self.st,
                             &self.scr,
                             &stage,
                             &self.store,
                             workers,
+                            tel_on,
                         );
+                        kind_wall = Some(wall);
                         // Feed the observed footprints back into the
                         // estimator, in deterministic item order.
                         for &(op_slot, row, t) in &touched {
@@ -709,16 +717,25 @@ impl GpuDynamicBc {
             if tel_on {
                 let launches = self.gpu.take_launch_spans();
                 let commit_wall = commit_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-                stage_spans.push(
-                    Span::new(
-                        format!("stage#{stage_idx}"),
-                        1,
-                        stage_clock0,
-                        stage_clock1 - stage_clock0,
-                    )
-                    .wall(exec_wall)
-                    .arg("ops", stage.len() as f64),
-                );
+                let [ins, d2, d3] = kind_items.unwrap_or_default();
+                let mut span = Span::new(
+                    format!("stage#{stage_idx}"),
+                    1,
+                    stage_clock0,
+                    stage_clock1 - stage_clock0,
+                )
+                .wall(exec_wall)
+                .arg("ops", stage.len() as f64)
+                .arg("items_insert", ins as f64)
+                .arg("items_d2", d2 as f64)
+                .arg("items_d3", d3 as f64);
+                if let Some([ins, d2, d3]) = kind_wall {
+                    span = span
+                        .arg("wall_insert_s", ins)
+                        .arg("wall_d2_s", d2)
+                        .arg("wall_d3_s", d3);
+                }
+                stage_spans.push(span);
                 stage_spans.push(
                     Span::instant("plan", 2, stage_clock0, plan_wall)
                         .arg("stage", stage_idx as f64),

@@ -32,7 +32,7 @@ use super::engine::{DedupStrategy, Parallelism};
 use super::kernels::{
     case2_edge, case2_node, case3_edge, case3_node, common, delete, Ctx, GraphView,
 };
-use super::static_bc::{static_source_edge, static_source_node};
+use super::static_bc::static_source_edge;
 use crate::cases::InsertionCase;
 use crate::plan::PlannedOp;
 use dynbc_gpusim::{BlockCtx, Gpu, GpuBuffer};
@@ -123,7 +123,38 @@ pub(crate) struct WorkItem {
     pub(crate) u_low: u32,
 }
 
+/// What a work item runs: an insertion (Case 2 or 3), a Case D2 removal
+/// (distances static, σ shrinks) or a Case D3 removal (`u_low` lost its
+/// only predecessor, so distances grow). Per-kind arrays index by the
+/// discriminant: `[insert, d2, d3]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ItemKind {
+    Insert,
+    D2,
+    D3,
+}
+
+/// Work items per kind (`[insert, d2, d3]`).
+pub(crate) fn kind_counts(items: &[WorkItem]) -> [usize; 3] {
+    let mut counts = [0; 3];
+    for item in items {
+        counts[item.kind() as usize] += 1;
+    }
+    counts
+}
+
 impl WorkItem {
+    /// This item's kind.
+    pub(crate) fn kind(&self) -> ItemKind {
+        if self.is_insert {
+            ItemKind::Insert
+        } else if self.case == InsertionCase::Adjacent {
+            ItemKind::D2
+        } else {
+            ItemKind::D3
+        }
+    }
+
     /// The versioned graph view this item must read: the shared device
     /// store as of its own op's commit (`version = op_slot + 1`). The
     /// single place the stage-versioning invariant lives — every backend
@@ -265,12 +296,11 @@ pub(super) fn run_stage(
                 u_high: item.u_high,
                 u_low: item.u_low,
             };
-            let touched = if item.is_insert {
-                insert_item(block, &ctx, cfg, item.case)
-            } else if item.case == InsertionCase::Adjacent {
-                delete_adjacent_item(block, &ctx, cfg)
-            } else {
-                delete_fallback_item(block, &ctx, cfg)
+            let touched = match (item.kind(), cfg.par) {
+                (ItemKind::Insert, _) => insert_item(block, &ctx, cfg, item.case),
+                (ItemKind::D2, _) => delete_adjacent_item(block, &ctx, cfg),
+                (ItemKind::D3, Parallelism::Node) => delete_distant_item(block, &ctx),
+                (ItemKind::D3, Parallelism::Edge) => delete_fallback_item(block, &ctx),
             };
             touched_slots[b]
                 .lock()
@@ -346,18 +376,25 @@ fn delete_adjacent_item(block: &mut BlockCtx, ctx: &Ctx<'_>, cfg: ExecConfig) ->
     touched_flags(ctx)
 }
 
-/// Case D3 item: subtract the old scores, recompute this source from
-/// scratch on the device, commit.
-fn delete_fallback_item(block: &mut BlockCtx, ctx: &Ctx<'_>, cfg: ExecConfig) -> usize {
+/// Node-parallel Case D3 item: collect the lost subtree, settle its new
+/// levels, recount σ̂ below it (see [`delete`]), then the Case 3 closure,
+/// pull sweep and commit.
+fn delete_distant_item(block: &mut BlockCtx, ctx: &Ctx<'_>) -> usize {
+    common::init_kernel(block, ctx, common::SeedMode::General);
+    delete::d3_collect(block, ctx);
+    delete::d3_settle(block, ctx);
+    let deepest = delete::d3_recount(block, ctx);
+    let max_depth = case3_node::mark_node(block, ctx, deepest);
+    case3_node::phase2_node(block, ctx, max_depth);
+    common::update_kernel(block, ctx, true);
+    touched_flags(ctx)
+}
+
+/// Edge-parallel Case D3 item: subtract the old scores, recompute this
+/// source from scratch on the device, commit.
+fn delete_fallback_item(block: &mut BlockCtx, ctx: &Ctx<'_>) -> usize {
     delete::fallback_subtract_old(block, ctx);
-    match cfg.par {
-        Parallelism::Node => {
-            static_source_node(block, ctx.g, ctx.scr, ctx.block_slot, ctx.bc_slot, ctx.s)
-        }
-        Parallelism::Edge => {
-            static_source_edge(block, ctx.g, ctx.scr, ctx.block_slot, ctx.bc_slot, ctx.s)
-        }
-    }
+    static_source_edge(block, ctx.g, ctx.scr, ctx.block_slot, ctx.bc_slot, ctx.s);
     // Touched statistic (host instrumentation, off the clock): state
     // entries the commit will change. Snapshots cover only rows this
     // block owns (its scratch row, this source's state row).

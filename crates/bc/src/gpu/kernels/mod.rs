@@ -1,5 +1,5 @@
 //! Device kernels for dynamic betweenness centrality (Algorithms 3–8 of
-//! the paper, plus our Case 3 generalization).
+//! the paper, plus our Case 3 generalization and the removal cases D2/D3).
 //!
 //! All kernels are written against `dynbc-gpusim`'s `BlockCtx`/`Lane`
 //! API: every global-memory access flows through a lane and is charged to

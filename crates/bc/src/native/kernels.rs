@@ -1,7 +1,7 @@
 //! Sequential, *sparse* translations of the node-parallel device kernels.
 //!
-//! Each function mirrors one kernel in [`crate::gpu::kernels`] (or
-//! [`crate::gpu::static_bc`]) with the SIMT scaffolding stripped:
+//! Each function mirrors one kernel in [`crate::gpu::kernels`] with the
+//! SIMT scaffolding stripped:
 //! `parallel_for` loops become plain loops in the simulator's lane
 //! order, `lane.read`/`write` become [`host_get`]/[`host_set`], atomics
 //! become plain read-modify-write (everything inside a native block is
@@ -31,17 +31,22 @@
 //! The sparse commit also resets each processed `t` flag, restoring the
 //! all-untouched invariant the next item's sparse init relies on
 //! (the dense path instead rewrites the whole row per item).
+//!
+//! Every work item, Case D3 removals included, is such a traversal: the
+//! D3 translations ([`d3_collect`], [`d3_settle`], [`d3_recount`]) touch
+//! only the lost subtree, its kept children and the vertices below them,
+//! and end in the same sparse closure, sweep and commit as Case 3.
 //! `bc/tests/native_equivalence.rs` holds the proof obligation.
 //!
 //! [`host_get`]: dynbc_gpusim::GpuBuffer::host_get
 //! [`host_set`]: dynbc_gpusim::GpuBuffer::host_set
 
 use crate::gpu::buffers::{
-    ScratchBuffers, SLOT_DEPTH, SLOT_Q2LEN, SLOT_QLEN, SLOT_QQLEN, T_DOWN, T_UNTOUCHED, T_UP,
+    SLOT_DEPTH, SLOT_Q2LEN, SLOT_QLEN, SLOT_QQLEN, T_DOWN, T_UNTOUCHED, T_UP,
 };
 use crate::gpu::engine::DedupStrategy;
 use crate::gpu::kernels::common::SeedMode;
-use crate::gpu::kernels::{Ctx, GraphView};
+use crate::gpu::kernels::Ctx;
 
 const INF: u32 = u32::MAX;
 
@@ -576,142 +581,203 @@ pub(crate) fn phantom_retraction(ctx: &Ctx<'_>) {
     ctx.scr.lens.host_set(ctx.li(SLOT_Q2LEN), 0);
 }
 
-/// `delete::fallback_subtract_old`: `BC[v] −= δ_old[v]` for every
-/// `v ≠ s`, staged through the BC delta slab.
-pub(crate) fn fallback_subtract_old(ctx: &Ctx<'_>) {
-    let n = ctx.n();
-    let s = ctx.s;
-    for v in 0..n {
-        if v as u32 != s {
-            let del = ctx.st.delta.host_get(ctx.kn(v as u32));
-            if del != 0.0 {
-                let i = ctx.bci(v as u32);
-                ctx.scr
-                    .bc_delta
-                    .host_set(i, ctx.scr.bc_delta.host_get(i) + -del);
+/// Appends `v` to the block's discovered list `QQ`.
+fn push_qq(ctx: &Ctx<'_>, v: u32) {
+    let qq_len = ctx.scr.lens.host_get(ctx.li(SLOT_QQLEN));
+    assert!((qq_len as usize) < ctx.scr.qw, "QQ overflow");
+    ctx.scr.qq.host_set(ctx.qi(qq_len as usize), v);
+    ctx.scr.lens.host_set(ctx.li(SLOT_QQLEN), qq_len + 1);
+}
+
+/// `delete::d3_collect`: the lost set `L` and its kept children, level by
+/// old level from `u_low`, in the device kernel's lane order. Claimed
+/// vertices are touched (`d̂ ← d`) and appended to `QQ`; lost ones get
+/// `d̂ ← ∞`. O(|L| + kept) row scans.
+pub(crate) fn d3_collect(ctx: &Ctx<'_>) {
+    let u_low = ctx.u_low;
+    ctx.scr.d_hat.host_set(ctx.sn(u_low), INF);
+    ctx.scr.qq.host_set(ctx.qi(0), u_low);
+    ctx.scr.lens.host_set(ctx.li(SLOT_QQLEN), 1);
+    let mut frontier = vec![u_low];
+    let mut level = ctx.st.d.host_get(ctx.kn(u_low));
+    while !frontier.is_empty() {
+        let mut claimed = Vec::new();
+        for &v in &frontier {
+            let (start_e, end_e, check) = ctx.g.row_host(v);
+            for e in start_e..end_e {
+                let Some(w) = ctx.g.slot_host(&check, e) else {
+                    continue;
+                };
+                if ctx.st.d.host_get(ctx.kn(w)) == level + 1
+                    && ctx.scr.t.host_get(ctx.sn(w)) == T_UNTOUCHED
+                {
+                    touch(ctx, w, T_DOWN, true);
+                    claimed.push(w);
+                }
             }
         }
+        frontier.clear();
+        for &w in &claimed {
+            push_qq(ctx, w);
+            let (start_e, end_e, check) = ctx.g.row_host(w);
+            let lost = (start_e..end_e).all(|e| match ctx.g.slot_host(&check, e) {
+                Some(x) if ctx.st.d.host_get(ctx.kn(x)) == level => {
+                    ctx.scr.t.host_get(ctx.sn(x)) != T_UNTOUCHED
+                        && ctx.scr.d_hat.host_get(ctx.sn(x)) == INF
+                }
+                _ => true,
+            });
+            if lost {
+                ctx.scr.d_hat.host_set(ctx.sn(w), INF);
+                frontier.push(w);
+            }
+        }
+        level += 1;
     }
 }
 
-/// `delete::fallback_commit`: commit the freshly computed tree into this
-/// source's global state rows.
-pub(crate) fn fallback_commit(ctx: &Ctx<'_>) {
-    let n = ctx.n();
-    for v in 0..n {
-        let v = v as u32;
-        let dh = ctx.scr.d_hat.host_get(ctx.sn(v));
-        ctx.st.d.host_set(ctx.kn(v), dh);
-        let sh = ctx.scr.sigma_hat.host_get(ctx.sn(v));
-        ctx.st.sigma.host_set(ctx.kn(v), sh);
-        let delh = ctx.scr.delta_hat.host_get(ctx.sn(v));
-        ctx.st.delta.host_set(ctx.kn(v), delh);
+/// `delete::d3_settle`: the lost set's new levels. The device kernel
+/// finds each round's level with an `atomicMin` over every pending
+/// vertex; here each lost vertex is seeded once with its smallest
+/// finite-neighbour level + 1 (the neighbours outside `L`), and the
+/// seeds are merged into a BFS over `L` in increasing level order —
+/// O(|L| · degree) instead of one pass over `L` per level. Levels are
+/// integers and BFS distances unique, so every `d̂` equals the device's.
+/// Vertices never reached keep `d̂ = ∞` and get `σ̂ = 0`.
+pub(crate) fn d3_settle(ctx: &Ctx<'_>) {
+    let qq_len = ctx.scr.lens.host_get(ctx.li(SLOT_QQLEN)) as usize;
+    let lost: Vec<u32> = (0..qq_len)
+        .map(|tid| ctx.scr.qq.host_get(ctx.qi(tid)))
+        .filter(|&v| ctx.scr.d_hat.host_get(ctx.sn(v)) == INF)
+        .collect();
+    let pending = |v: u32| dhat(ctx, v) == INF;
+    let mut seeds: Vec<(u32, u32)> = Vec::new();
+    for &v in &lost {
+        let (start_e, end_e, check) = ctx.g.row_host(v);
+        let seed = (start_e..end_e)
+            .filter_map(|e| ctx.g.slot_host(&check, e))
+            .map(|x| dhat(ctx, x))
+            .filter(|&dx| dx != INF)
+            .min();
+        if let Some(dx) = seed {
+            seeds.push((dx + 1, v));
+        }
     }
-}
-
-/// `static_bc::static_source_node` (including its init and BC
-/// accumulation): one from-scratch node-parallel source pass writing into
-/// block scratch row `slot` and BC delta row `bc_slot`.
-pub(crate) fn static_source_node(
-    g: GraphView<'_>,
-    scr: &ScratchBuffers,
-    slot: usize,
-    bc_slot: usize,
-    s: u32,
-) {
-    let row = scr.row(slot);
-    let qrow = scr.qrow(slot);
-    let lrow = scr.lens_row(slot);
-    // static::init
-    for v in 0..g.store.n {
-        scr.d_hat.host_set(row + v, INF);
-        scr.sigma_hat.host_set(row + v, 0.0);
-        scr.delta_hat.host_set(row + v, 0.0);
-    }
-    scr.d_hat.host_set(row + s as usize, 0);
-    scr.sigma_hat.host_set(row + s as usize, 1.0);
-    // static::node — CAS-gated BFS with frontier queues.
-    scr.q.host_set(qrow, s);
-    scr.qq.host_set(qrow, s);
-    scr.lens.host_set(lrow + SLOT_QLEN, 1);
-    scr.lens.host_set(lrow + SLOT_Q2LEN, 0);
-    scr.lens.host_set(lrow + SLOT_QQLEN, 1);
-    let mut depth = 0u32;
+    seeds.sort_unstable();
+    let mut next_seed = 0;
+    let mut frontier: Vec<u32> = Vec::new();
+    let mut level = 0;
     loop {
-        let q_len = scr.lens.host_get(lrow + SLOT_QLEN) as usize;
-        for tid in 0..q_len {
-            let v = scr.q.host_get(qrow + tid);
-            let sig_v = scr.sigma_hat.host_get(row + v as usize);
-            let (start, end, check) = g.row_host(v);
-            for e in start..end {
-                let Some(w) = g.slot_host(&check, e) else {
+        if frontier.is_empty() {
+            match seeds.get(next_seed) {
+                Some(&(seed_level, _)) => level = seed_level,
+                None => break,
+            }
+        }
+        let mut settled = Vec::new();
+        for &v in &frontier {
+            let (start_e, end_e, check) = ctx.g.row_host(v);
+            for e in start_e..end_e {
+                let Some(y) = ctx.g.slot_host(&check, e) else {
                     continue;
                 };
-                let w = w as usize;
-                let old = scr.d_hat.host_get(row + w);
-                if old == INF {
-                    scr.d_hat.host_set(row + w, depth + 1);
-                    let i = scr.lens.host_get(lrow + SLOT_Q2LEN);
-                    scr.lens.host_set(lrow + SLOT_Q2LEN, i + 1);
-                    scr.q2.host_set(qrow + i as usize, w as u32);
-                }
-                if old == INF || old == depth + 1 {
-                    scr.sigma_hat
-                        .host_set(row + w, scr.sigma_hat.host_get(row + w) + sig_v);
+                if pending(y) {
+                    ctx.scr.d_hat.host_set(ctx.sn(y), level);
+                    settled.push(y);
                 }
             }
         }
-        let found = scr.lens.host_get(lrow + SLOT_Q2LEN) as usize;
-        if found == 0 {
-            break;
+        while let Some(&(seed_level, v)) = seeds.get(next_seed) {
+            if seed_level != level {
+                break;
+            }
+            next_seed += 1;
+            if pending(v) {
+                ctx.scr.d_hat.host_set(ctx.sn(v), level);
+                settled.push(v);
+            }
         }
-        let qq_len = scr.lens.host_get(lrow + SLOT_QQLEN) as usize;
-        assert!(qq_len + found <= scr.qw, "static frontier overflow");
-        for i in 0..found {
-            let v = scr.q2.host_get(qrow + i);
-            scr.q.host_set(qrow + i, v);
-            scr.qq.host_set(qrow + qq_len + i, v);
-        }
-        scr.lens.host_set(lrow + SLOT_QLEN, found as u32);
-        scr.lens
-            .host_set(lrow + SLOT_QQLEN, (qq_len + found) as u32);
-        scr.lens.host_set(lrow + SLOT_Q2LEN, 0);
-        depth += 1;
+        frontier = settled;
+        level += 1;
     }
-    // Dependency accumulation over QQ, deepest level first.
-    let qq_len = scr.lens.host_get(lrow + SLOT_QQLEN) as usize;
-    while depth > 0 {
-        for tid in 0..qq_len {
-            let w = scr.qq.host_get(qrow + tid) as usize;
-            if scr.d_hat.host_get(row + w) != depth {
-                continue;
+    for v in lost {
+        if pending(v) {
+            ctx.scr.sigma_hat.host_set(ctx.sn(v), 0.0);
+        }
+    }
+}
+
+/// `delete::d3_recount`: σ̂ recount by increasing new level, then `u_high`
+/// touched as `up`. Returns the same depth as the device kernel.
+///
+/// Like [`phase2_node`], the touched vertices are bucketed by level up
+/// front (claimed children join the next bucket) instead of rescanning
+/// `QQ` per level. Each σ̂ is a pull over the fixed adjacency order from
+/// final predecessor values, so visit order within a level cannot change
+/// any bit.
+pub(crate) fn d3_recount(ctx: &Ctx<'_>) -> u32 {
+    let u_high = ctx.u_high;
+    let start = ctx.st.d.host_get(ctx.kn(ctx.u_low)) + 1;
+    let qq_len = ctx.scr.lens.host_get(ctx.li(SLOT_QQLEN)) as usize;
+    let mut buckets: Vec<Vec<u32>> = Vec::new();
+    for tid in 0..qq_len {
+        let v = ctx.scr.qq.host_get(ctx.qi(tid));
+        let dv = ctx.scr.d_hat.host_get(ctx.sn(v));
+        if dv != INF {
+            let i = (dv - start) as usize;
+            if buckets.len() <= i {
+                buckets.resize(i + 1, Vec::new());
             }
-            let sig_w = scr.sigma_hat.host_get(row + w);
-            let del_w = scr.delta_hat.host_get(row + w);
-            let (start, end, check) = g.row_host(w as u32);
-            for e in start..end {
-                let Some(v) = g.slot_host(&check, e) else {
+            buckets[i].push(v);
+        }
+    }
+    let mut i = 0;
+    while i < buckets.len() {
+        let level = start + i as u32;
+        let frontier = std::mem::take(&mut buckets[i]);
+        for &v in &frontier {
+            let (start_e, end_e, check) = ctx.g.row_host(v);
+            let mut sig = 0.0;
+            for e in start_e..end_e {
+                let Some(x) = ctx.g.slot_host(&check, e) else {
                     continue;
                 };
-                let v = v as usize;
-                if scr.d_hat.host_get(row + v) == depth - 1 {
-                    let sig_v = scr.sigma_hat.host_get(row + v);
-                    scr.delta_hat.host_set(
-                        row + v,
-                        scr.delta_hat.host_get(row + v) + sig_v / sig_w * (1.0 + del_w),
-                    );
+                if dhat(ctx, x) == level - 1 {
+                    // dynbc-lint: allow(float-accumulation) — lane-local accumulator over the fixed adjacency order; single writer, drained via bc_delta
+                    sig += shat(ctx, x);
+                }
+            }
+            ctx.scr.sigma_hat.host_set(ctx.sn(v), sig);
+        }
+        for &v in &frontier {
+            let (start_e, end_e, check) = ctx.g.row_host(v);
+            for e in start_e..end_e {
+                let Some(w) = ctx.g.slot_host(&check, e) else {
+                    continue;
+                };
+                if ctx.scr.t.host_get(ctx.sn(w)) == T_UNTOUCHED
+                    && ctx.st.d.host_get(ctx.kn(w)) == level + 1
+                {
+                    touch(ctx, w, T_DOWN, true);
+                    push_qq(ctx, w);
+                    if buckets.len() <= i + 1 {
+                        buckets.push(Vec::new());
+                    }
+                    buckets[i + 1].push(w);
                 }
             }
         }
-        depth -= 1;
+        i += 1;
     }
-    // static::accumulate_bc
-    let brow = scr.bc_row(bc_slot);
-    for v in 0..g.store.n {
-        if v != s as usize && scr.d_hat.host_get(row + v) != INF {
-            let del = scr.delta_hat.host_get(row + v);
-            scr.bc_delta
-                .host_set(brow + v, scr.bc_delta.host_get(brow + v) + del);
-        }
+    if ctx.scr.t.host_get(ctx.sn(u_high)) == T_UNTOUCHED {
+        touch(ctx, u_high, T_UP, true);
+        push_qq(ctx, u_high);
+    }
+    let deepest = start + buckets.len() as u32 - 1;
+    let d_high = ctx.st.d.host_get(ctx.kn(u_high));
+    if buckets.is_empty() {
+        d_high
+    } else {
+        deepest.max(d_high)
     }
 }

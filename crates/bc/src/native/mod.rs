@@ -34,6 +34,11 @@
 //! instrument; `bc/tests/native_equivalence.rs` holds the bit-exactness
 //! proof obligation.
 //!
+//! Every work item is a sparse traversal — insertions, Case D2 removals,
+//! and Case D3 removals, which repair only the subtree the removed edge
+//! cut off (DESIGN §4c) — so each item drains a sparse list of dirtied
+//! slab cells and no item ever scans a whole row.
+//!
 //! Only the node-parallel decomposition has native kernels; the engines
 //! keep edge-parallel work on the simulator.
 //!
@@ -45,16 +50,19 @@ pub(crate) mod kernels;
 use crate::cases::InsertionCase;
 use crate::gpu::buffers::{ScratchBuffers, SlackGraphBuffers, StateBuffers};
 use crate::gpu::engine::Parallelism;
-use crate::gpu::exec::{stage_items, ExecConfig, WorkItem};
+use crate::gpu::exec::{stage_items, ExecConfig, ItemKind, WorkItem};
 use crate::gpu::kernels::common::SeedMode;
 use crate::gpu::kernels::Ctx;
 use crate::plan::PlannedOp;
 use dynbc_gpusim::GpuBuffer;
 
-/// BC-delta slab cells one work item dirtied: the vertex list for a
-/// sparse (traversal) item, or `None` for a fallback rebuild, whose
-/// whole row must be scanned.
-type DirtyRow = (usize, Option<Vec<u32>>);
+/// BC-delta slab cells one work item dirtied: its slab row and the
+/// vertices whose cells it added to.
+type DirtyRow = (usize, Vec<u32>);
+
+/// One block's results: `(op_slot, row, touched)` triples, dirtied slab
+/// cells, and per-kind wall seconds.
+type BlockRun = (Vec<(usize, usize, usize)>, Vec<DirtyRow>, [f64; 3]);
 
 /// Executes every non-trivial `(source, op)` work item of the stage with
 /// plain loops on up to `workers` scoped host threads, then drains the
@@ -65,6 +73,10 @@ type DirtyRow = (usize, Option<Vec<u32>>);
 ///
 /// `workers <= 1` runs inline on the calling thread with no spawn at all
 /// — this is the hybrid router's "sequential CPU path".
+///
+/// With `timed`, each item's wall time is summed per [`ItemKind`] and
+/// returned alongside (`[insert, d2, d3]` seconds, added over blocks;
+/// all zero otherwise) — telemetry only, never read by the kernels.
 pub(crate) fn run_stage(
     cfg: ExecConfig,
     st: &StateBuffers,
@@ -72,15 +84,17 @@ pub(crate) fn run_stage(
     stage: &[PlannedOp],
     store: &SlackGraphBuffers,
     workers: usize,
-) -> Vec<(usize, usize, usize)> {
+    timed: bool,
+) -> (Vec<(usize, usize, usize)>, [f64; 3]) {
     assert_eq!(
         cfg.par,
         Parallelism::Node,
         "native backend only implements the node-parallel kernels"
     );
     let items = stage_items(stage);
+    let mut kind_wall = [0.0; 3];
     if items.is_empty() {
-        return Vec::new();
+        return (Vec::new(), kind_wall);
     }
     let num_blocks = cfg.num_blocks;
     assert!(
@@ -97,9 +111,10 @@ pub(crate) fn run_stage(
     let busy: Vec<usize> = (0..num_blocks)
         .filter(|&b| !by_block[b].is_empty())
         .collect();
-    let run_block = |b: usize| -> (Vec<(usize, usize, usize)>, Vec<DirtyRow>) {
+    let run_block = |b: usize| -> BlockRun {
         let mut out = Vec::with_capacity(by_block[b].len());
         let mut dirty = Vec::with_capacity(by_block[b].len());
+        let mut wall = [0.0; 3];
         for &i in &by_block[b] {
             let item = &items[i];
             let ctx = Ctx {
@@ -113,11 +128,16 @@ pub(crate) fn run_stage(
                 u_high: item.u_high,
                 u_low: item.u_low,
             };
+            // dynbc-lint: allow(no-wall-clock) — per-kind wall seconds are an observability-only telemetry tag; no model result reads them
+            let t0 = timed.then(std::time::Instant::now);
             let (touched, cells) = run_item(&ctx, cfg, item);
+            if let Some(t0) = t0 {
+                wall[item.kind() as usize] += t0.elapsed().as_secs_f64();
+            }
             out.push((item.op_slot, item.row, touched));
             dirty.push((ctx.bc_slot, cells));
         }
-        (out, dirty)
+        (out, dirty, wall)
     };
     let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let workers = workers.max(1).min(host_cores).min(busy.len());
@@ -125,9 +145,10 @@ pub(crate) fn run_stage(
     let mut dirty_rows: Vec<DirtyRow> = Vec::new();
     if workers <= 1 {
         for &b in &busy {
-            let (out, dirty) = run_block(b);
+            let (out, dirty, wall) = run_block(b);
             per_block.push(out);
             dirty_rows.extend(dirty);
+            add_wall(&mut kind_wall, wall);
         }
     } else {
         // Worker w owns every workers-th busy block; per-block results
@@ -155,16 +176,23 @@ pub(crate) fn run_stage(
                 .collect::<Vec<_>>()
         });
         let mut slots: Vec<Option<Vec<(usize, usize, usize)>>> = vec![None; num_blocks];
-        for (b, (results, dirty)) in chunks.into_iter().flatten() {
+        for (b, (results, dirty, wall)) in chunks.into_iter().flatten() {
             slots[b] = Some(results);
             dirty_rows.extend(dirty);
+            add_wall(&mut kind_wall, wall);
         }
         per_block.extend(slots.into_iter().flatten());
     }
     // Deterministic epilogue: apply the dirtied slab cells in op-major /
     // block-minor row order — the sequential commit order.
     drain_bc_dirty(scr, &st.bc, dirty_rows);
-    per_block.into_iter().flatten().collect()
+    (per_block.into_iter().flatten().collect(), kind_wall)
+}
+
+fn add_wall(total: &mut [f64; 3], wall: [f64; 3]) {
+    for (t, w) in total.iter_mut().zip(wall) {
+        *t += w;
+    }
 }
 
 /// Sparse equivalent of [`ScratchBuffers::drain_bc_delta_into`]: applies
@@ -173,16 +201,16 @@ pub(crate) fn run_stage(
 /// the full scan: an unvisited cell holds `+0.0` (so the full scan would
 /// neither add nor clear it), each visited cell's accumulated sum is
 /// consumed by its first visit with the full scan's exact per-cell
-/// logic, and later visits of the same cell (items sharing a row, or a
-/// fallback's whole-row pass overlapping a sparse list) see `+0.0` and
-/// no-op. Within one row every cell is distinct in `bc`, so visit order
+/// logic, and later visits of the same cell (items sharing a row) see
+/// `+0.0` and no-op. Within one row every cell is distinct in `bc`, so visit order
 /// there cannot change any bit.
 fn drain_bc_dirty(scr: &ScratchBuffers, bc: &GpuBuffer<f64>, mut rows: Vec<DirtyRow>) {
     assert!(bc.len() >= scr.n, "BC array shorter than vertex count");
     rows.sort_by_key(|r| r.0);
-    for (slot, dirty) in rows {
+    for (slot, cells) in rows {
         let base = scr.bc_row(slot);
-        let apply = |v: usize| {
+        for v in cells {
+            let v = v as usize;
             let d = scr.bc_delta.host_get(base + v);
             if d != 0.0 {
                 bc.host_set(v, bc.host_get(v) + d);
@@ -190,10 +218,6 @@ fn drain_bc_dirty(scr: &ScratchBuffers, bc: &GpuBuffer<f64>, mut rows: Vec<Dirty
             if d.to_bits() != 0 {
                 scr.bc_delta.host_set(base + v, 0.0);
             }
-        };
-        match dirty {
-            Some(cells) => cells.into_iter().for_each(|v| apply(v as usize)),
-            None => (0..scr.n).for_each(apply),
         }
     }
 }
@@ -201,61 +225,49 @@ fn drain_bc_dirty(scr: &ScratchBuffers, bc: &GpuBuffer<f64>, mut rows: Vec<Dirty
 /// Dispatches one work item to the right kernel sequence and returns its
 /// touched-vertex statistic plus the BC-delta slab cells it dirtied.
 /// Mirrors the simulator dispatcher's `insert_item` /
-/// `delete_adjacent_item` / `delete_fallback_item`. The traversal paths
-/// take the touched count straight from the sparse commit (which resets
-/// the `t` row for the block's next item); the fallback rebuild is
-/// `t`-free and reports a whole-row dirty marker instead.
-fn run_item(ctx: &Ctx<'_>, cfg: ExecConfig, item: &WorkItem) -> (usize, Option<Vec<u32>>) {
-    if item.is_insert {
-        let general = item.case == InsertionCase::Distant || cfg.force_general;
-        let mode = if general {
-            SeedMode::General
-        } else {
-            SeedMode::InsertAdjacent
-        };
-        kernels::init_kernel(ctx, mode);
-        if general {
-            let deepest = kernels::phase1_node(ctx);
+/// `delete_adjacent_item` / `delete_distant_item`, taking the touched
+/// count straight from the sparse commit (which resets the `t` row for
+/// the block's next item).
+fn run_item(ctx: &Ctx<'_>, cfg: ExecConfig, item: &WorkItem) -> (usize, Vec<u32>) {
+    match item.kind() {
+        ItemKind::Insert => {
+            let general = item.case == InsertionCase::Distant || cfg.force_general;
+            let mode = if general {
+                SeedMode::General
+            } else {
+                SeedMode::InsertAdjacent
+            };
+            kernels::init_kernel(ctx, mode);
+            if general {
+                let deepest = kernels::phase1_node(ctx);
+                let max_depth = kernels::mark_node(ctx, deepest);
+                kernels::phase2_node(ctx, max_depth);
+            } else {
+                let deepest = kernels::sp_node(ctx, cfg.dedup);
+                kernels::dep_node(ctx, deepest);
+            }
+            kernels::update_kernel(ctx, general)
+        }
+        ItemKind::D2 => {
+            kernels::init_kernel(ctx, SeedMode::DeleteAdjacent);
+            let deepest = kernels::sp_node(ctx, cfg.dedup);
+            kernels::phantom_retraction(ctx);
+            let dep_ctx = Ctx {
+                u_high: u32::MAX,
+                u_low: u32::MAX,
+                ..*ctx
+            };
+            kernels::dep_node(&dep_ctx, deepest);
+            kernels::update_kernel(ctx, false)
+        }
+        ItemKind::D3 => {
+            kernels::init_kernel(ctx, SeedMode::General);
+            kernels::d3_collect(ctx);
+            kernels::d3_settle(ctx);
+            let deepest = kernels::d3_recount(ctx);
             let max_depth = kernels::mark_node(ctx, deepest);
             kernels::phase2_node(ctx, max_depth);
-        } else {
-            let deepest = kernels::sp_node(ctx, cfg.dedup);
-            kernels::dep_node(ctx, deepest);
+            kernels::update_kernel(ctx, true)
         }
-        let (touched, dirty) = kernels::update_kernel(ctx, general);
-        (touched, Some(dirty))
-    } else if item.case == InsertionCase::Adjacent {
-        kernels::init_kernel(ctx, SeedMode::DeleteAdjacent);
-        let deepest = kernels::sp_node(ctx, cfg.dedup);
-        kernels::phantom_retraction(ctx);
-        let dep_ctx = Ctx {
-            u_high: u32::MAX,
-            u_low: u32::MAX,
-            ..*ctx
-        };
-        kernels::dep_node(&dep_ctx, deepest);
-        let (touched, dirty) = kernels::update_kernel(ctx, false);
-        (touched, Some(dirty))
-    } else {
-        kernels::fallback_subtract_old(ctx);
-        kernels::static_source_node(ctx.g, ctx.scr, ctx.block_slot, ctx.bc_slot, ctx.s);
-        // Touched statistic: state entries the commit will change,
-        // sampled before the commit — identical to the simulator path.
-        let n = ctx.n();
-        let base = ctx.scr.row(ctx.block_slot);
-        let krow = ctx.src_row * n;
-        let touched = {
-            let dh = ctx.scr.d_hat.snapshot_range(base, n);
-            let sh = ctx.scr.sigma_hat.snapshot_range(base, n);
-            let delh = ctx.scr.delta_hat.snapshot_range(base, n);
-            let d = ctx.st.d.snapshot_range(krow, n);
-            let sg = ctx.st.sigma.snapshot_range(krow, n);
-            let dl = ctx.st.delta.snapshot_range(krow, n);
-            (0..n)
-                .filter(|&x| dh[x] != d[x] || sh[x] != sg[x] || delh[x] != dl[x])
-                .count()
-        };
-        kernels::fallback_commit(ctx);
-        (touched, None)
     }
 }

@@ -8,8 +8,8 @@
 //! * insertions — Case 1/2/3 of Section II-D-1 ([`classify`]), including
 //!   the component-merge subcase (one endpoint unreachable);
 //! * removals — the deletion duals D1 (same level, free), D2 (adjacent
-//!   levels with a surviving predecessor) and D3 (sole predecessor, full
-//!   per-source fallback), via [`classify_removal`].
+//!   levels with a surviving predecessor) and D3 (sole predecessor,
+//!   distances grow), via [`classify_removal`].
 //!
 //! The result is one [`PlannedOp`] per op: the per-source decisions with
 //! Case 1 / D1 sources already separated out, so the exec layers (CPU
@@ -91,7 +91,8 @@ pub fn classify(d: &[u32], u: VertexId, v: VertexId) -> Classified {
 /// levels, nothing changes), D2 → `Adjacent` (a surviving predecessor at
 /// `d_low − 1` keeps all distances intact; only path counts shrink),
 /// D3 → `Distant` (the removed edge was `u_low`'s sole predecessor, so
-/// distances grow and the engine falls back to a fresh source pass).
+/// distances grow: the node-parallel GPU path repairs the lost subtree,
+/// the CPU and edge-parallel engines re-run the source).
 pub fn classify_removal<I: Iterator<Item = VertexId>>(
     d: &[u32],
     u: VertexId,

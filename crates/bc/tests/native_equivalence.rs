@@ -9,10 +9,11 @@
 //! the machine model, so agreement here certifies the plain-loop
 //! translations in `bc/src/native` statement by statement.
 
+use dynbc_bc::brandes::brandes_state;
 use dynbc_bc::dynamic::{OpOutcome, SourceOutcome};
 use dynbc_bc::gpu::{Backend, GpuDynamicBc, MultiGpuDynamicBc, Parallelism};
 use dynbc_gpusim::DeviceConfig;
-use dynbc_graph::{DynGraph, EdgeList, EdgeOp};
+use dynbc_graph::{gen, DynGraph, EdgeList, EdgeOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,6 +152,125 @@ proptest! {
                     "{} t{}: BC bits vs simulator", backend, threads
                 );
             }
+        }
+    }
+}
+
+/// A 300–400-vertex graph (`family` 0: a BA tree, every edge a bridge;
+/// 1: BA with two edges per vertex; 2: a sparse Watts–Strogatz ring,
+/// whose long distances give multi-level lost sets) with a four-vertex
+/// tail hanging off vertex 0 by the bridge `(0, n - 4)`.
+fn midsize_graph(family: u8, n: usize, seed: u64) -> EdgeList {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let base = match family {
+        0 => gen::ba(&mut rng, n - 4, 1),
+        1 => gen::ba(&mut rng, n - 4, 2),
+        _ => gen::ws(&mut rng, n - 4, 2, 0.1),
+    };
+    let t = (n - 4) as u32;
+    let tail = [(0, t), (t, t + 1), (t + 1, t + 2), (t + 2, t + 3)];
+    EdgeList::from_pairs(n, base.edges().iter().copied().chain(tail))
+}
+
+/// A removal-heavy stream: three in four ops remove a random existing
+/// edge, the rest insert a random absent pair, and op `bridge_at`
+/// removes the tail's bridge (if it still stands). Returns the stream and
+/// the final graph.
+fn removal_stream(
+    el: &EdgeList,
+    seed: u64,
+    len: usize,
+    bridge_at: usize,
+) -> (Vec<EdgeOp>, DynGraph) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut probe = DynGraph::from_edge_list(el);
+    let n = probe.vertex_count() as u32;
+    let bridge = (0, n - 4);
+    let mut ops = Vec::new();
+    while ops.len() < len {
+        let a = rng.gen_range(0..n);
+        let op = if ops.len() == bridge_at && probe.has_edge(bridge.0, bridge.1) {
+            EdgeOp::Remove(bridge.0, bridge.1)
+        } else if rng.gen_bool(0.75) {
+            let nbrs: Vec<u32> = probe.neighbors(a).collect();
+            if nbrs.is_empty() {
+                continue;
+            }
+            EdgeOp::Remove(a, nbrs[rng.gen_range(0..nbrs.len())])
+        } else {
+            let b = rng.gen_range(0..n);
+            if a == b || probe.has_edge(a, b) {
+                continue;
+            }
+            EdgeOp::Insert(a, b)
+        };
+        assert!(probe.apply_op(op));
+        ops.push(op);
+    }
+    (ops, probe)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Mid-size removal-heavy streams, where Case D3 builds multi-vertex
+    /// lost sets and disconnects components (the tiny `arb_graph`s rarely
+    /// do): native equals the simulator bit for bit, batched equals one
+    /// op at a time bit for bit, and both track Brandes on the final graph.
+    #[test]
+    fn midsize_removal_streams_match_simulator_and_brandes(
+        family in 0u8..3,
+        n in 300usize..400,
+        seed in 0u64..1_000_000,
+        len in 10usize..18,
+        bridge_at in 0usize..10,
+    ) {
+        let el = midsize_graph(family, n, seed);
+        let (ops, after) = removal_stream(&el, seed ^ 0x5eed, len, bridge_at);
+        let n = n as u32;
+        let sources: Vec<u32> = (0..n).step_by(n as usize / 5).chain([n - 2]).collect();
+        let run = |backend: Backend, batched: bool| {
+            let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), {
+                Parallelism::Node
+            })
+            .with_backend(backend);
+            let per_op: Vec<OpOutcome> = if batched {
+                eng.apply_batch(&ops).per_op
+            } else {
+                ops.iter().flat_map(|&op| eng.apply_batch(&[op]).per_op).collect()
+            };
+            (eng.state_snapshot(), per_op)
+        };
+        let (sim, sim_ops) = run(Backend::Simulator, true);
+        prop_assert!(sim_ops.iter().any(|o| o.cases.distant > 0), "stream has no D3 item");
+        for (backend, batched) in [
+            (Backend::Native, true),
+            (Backend::Native, false),
+            (Backend::Simulator, false),
+        ] {
+            let (got, got_ops) = run(backend, batched);
+            for (i, (a, b)) in got_ops.iter().zip(&sim_ops).enumerate() {
+                prop_assert_eq!(a.cases, b.cases, "{} batched={}: op {} cases", backend, batched, i);
+                prop_assert_eq!(
+                    &a.per_source, &b.per_source,
+                    "{} batched={}: op {} per-source", backend, batched, i
+                );
+            }
+            prop_assert_eq!(
+                bits(&got.bc), bits(&sim.bc),
+                "{} batched={}: BC bits vs batched simulator", backend, batched
+            );
+        }
+        let fresh = brandes_state(&after.to_csr(), &sources);
+        for i in 0..sources.len() {
+            prop_assert_eq!(&sim.d[i], &fresh.d[i], "d, source row {}", i);
+            for v in 0..sim.n {
+                prop_assert!((sim.sigma[i][v] - fresh.sigma[i][v]).abs() < 1e-6, "sigma {} {}", i, v);
+                prop_assert!((sim.delta[i][v] - fresh.delta[i][v]).abs() < 1e-6, "delta {} {}", i, v);
+            }
+        }
+        for v in 0..sim.n {
+            prop_assert!((sim.bc[v] - fresh.bc[v]).abs() < 1e-6, "BC at {}: {} vs {}", v, sim.bc[v], fresh.bc[v]);
         }
     }
 }

@@ -666,6 +666,19 @@ impl Lane<'_> {
         buf.atomic(i).fetch_max(v, Ordering::Relaxed)
     }
 
+    /// `atomicMin` on a `u32` cell; returns the previous value.
+    #[inline]
+    pub fn atomic_min_u32(&mut self, buf: &GpuBuffer<u32>, i: usize, v: u32) -> u32 {
+        self.record_atomic(buf.addr(i), buf.name());
+        if !self
+            .block
+            .record_access(buf, i, AccessKind::Atomic(AtomicKind::MinU32), u64::from(v))
+        {
+            return 0;
+        }
+        buf.atomic(i).fetch_min(v, Ordering::Relaxed)
+    }
+
     /// `atomicCAS` on a `u32` cell; returns the previous value, storing
     /// `new` only if it equalled `expect` (the BFS frontier-discovery
     /// idiom: CAS the distance from ∞).

@@ -75,6 +75,8 @@ pub enum AtomicKind {
     AddF64,
     /// `atomicMax` on a `u32` cell.
     MaxU32,
+    /// `atomicMin` on a `u32` cell.
+    MinU32,
     /// `atomicCAS` on a `u32` cell.
     CasU32,
     /// `atomicCAS` on a `u8` cell.
@@ -87,6 +89,7 @@ impl AtomicKind {
             AtomicKind::AddU32 => "atomic_add_u32",
             AtomicKind::AddF64 => "atomic_add_f64",
             AtomicKind::MaxU32 => "atomic_max_u32",
+            AtomicKind::MinU32 => "atomic_min_u32",
             AtomicKind::CasU32 => "atomic_cas_u32",
             AtomicKind::CasU8 => "atomic_cas_u8",
         }

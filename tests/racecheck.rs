@@ -302,6 +302,52 @@ fn racecheck_clean_mixed_stream_edge() {
     checked_mixed_stream(Parallelism::Edge, DedupStrategy::SortScan, 1414, 0xBADC0DE);
 }
 
+/// Case D3's incremental repair under the checker, on the node-parallel
+/// path with both dedup strategies. Removing `(0, 1)` loses the subtree
+/// `{1, 2, 3}` from source 0, settled from boundary neighbours at two
+/// levels; removing the bridge `(8, 9)` then cuts `{9, 10}` off.
+#[test]
+fn racecheck_clean_d3_lost_subtree_and_disconnection() {
+    let el = EdgeList::from_pairs(
+        11,
+        [
+            (0, 1),
+            (1, 2),
+            (1, 3),
+            (0, 4),
+            (4, 5),
+            (2, 5),
+            (0, 6),
+            (6, 7),
+            (7, 8),
+            (3, 8),
+            (8, 9),
+            (9, 10),
+        ],
+    );
+    for dedup in [DedupStrategy::SortScan, DedupStrategy::AtomicCas] {
+        let mut eng = GpuDynamicBc::new(&el, &[0, 5, 10], DeviceConfig::test_tiny(), {
+            Parallelism::Node
+        })
+        .with_dedup_strategy(dedup)
+        .with_racecheck(true);
+        assert!(eng.remove_edge(0, 1).cases.distant >= 1);
+        assert!(eng.remove_edge(8, 9).cases.distant >= 1);
+        assert!(eng.checked_launches() > 0, "stream never hit the checker");
+        assert_eq!(eng.racecheck_warnings(), 0, "{dedup:?}: D3 warnings");
+        let st = eng.state_snapshot();
+        assert_eq!(st.d[0][1..4], [4, 3, 4], "{dedup:?}: lost subtree levels");
+        assert_eq!(st.d[0][9], u32::MAX, "{dedup:?}: cut-off vertex");
+        let fresh = dynbc::bc::brandes::brandes_state(&eng.graph().to_csr(), &st.sources);
+        for v in 0..st.n {
+            assert!(
+                (st.bc[v] - fresh.bc[v]).abs() < 1e-6,
+                "{dedup:?}: BC[{v}] drifted under checking"
+            );
+        }
+    }
+}
+
 #[test]
 fn racecheck_clean_force_general_stream() {
     // The ablation path: Case 2 insertions routed through the Case 3

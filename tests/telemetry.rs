@@ -245,3 +245,40 @@ fn jsonl_event_log_records_one_event_per_update() {
         assert!(line.ends_with('}'), "{line}");
     }
 }
+
+/// Each `stage#i` span counts its work items per kind, and on the native
+/// backend also carries each kind's wall seconds.
+#[test]
+fn stage_spans_split_items_and_native_wall_by_kind() {
+    // Path 0-1-2-3 plus 0-4: removing (1, 2) is D3 from source 0.
+    let el = EdgeList::from_pairs(5, [(0, 1), (1, 2), (2, 3), (0, 4)]);
+    for backend in [Backend::Simulator, Backend::Native] {
+        let mut eng = GpuDynamicBc::new(&el, &[0], DeviceConfig::test_tiny(), Parallelism::Node)
+            .with_backend(backend)
+            .with_telemetry(true);
+        eng.apply_batch(&[EdgeOp::Insert(3, 4), EdgeOp::Remove(0, 4)]);
+        eng.remove_edge(1, 2);
+        let tel = eng.take_telemetry_report().unwrap();
+        let stages: Vec<_> = tel
+            .trace()
+            .spans()
+            .iter()
+            .filter(|s| s.name.starts_with("stage#"))
+            .collect();
+        let sum = |key: &str| -> f64 {
+            stages
+                .iter()
+                .flat_map(|s| s.args.iter())
+                .filter(|(k, _)| *k == key)
+                .map(|(_, v)| v)
+                .sum()
+        };
+        assert_eq!(sum("items_insert"), 1.0, "{backend}");
+        assert!(sum("items_d2") + sum("items_d3") >= 2.0, "{backend}");
+        assert!(sum("items_d3") >= 1.0, "{backend}");
+        let timed = stages
+            .iter()
+            .all(|s| s.args.iter().any(|(k, _)| *k == "wall_d3_s"));
+        assert_eq!(timed, backend == Backend::Native, "{backend}");
+    }
+}
