@@ -8,7 +8,7 @@ use dynbc_bc::dynamic::CpuDynamicBc;
 use dynbc_bc::gpu::{Backend, GpuDynamicBc, MultiGpuDynamicBc, Parallelism};
 use dynbc_bc::CaseCounts;
 use dynbc_gpusim::DeviceConfig;
-use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp};
+use dynbc_graph::{gen, Csr, DynGraph, EdgeList, EdgeOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,5 +172,94 @@ proptest! {
             prop_assert_eq!(bits(&eng.bc()), seq_bits.clone(), "t{}: batched BC bits", threads);
             prop_assert_eq!(eng.graph().to_csr(), probe.clone(), "t{}: store", threads);
         }
+    }
+}
+
+/// A removal-heavy stream over a mid-size graph: three in four ops remove
+/// a random existing edge, the rest insert a random absent pair.
+fn churn_stream(el: &EdgeList, seed: u64, len: usize) -> Vec<EdgeOp> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut probe = DynGraph::from_edge_list(el);
+    let n = probe.vertex_count() as u32;
+    let mut ops = Vec::with_capacity(len);
+    while ops.len() < len {
+        let a = rng.gen_range(0..n);
+        let op = if rng.gen_bool(0.75) {
+            let nbrs: Vec<u32> = probe.neighbors(a).collect();
+            if nbrs.is_empty() {
+                continue;
+            }
+            EdgeOp::Remove(a, nbrs[rng.gen_range(0..nbrs.len())])
+        } else {
+            let b = rng.gen_range(0..n);
+            if a == b || probe.has_edge(a, b) {
+                continue;
+            }
+            EdgeOp::Insert(a, b)
+        };
+        assert!(probe.apply_op(op));
+        ops.push(op);
+    }
+    ops
+}
+
+/// `ops` cut into consecutive batches of random widths from 1 to 8.
+fn random_partition(ops: &[EdgeOp], seed: u64) -> Vec<&[EdgeOp]> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut batches = Vec::new();
+    let mut rest = ops;
+    while !rest.is_empty() {
+        let (batch, tail) = rest.split_at(rng.gen_range(1..=8usize).min(rest.len()));
+        batches.push(batch);
+        rest = tail;
+    }
+    batches
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Batch-partition invariance on 300–360-vertex graphs, where removals
+    /// inside a batch reshape the shortest-path DAG under the ops after
+    /// them far more often than on the small graphs above: a random
+    /// partition of a removal-heavy stream gives the one-op-at-a-time BC
+    /// bits and case tallies on the CPU engine and the edge-parallel GPU
+    /// engine. (Node-parallel, on the simulator and native, is covered by
+    /// `native_equivalence::midsize_removal_streams_match_simulator_and_brandes`.)
+    #[test]
+    fn midsize_partitions_are_bit_identical_to_sequential(
+        family in 0u8..2,
+        n in 300usize..360,
+        seed in 0u64..1_000_000,
+        len in 10usize..20,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let el = if family == 0 { gen::ba(&mut rng, n, 2) } else { gen::ws(&mut rng, n, 2, 0.1) };
+        let ops = churn_stream(&el, seed ^ 0x5eed, len);
+        let batches = random_partition(&ops, seed ^ 0xba7c);
+        let sources: Vec<u32> = (0..n as u32).step_by(n / 6).collect();
+
+        let mut seq = CpuDynamicBc::new(&el, &sources);
+        let seq_cases: Vec<CaseCounts> =
+            ops.iter().map(|&op| seq.apply_batch(&[op]).per_op[0].cases).collect();
+        let mut cut = CpuDynamicBc::new(&el, &sources);
+        let cut_cases: Vec<CaseCounts> = batches
+            .iter()
+            .flat_map(|b| cut.apply_batch(b).per_op.into_iter().map(|o| o.cases))
+            .collect();
+        prop_assert_eq!(&cut_cases, &seq_cases, "CPU case tallies");
+        prop_assert_eq!(bits(&cut.state().bc), bits(&seq.state().bc), "CPU BC bits");
+
+        let device = DeviceConfig::test_tiny();
+        let mut seq = GpuDynamicBc::new(&el, &sources, device, Parallelism::Edge);
+        let seq_cases: Vec<CaseCounts> =
+            ops.iter().map(|&op| seq.apply_batch(&[op]).per_op[0].cases).collect();
+        let mut cut = GpuDynamicBc::new(&el, &sources, device, Parallelism::Edge);
+        let cut_cases: Vec<CaseCounts> = batches
+            .iter()
+            .flat_map(|b| cut.apply_batch(b).per_op.into_iter().map(|o| o.cases))
+            .collect();
+        prop_assert_eq!(&cut_cases, &seq_cases, "edge-parallel case tallies");
+        prop_assert_eq!(bits(&cut.bc_scores()), bits(&seq.bc_scores()), "edge-parallel BC bits");
     }
 }

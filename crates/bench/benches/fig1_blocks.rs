@@ -6,7 +6,9 @@
 //! blocks to be equal to the number of SMs or a multiple thereof". We
 //! sweep the same block counts on three suite graphs (exact BC on small
 //! instances, as in the paper: "the largest graphs that are still
-//! feasible for an exact computation").
+//! feasible for an exact computation"). The plateau claim (one block per
+//! SM reaches ≥ 90% of the best speedup) is asserted at reduced scale by
+//! the workspace's `tests/paper_shape.rs`.
 
 use dynbc_bc::gpu::{static_bc_gpu, Parallelism};
 use dynbc_bench::table::Table;
@@ -25,7 +27,6 @@ fn main() {
     let blocks = [1usize, 2, 4, 7, 8, 14, 16, 21, 28, 42, 56];
     let devices = [DeviceConfig::gtx560(), DeviceConfig::tesla_c2075()];
 
-    let mut all_ok = true;
     for device in devices {
         println!("-- {} ({} SMs) --", device.name, device.num_sms);
         let mut table = Table::new(
@@ -50,25 +51,7 @@ fn main() {
                     .chain(speedups.iter().map(|s| format!("{s:.2}")))
                     .collect(),
             );
-            // Shape: speedup at B = num_sms within 10% of the best over
-            // the sweep, and B > num_sms gains little over B = num_sms.
-            let at_sms = speedups[blocks.iter().position(|&b| b == device.num_sms).unwrap()];
-            let best = speedups.iter().copied().fold(0.0, f64::max);
-            let ok = at_sms >= 0.9 * best;
-            if !ok {
-                println!(
-                    "  !! {short}: speedup at B={} is {at_sms:.2}, best {best:.2}",
-                    device.num_sms
-                );
-            }
-            all_ok &= ok;
         }
         println!("{}", table.render());
     }
-    println!(
-        "paper-shape check: one block per SM achieves ≥ 90% of the best \
-         speedup on every graph and device => {}",
-        if all_ok { "PASS" } else { "FAIL" }
-    );
-    assert!(all_ok, "Figure 1 shape did not reproduce");
 }

@@ -4,8 +4,9 @@
 //! maximum touched fraction of ≈ 35 % with the overwhelming mass near
 //! zero — the observation that motivates explicit work tracking. We print
 //! the per-graph distribution (quantiles instead of 60 000 scatter
-//! points) and check the same two properties: a bounded maximum and a
-//! near-zero median.
+//! points); the two properties — a bounded maximum and a near-zero
+//! median — are asserted at reduced scale by the workspace's
+//! `tests/paper_shape.rs`.
 
 use dynbc_bc::cases::InsertionCase;
 use dynbc_bench::table::Table;
@@ -73,15 +74,4 @@ fn main() {
         "paper (full scale): max ≈ {:.0}%, dense mass near zero",
         100.0 * paper::FIG4_MAX_TOUCHED_FRACTION
     );
-
-    // Shape checks: the maximum is well below the whole graph, and the
-    // typical scenario touches a small sliver of it.
-    let ok = max < 0.60 && median < 0.10;
-    println!(
-        "\npaper-shape check: max touched {:.1}% < 60% and median {:.2}% < 10% => {}",
-        100.0 * max,
-        100.0 * median,
-        if ok { "PASS" } else { "FAIL" }
-    );
-    assert!(ok, "Figure 4 shape did not reproduce");
 }

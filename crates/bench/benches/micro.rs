@@ -3,10 +3,9 @@
 //! host-parallel launch path of the simulator itself.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use dynbc_bc::brandes::{brandes_state, sample_sources, source_pass};
+use dynbc_bc::brandes::{sample_sources, source_pass};
 use dynbc_bc::dynamic::CpuDynamicBc;
-use dynbc_bc::gpu::{GpuDynamicBc, Parallelism};
-use dynbc_bench::{stream, HarnessReport};
+use dynbc_bench::HarnessReport;
 use dynbc_ds::{bitonic_sort, remove_duplicates, DedupScratch, MultiLevelQueue};
 use dynbc_gpusim::{DeviceConfig, Gpu, GpuBuffer};
 use dynbc_graph::algo::bfs;
@@ -221,70 +220,6 @@ fn bench_launch_scaling(c: &mut Criterion) {
             b.iter(|| black_box(scaling_launch(threads)))
         });
     }
-    report.write_default();
-}
-
-/// Throughput of the batch update API on the GPU node-parallel engine:
-/// updates/sec (simulated) over one fixed 64-insertion stream applied in
-/// batches of 1, 8, and 64. The stream is distance-preserving — every
-/// endpoint pair sits within one BFS level for every source, so all ops
-/// are Case 1/2 and every batch fuses into a single stage. That is the
-/// best case the batch API targets: per-stage instead of per-op kernel
-/// launches, and light work items packing into SMs idled by heavy ones.
-/// (Case-3-heavy streams cut stages and degrade gracefully toward the
-/// batch=1 rate.) Scores stay bit-identical at every batch size.
-fn bench_batch_throughput(_c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(11);
-    let n = 300usize;
-    let el = gen::ba(&mut rng, n, 4);
-    let sources = sample_sources(&mut rng, n, 24);
-    let state = brandes_state(&Csr::from_edge_list(&el), &sources);
-    let ops = stream::fusable_insertions(&el, &state, 64);
-
-    let device = DeviceConfig::tesla_c2075();
-    let mut report = HarnessReport::new("batch_throughput");
-    let mut baseline_bc: Option<Vec<u64>> = None;
-    let mut ups_batch1 = f64::NAN;
-    let mut ups_batch64 = f64::NAN;
-    for batch in [1usize, 8, 64] {
-        let mut eng = GpuDynamicBc::new(&el, &sources, device, Parallelism::Node);
-        let t0 = Instant::now();
-        let mut model = 0.0f64;
-        for chunk in ops.chunks(batch) {
-            model += eng.apply_batch(chunk).model_seconds;
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        let bits: Vec<u64> = eng
-            .state_snapshot()
-            .bc
-            .iter()
-            .map(|x| x.to_bits())
-            .collect();
-        match &baseline_bc {
-            None => baseline_bc = Some(bits),
-            Some(b) => assert_eq!(b, &bits, "batch={batch}: scores must be bit-identical"),
-        }
-        let ups = ops.len() as f64 / model;
-        if batch == 1 {
-            ups_batch1 = ups;
-        }
-        if batch == 64 {
-            ups_batch64 = ups;
-        }
-        report.push_row("ba300_k24", &format!("batch={batch}"), model, wall);
-        report.annotate("batch", batch as f64);
-        report.annotate("updates_per_sec", ups);
-        report.annotate("speedup_vs_batch1", ups / ups_batch1);
-        println!(
-            "bench batch_throughput batch={batch:<2} {:.0} updates/sec ({:.1}x vs batch=1)",
-            ups,
-            ups / ups_batch1
-        );
-    }
-    assert!(
-        ups_batch64 >= 2.0 * ups_batch1,
-        "batch=64 must be at least 2x batch=1 updates/sec: {ups_batch64} vs {ups_batch1}"
-    );
     report.write_default();
 }
 
@@ -575,7 +510,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_sorting, bench_dedup, bench_mlq, bench_graph, bench_dynamic_update,
-        bench_launch_scaling, bench_batch_throughput, bench_racecheck_overhead,
+        bench_launch_scaling, bench_racecheck_overhead,
         bench_telemetry_overhead, bench_memsim_overhead
 }
 criterion_main!(benches);

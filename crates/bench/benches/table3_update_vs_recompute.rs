@@ -5,7 +5,8 @@
 //! per-insertion times are compared against it. Paper headline: even the
 //! *slowest* update beats recomputation (2.15×–43.3×), the average is
 //! ~45× across the suite, and the fastest updates (all-Case-1
-//! insertions) win by orders of magnitude.
+//! insertions) win by orders of magnitude. The first two claims are
+//! asserted at reduced scale by the workspace's `tests/paper_shape.rs`.
 
 use dynbc_bc::cases::InsertionCase;
 use dynbc_bc::gpu::{static_bc_gpu, Parallelism};
@@ -35,7 +36,6 @@ fn main() {
         "(speedup)",
         "paper avg",
     ]);
-    let mut worst_case_always_wins = true;
     let mut avg_speedups = Vec::new();
     for entry in &TABLE_I {
         let setup = build_setup(entry, &cfg);
@@ -56,7 +56,6 @@ fn main() {
         );
         let dynamic = run_gpu(&setup, device, Parallelism::Node);
         let (slow, avg, fast) = (dynamic.slowest(), dynamic.average(), dynamic.fastest());
-        worst_case_always_wins &= slow < recompute.seconds;
         avg_speedups.push(recompute.seconds / avg);
         // Note whether any insertion was the all-Case-1 ideal.
         let any_all_case1 = dynamic
@@ -93,13 +92,4 @@ fn main() {
         geo_mean_avg,
         paper::AVG_UPDATE_SPEEDUP_VS_RECOMPUTE
     );
-
-    let ok = worst_case_always_wins && geo_mean_avg > 5.0;
-    println!(
-        "\npaper-shape check: slowest update < recomputation on every graph = \
-         {worst_case_always_wins}; mean average-update speedup {:.1}x > 5x => {}",
-        geo_mean_avg,
-        if ok { "PASS" } else { "FAIL" }
-    );
-    assert!(ok, "Table III shape did not reproduce");
 }

@@ -15,7 +15,7 @@ use crate::config::Config;
 use dynbc_bc::brandes::{brandes_state, sample_sources};
 use dynbc_bc::dynamic::{CpuDynamicBc, UpdateResult};
 use dynbc_bc::gpu::{Backend, GpuDynamicBc, Parallelism};
-use dynbc_gpusim::{CacheConfig, DeviceConfig, ProfileReport};
+use dynbc_gpusim::DeviceConfig;
 use dynbc_graph::suite::SuiteEntry;
 use dynbc_graph::{Csr, EdgeList, VertexId};
 use rand::rngs::StdRng;
@@ -141,20 +141,34 @@ fn verify_final_state(setup: &Setup, bc: &[f64], label: &str) {
 
 /// Runs the insertion stream through the sequential CPU engine.
 pub fn run_cpu(setup: &Setup) -> DynRun {
+    run_cpu_with(setup, |_| {}).0
+}
+
+/// [`run_cpu`] on an engine `configure` has set up first (telemetry,
+/// for one), returning the engine so the caller can read what it
+/// recorded.
+pub fn run_cpu_with(
+    setup: &Setup,
+    configure: impl FnOnce(&mut CpuDynamicBc),
+) -> (DynRun, CpuDynamicBc) {
     let mut engine = CpuDynamicBc::new(&setup.start, &setup.sources);
+    configure(&mut engine);
     let results: Vec<UpdateResult> = setup
         .insertions
         .iter()
         .map(|&(u, v)| engine.insert_edge(u, v))
         .collect();
     verify_final_state(setup, &engine.state().bc, "cpu");
-    DynRun::from_results("CPU (i7-2600K model)".to_string(), results)
+    (
+        DynRun::from_results("CPU (i7-2600K model)".to_string(), results),
+        engine,
+    )
 }
 
 /// Emits one harness's measured runs to `BENCH_dynbc.json` at the
 /// workspace root (merge-by-harness; see [`crate::report`]): one row per
 /// `(graph, engine)` cell carrying simulated and wall-clock seconds, plus
-/// the host-thread count and git revision. Returns the path written, or
+/// the host metadata and git revision. Returns the path written, or
 /// `None` when the file could not be written (reporting is best-effort —
 /// it must never fail the harness).
 pub fn emit_bench_json(harness: &str, runs: &[(&str, &DynRun)]) -> Option<std::path::PathBuf> {
@@ -174,113 +188,38 @@ pub fn emit_bench_json(harness: &str, runs: &[(&str, &DynRun)]) -> Option<std::p
 
 /// Runs the insertion stream through a simulated-GPU engine.
 pub fn run_gpu(setup: &Setup, device: DeviceConfig, par: Parallelism) -> DynRun {
-    let mut engine = GpuDynamicBc::new(&setup.start, &setup.sources, device, par);
-    let results: Vec<UpdateResult> = setup
-        .insertions
-        .iter()
-        .map(|&(u, v)| engine.insert_edge(u, v))
-        .collect();
-    let snapshot = engine.state_snapshot();
-    verify_final_state(setup, &snapshot.bc, &format!("gpu-{par}"));
-    DynRun::from_results(format!("GPU {par} ({})", device.name), results)
+    run_gpu_with(setup, device, par, |_| {}).0
 }
 
-/// Runs the insertion stream through a GPU engine pinned to one
-/// execution backend (`DYNBC_BACKEND` notwithstanding), returning the
-/// run and the final BC scores — backend benches compare those scores
-/// *bitwise*, which the tolerance check in [`run_gpu`] cannot express.
+/// [`run_gpu`] on an engine `configure` has set up first, returning the
+/// engine so the caller can take its profile or telemetry report and
+/// compare its scores bitwise, which the tolerance check against
+/// Brandes cannot express.
 ///
-/// `threads = 0` keeps the engine's default host-thread count.
-pub fn run_gpu_backend(
+/// The engine runs on the simulator backend (`DYNBC_BACKEND`
+/// notwithstanding): only the simulator advances the model clock and
+/// feeds the profiler and the cache model. Profiling and memsim (which
+/// implies profiling) record counters without moving a BC bit or a
+/// simulated second, so one instrumented run serves both the timing and
+/// the counters.
+pub fn run_gpu_with(
     setup: &Setup,
     device: DeviceConfig,
     par: Parallelism,
-    backend: Backend,
-    threads: usize,
-) -> (DynRun, Vec<f64>) {
-    let mut engine =
-        GpuDynamicBc::new(&setup.start, &setup.sources, device, par).with_backend(backend);
-    if threads > 0 {
-        engine.set_host_threads(threads);
-    }
-    let results: Vec<UpdateResult> = setup
-        .insertions
-        .iter()
-        .map(|&(u, v)| engine.insert_edge(u, v))
-        .collect();
-    let snapshot = engine.state_snapshot();
-    verify_final_state(setup, &snapshot.bc, &format!("gpu-{par}-{backend}"));
-    (
-        DynRun::from_results(format!("GPU {par} {backend} ({})", device.name), results),
-        snapshot.bc,
-    )
-}
-
-/// Runs the insertion stream through a simulated-GPU engine with the
-/// hardware-counter profiler enabled, returning both the timing run and
-/// the accumulated per-kernel [`ProfileReport`].
-///
-/// Profiling never changes results or modeled time — only what the host
-/// records — so the run is verified against Brandes exactly like
-/// [`run_gpu`].
-pub fn run_gpu_profiled(
-    setup: &Setup,
-    device: DeviceConfig,
-    par: Parallelism,
-) -> (DynRun, ProfileReport) {
-    let mut engine = GpuDynamicBc::new(&setup.start, &setup.sources, device, par);
-    engine.set_profiling(true);
-    let results: Vec<UpdateResult> = setup
-        .insertions
-        .iter()
-        .map(|&(u, v)| engine.insert_edge(u, v))
-        .collect();
-    let snapshot = engine.state_snapshot();
-    verify_final_state(setup, &snapshot.bc, &format!("gpu-{par}-profiled"));
-    let profile = engine.take_profile_report();
-    (
-        DynRun::from_results(format!("GPU {par} ({})", device.name), results),
-        profile,
-    )
-}
-
-/// Runs the insertion stream through a simulated-GPU engine with the
-/// profiler *and* the dynbc-memsim cache-hierarchy model enabled,
-/// returning the timing run, the [`ProfileReport`] (whose counters carry
-/// L1/L2 hit/miss/eviction totals and per-buffer miss attribution), and
-/// the final BC scores — locality benches compare those scores *bitwise*
-/// against memsim-off runs, which the tolerance check cannot express.
-///
-/// `cache` overrides the modeled geometry (e.g. a deliberately small L2
-/// so a reordering experiment's working set exceeds it); `None` keeps
-/// the default C2075-flavoured hierarchy. The simulator backend is
-/// pinned (`DYNBC_BACKEND` notwithstanding): the cache model only
-/// observes simulated lanes, so a native run would report nothing.
-pub fn run_gpu_memsim(
-    setup: &Setup,
-    device: DeviceConfig,
-    par: Parallelism,
-    cache: Option<CacheConfig>,
-) -> (DynRun, ProfileReport, Vec<f64>) {
+    configure: impl FnOnce(&mut GpuDynamicBc),
+) -> (DynRun, GpuDynamicBc) {
     let mut engine = GpuDynamicBc::new(&setup.start, &setup.sources, device, par)
         .with_backend(Backend::Simulator);
-    engine.set_profiling(true);
-    engine.set_memsim(true);
-    if let Some(cfg) = cache {
-        engine.set_cache_config(cfg);
-    }
+    configure(&mut engine);
     let results: Vec<UpdateResult> = setup
         .insertions
         .iter()
         .map(|&(u, v)| engine.insert_edge(u, v))
         .collect();
-    let snapshot = engine.state_snapshot();
-    verify_final_state(setup, &snapshot.bc, &format!("gpu-{par}-memsim"));
-    let profile = engine.take_profile_report();
+    verify_final_state(setup, &engine.bc_scores(), &format!("gpu-{par}"));
     (
         DynRun::from_results(format!("GPU {par} ({})", device.name), results),
-        profile,
-        snapshot.bc,
+        engine,
     )
 }
 
@@ -343,8 +282,11 @@ mod tests {
         let cfg = tiny_cfg();
         let setup = build_setup(entry, &cfg);
         let plain = run_gpu(&setup, DeviceConfig::test_tiny(), Parallelism::Edge);
-        let (profiled, profile) =
-            run_gpu_profiled(&setup, DeviceConfig::test_tiny(), Parallelism::Edge);
+        let (profiled, mut engine) =
+            run_gpu_with(&setup, DeviceConfig::test_tiny(), Parallelism::Edge, |e| {
+                e.set_profiling(true)
+            });
+        let profile = engine.take_profile_report();
         assert_eq!(
             plain.total_model_seconds.to_bits(),
             profiled.total_model_seconds.to_bits(),

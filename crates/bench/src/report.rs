@@ -20,9 +20,9 @@ pub const BENCH_JSON: &str = "BENCH_dynbc.json";
 
 /// Version of the `BENCH_dynbc.json` layout, stamped as a top-level
 /// `schema_version` entry on every write. Bump when the shape of harness
-/// entries changes incompatibly (rows gained `schema_version` handling and
-/// the telemetry sections at 2).
-pub const SCHEMA_VERSION: u64 = 2;
+/// entries changes (rows gained `schema_version` handling and the
+/// telemetry sections at 2, host metadata at 3).
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// One measured row of a harness (a graph × engine cell, or a
 /// micro-bench configuration).
@@ -69,6 +69,12 @@ pub struct HarnessReport {
     pub harness: String,
     /// Host threads simulated blocks ran on (`DYNBC_HOST_THREADS`).
     pub host_threads: usize,
+    /// Logical CPUs the host offers this process.
+    pub nproc: usize,
+    /// Host CPU model (`model name` of `/proc/cpuinfo`, best effort).
+    pub cpu_model: String,
+    /// `rustc --version` of the compiler that built the harness.
+    pub rustc: String,
     /// Git revision of the working tree (read from `.git`, best effort).
     pub git_rev: String,
     /// Measured rows.
@@ -77,11 +83,14 @@ pub struct HarnessReport {
 
 impl HarnessReport {
     /// Starts a report for `harness`, stamping the current host-thread
-    /// setting and git revision.
+    /// setting, the host and compiler, and the git revision.
     pub fn new(harness: &str) -> Self {
         Self {
             harness: harness.to_string(),
             host_threads: dynbc_gpusim::host_threads_from_env(),
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu_model: cpu_model().unwrap_or_else(|| "unknown".to_string()),
+            rustc: env!("BENCH_RUSTC_VERSION").to_string(),
             git_rev: git_rev().unwrap_or_else(|| "unknown".to_string()),
             rows: Vec::new(),
         }
@@ -125,8 +134,12 @@ impl HarnessReport {
         let mut out = String::from("{");
         let _ = write!(
             out,
-            "\"host_threads\": {}, \"git_rev\": {}, \"rows\": [",
+            "\"host_threads\": {}, \"nproc\": {}, \"cpu_model\": {}, \"rustc\": {}, \
+             \"git_rev\": {}, \"rows\": [",
             self.host_threads,
+            self.nproc,
+            json_string(&self.cpu_model),
+            json_string(&self.rustc),
             json_string(&self.git_rev)
         );
         for (i, row) in self.rows.iter().enumerate() {
@@ -211,6 +224,15 @@ pub fn git_rev() -> Option<String> {
     } else {
         Some(head.to_string())
     }
+}
+
+/// The host's CPU model, from the first `model name` line of
+/// `/proc/cpuinfo` (Linux; `None` elsewhere).
+fn cpu_model() -> Option<String> {
+    let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    info.lines()
+        .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+        .map(|(_, model)| model.trim().to_string())
 }
 
 /// JSON string literal with the escapes the names here can contain.
@@ -328,11 +350,16 @@ mod tests {
     fn rows_serialize_with_metadata_and_extras() {
         let mut r = HarnessReport::new("unit");
         r.host_threads = 4;
+        r.nproc = 2;
+        r.cpu_model = "Some CPU".to_string();
         r.git_rev = "abc123".to_string();
         r.push_row("small", "GPU Node", 1.5, 0.25);
         r.annotate("speedup", 2.0);
         let json = r.value_json();
         assert!(json.contains("\"host_threads\": 4"), "{json}");
+        assert!(json.contains("\"nproc\": 2"), "{json}");
+        assert!(json.contains("\"cpu_model\": \"Some CPU\""), "{json}");
+        assert!(json.contains("\"rustc\": \"rustc "), "{json}");
         assert!(json.contains("\"git_rev\": \"abc123\""), "{json}");
         assert!(json.contains("\"model_seconds\": 1.5"), "{json}");
         assert!(json.contains("\"speedup\": 2"), "{json}");
@@ -401,6 +428,60 @@ mod tests {
         let rev = git_rev().expect("repo has .git");
         assert!(rev.len() >= 7, "{rev}");
         assert!(rev.chars().all(|c| c.is_ascii_hexdigit()), "{rev}");
+    }
+
+    /// Harness names passed to a live (uncommented) `HarnessReport::new`
+    /// or `emit_bench_json` call in `source`.
+    fn emitted_sections(source: &str) -> Vec<String> {
+        let mut names = Vec::new();
+        for line in source.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            for call in ["HarnessReport::new(\"", "emit_bench_json(\""] {
+                for (at, _) in line.match_indices(call) {
+                    let rest = &line[at + call.len()..];
+                    if let Some(end) = rest.find('"') {
+                        names.push(rest[..end].to_string());
+                    }
+                }
+            }
+        }
+        names
+    }
+
+    /// `BENCH_dynbc.json` holds only sections some harness still writes,
+    /// and every `[[bench]]` target has its file: a deleted harness must
+    /// take its section and its manifest entry with it.
+    #[test]
+    fn every_section_has_a_live_harness_and_every_bench_target_a_file() {
+        let benches = Path::new(env!("CARGO_MANIFEST_DIR")).join("benches");
+        let mut emitted = Vec::new();
+        for entry in std::fs::read_dir(&benches).expect("benches/ is readable") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                emitted.extend(emitted_sections(&std::fs::read_to_string(path).unwrap()));
+            }
+        }
+        let text = std::fs::read_to_string(workspace_root().join(BENCH_JSON))
+            .expect("BENCH_dynbc.json at the workspace root");
+        for (section, _) in split_top_level(&text) {
+            assert!(
+                section == "schema_version" || emitted.contains(&section),
+                "{BENCH_JSON} section `{section}` has no live harness under benches/"
+            );
+        }
+        let manifest =
+            std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml"))
+                .unwrap();
+        for target in manifest.split("[[bench]]").skip(1) {
+            let name = target
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("name = \""))
+                .and_then(|rest| rest.strip_suffix('"'))
+                .expect("[[bench]] entry has a name");
+            assert!(
+                benches.join(format!("{name}.rs")).is_file(),
+                "[[bench]] `{name}` has no benches/{name}.rs"
+            );
+        }
     }
 
     #[test]

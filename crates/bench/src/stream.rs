@@ -1,5 +1,5 @@
-//! NetworKit-shaped edge-event streams for the service and batch
-//! harnesses.
+//! NetworKit-shaped edge-event streams for the serving benchmark, the
+//! batch-partition tests and the batching paper-shape check.
 //!
 //! Mirrors the `removeAndAddEdges` protocol of the NetworKit dynamic-BC
 //! experiment scripts: pick random existing edges that are in neither a
@@ -166,8 +166,8 @@ fn validate_stream(el: &EdgeList, ops: &[EdgeOp]) {
 /// Up to `count` insertions that preserve every source's BFS distances
 /// (both endpoints reachable and within one level for every source):
 /// all Case 1/2 ops, so whole batches fuse into single stages — the
-/// best case the batch API targets. Used by the `batch_throughput`
-/// microbench and the service bench's raw baseline.
+/// best case the batch API targets. Used by the batching check of
+/// `tests/paper_shape.rs`.
 ///
 /// # Panics
 /// Panics if the graph is too sparse in same-level pairs to supply

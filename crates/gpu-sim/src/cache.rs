@@ -84,6 +84,19 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
+    /// The Fermi prefer-L1 split: 48 KiB L1 (the `cudaFuncCachePreferL1`
+    /// configuration of the C2075's 64 KiB per-SM SRAM), default L2. At
+    /// the default 16 KiB a dynamic update's touched region overflows the
+    /// L1 for both decompositions and their hit rates converge toward the
+    /// compulsory-miss floor; at 48 KiB it fits, so the L1 hit rate shows
+    /// the decomposition's locality.
+    pub fn prefer_l1() -> Self {
+        Self {
+            l1_kb: 48,
+            ..Self::default()
+        }
+    }
+
     /// Reads the geometry from the `DYNBC_L1_*`/`DYNBC_L2_*` knobs,
     /// falling back to the defaults above and clamping degenerate values.
     pub fn from_env() -> Self {

@@ -1,24 +1,29 @@
 //! Concurrent snapshot-consistency stress tier.
 //!
-//! N reader threads race a shard's writer over a deterministic insert
-//! stream. The contract under test (ISSUE 9 acceptance criterion):
-//! every snapshot any reader observes is **bit-identical** to a
-//! sequential one-op-at-a-time oracle at the same stream prefix, and
-//! the epochs one reader observes are monotone. Batching must not be
-//! able to leak: per the batching contract, `apply_batch` of any prefix
-//! split is bit-identical to one-at-a-time application, so the oracle
+//! N reader threads race a shard's writer over a deterministic stream.
+//! The contract under test: every snapshot any reader observes is
+//! **bit-identical** to a sequential one-op-at-a-time oracle at the same
+//! stream prefix, and the epochs one reader observes are monotone.
+//! Batching must not be able to leak: per the batch-partition contract
+//! (DESIGN §4e), `apply_batch` of any prefix split is bit-identical to
+//! one-at-a-time application — removals included — so the oracle
 //! indexes by `ops_applied` regardless of how the worker batched.
 //!
 //! Runs the CPU engine and the GPU engine at 1, 2, and 8 host threads
-//! (host-thread count must not affect published bits either).
+//! (host-thread count must not affect published bits either) on an
+//! insert stream, and both engines on an interleaved removal/re-addition
+//! stream.
 
 use std::sync::Arc;
 
-use dynbc_bc::gpu::{GpuDynamicBc, Parallelism};
+use dynbc_bc::gpu::{Backend, GpuDynamicBc, Parallelism};
 use dynbc_bc::CpuDynamicBc;
+use dynbc_bench::stream;
 use dynbc_gpusim::DeviceConfig;
-use dynbc_graph::{EdgeList, EdgeOp, VertexId};
+use dynbc_graph::{gen, EdgeList, EdgeOp, VertexId};
 use dynbc_serve::{ServeConfig, Shard, ShardEngine};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Ring of `n` vertices — every chord insertion below is then valid.
 fn ring(n: u32) -> EdgeList {
@@ -71,10 +76,8 @@ fn oracle_prefixes(mk: &dyn Fn() -> ShardEngine, ops: &[EdgeOp]) -> Vec<Vec<f64>
 /// The stress harness: `readers` threads poll the snapshot chain while
 /// the main thread submits `ops`; every observation is checked against
 /// `prefixes` and for epoch monotonicity.
-fn race_readers_against_writer(mk: &dyn Fn() -> ShardEngine, readers: usize) {
-    let n = 24u32;
-    let ops = chord_stream(n, 40);
-    let prefixes = Arc::new(oracle_prefixes(mk, &ops));
+fn race_readers_against_writer(mk: &dyn Fn() -> ShardEngine, ops: &[EdgeOp], readers: usize) {
+    let prefixes = Arc::new(oracle_prefixes(mk, ops));
     let total = ops.len() as u64;
 
     let cfg = ServeConfig {
@@ -116,7 +119,7 @@ fn race_readers_against_writer(mk: &dyn Fn() -> ShardEngine, readers: usize) {
         })
         .collect();
 
-    for &op in &ops {
+    for &op in ops {
         loop {
             match shard.submit(op) {
                 Ok(()) => break,
@@ -153,22 +156,58 @@ fn gpu_engine(host_threads: usize) -> ShardEngine {
 
 #[test]
 fn cpu_shard_snapshots_match_oracle_under_reader_race() {
-    race_readers_against_writer(&cpu_engine, 4);
+    race_readers_against_writer(&cpu_engine, &chord_stream(24, 40), 4);
 }
 
 #[test]
 fn gpu_shard_snapshots_match_oracle_at_1_host_thread() {
-    race_readers_against_writer(&|| gpu_engine(1), 2);
+    race_readers_against_writer(&|| gpu_engine(1), &chord_stream(24, 40), 2);
 }
 
 #[test]
 fn gpu_shard_snapshots_match_oracle_at_2_host_threads() {
-    race_readers_against_writer(&|| gpu_engine(2), 2);
+    race_readers_against_writer(&|| gpu_engine(2), &chord_stream(24, 40), 2);
 }
 
 #[test]
 fn gpu_shard_snapshots_match_oracle_at_8_host_threads() {
-    race_readers_against_writer(&|| gpu_engine(8), 2);
+    race_readers_against_writer(&|| gpu_engine(8), &chord_stream(24, 40), 2);
+}
+
+/// A BA(60, 3) graph, its sources, and an interleaved removal/re-addition
+/// stream over it (spanning-forest tabu, lag 4): the serving
+/// benchmark's churn shape, small enough for a stress test.
+fn churn() -> (EdgeList, Vec<VertexId>, Vec<EdgeOp>) {
+    let mut rng = StdRng::seed_from_u64(20140519);
+    let el = gen::ba(&mut rng, 60, 3);
+    let tabu = stream::spanning_forest_tabu(&el);
+    let ops = stream::interleaved(&el, 30, 4, &tabu, &mut rng);
+    (el, (0..60).step_by(3).collect(), ops)
+}
+
+#[test]
+fn gpu_shard_churn_snapshots_match_oracle() {
+    let (el, sources, ops) = churn();
+    for backend in [Backend::Simulator, Backend::Native] {
+        let mk = || {
+            ShardEngine::gpu(
+                GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node)
+                    .with_backend(backend)
+                    .with_host_threads(2),
+            )
+        };
+        race_readers_against_writer(&mk, &ops, 2);
+    }
+}
+
+#[test]
+fn cpu_shard_churn_snapshots_match_oracle() {
+    let (el, sources, ops) = churn();
+    race_readers_against_writer(
+        &|| ShardEngine::cpu(CpuDynamicBc::new(&el, &sources)),
+        &ops,
+        2,
+    );
 }
 
 #[test]

@@ -150,3 +150,59 @@ proptest! {
         }
     }
 }
+
+/// Batch-partition invariance on the native backend (DESIGN §4e): an
+/// interleaved removal/re-addition stream — the serving benchmark's churn
+/// shape — over a mid-size suite graph gives the same BC bits, case
+/// tallies and per-source outcomes whether it is applied one op at a time
+/// or cut into random batches of 1 to 64 ops.
+#[test]
+fn native_bits_are_invariant_to_batch_partition_on_a_suite_graph() {
+    let el = dynbc::graph::suite::entry_by_short("caida")
+        .unwrap()
+        .generate(0.02, 20140519);
+    let n = el.vertex_count();
+    assert!(n >= 300, "mid-size graph wanted, got n = {n}");
+    let mut rng = StdRng::seed_from_u64(31);
+    let tabu = dynbc_bench::stream::spanning_forest_tabu(&el);
+    let ops = dynbc_bench::stream::interleaved(&el, 150, 8, &tabu, &mut rng);
+    let sources = sample_sources(&mut rng, n, 16);
+    let device = DeviceConfig::tesla_c2075();
+    let run = |widths: &mut dyn FnMut() -> usize| {
+        let mut eng = GpuDynamicBc::new(&el, &sources, device, Parallelism::Node)
+            .with_backend(Backend::Native);
+        let mut per_op = Vec::with_capacity(ops.len());
+        let mut rest = &ops[..];
+        while !rest.is_empty() {
+            let (batch, tail) = rest.split_at(widths().min(rest.len()));
+            per_op.extend(
+                eng.apply_batch(batch)
+                    .per_op
+                    .into_iter()
+                    .map(|o| (o.cases, o.per_source)),
+            );
+            rest = tail;
+        }
+        let bits: Vec<u64> = eng.bc_scores().iter().map(|x| x.to_bits()).collect();
+        (bits, per_op)
+    };
+    let (one_bits, one_ops) = run(&mut || 1);
+    let d3 = ops
+        .iter()
+        .zip(&one_ops)
+        .filter(|(op, (cases, _))| matches!(op, EdgeOp::Remove(..)) && cases.distant > 0)
+        .count();
+    println!(
+        "n = {n}, {} ops, {d3} removals with a Case D3 source",
+        ops.len()
+    );
+    assert!(d3 > 0, "stream has no Case D3 removal");
+    for seed in [1u64, 2, 3] {
+        let mut widths = StdRng::seed_from_u64(seed);
+        let (bits, per_op) = run(&mut || widths.gen_range(1..=64));
+        for (i, (a, b)) in per_op.iter().zip(&one_ops).enumerate() {
+            assert_eq!(a, b, "width seed {seed}: op {i} ({:?}) outcome", ops[i]);
+        }
+        assert_eq!(bits, one_bits, "width seed {seed}: BC bits vs batch-of-one");
+    }
+}
