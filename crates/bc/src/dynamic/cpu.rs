@@ -27,11 +27,11 @@
 
 use crate::brandes::brandes_state;
 use crate::cases::InsertionCase;
+use crate::dynamic::mlq::MultiLevelQueue;
 use crate::dynamic::result::{BatchResult, OpOutcome, SourceOutcome, UpdateResult};
 use crate::obs::batch_observation;
 use crate::plan;
 use crate::state::BcState;
-use dynbc_ds::MultiLevelQueue;
 use dynbc_gpusim::{telemetry_from_env, CpuConfig, OpCounter};
 use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp, VertexId};
 use dynbc_telemetry::{Span, Telemetry};

@@ -2,6 +2,7 @@
 
 pub mod cpu;
 pub mod delete;
+mod mlq;
 pub mod result;
 
 pub use cpu::CpuDynamicBc;

@@ -24,7 +24,7 @@
 //! update and excludes it from measurement).
 
 use crate::state::BcState;
-use dynbc_gpusim::GpuBuffer;
+use dynbc_gpusim::{Gpu, GpuBuffer};
 use dynbc_graph::slack::{ROW_DIRTY_BIT, ROW_LEN_MASK};
 use dynbc_graph::{SlackCsr, SlackDelta, VertexId};
 
@@ -209,8 +209,8 @@ fn device_row_header(host: &SlackCsr, v: VertexId) -> (u64, [u64; SKIP_WORDS]) {
 }
 
 impl SlackGraphBuffers {
-    /// Uploads the host store's current layout wholesale.
-    pub fn from_slack(host: &SlackCsr) -> Self {
+    /// Uploads the host store's current layout wholesale into `gpu`.
+    pub fn from_slack(gpu: &mut Gpu, host: &SlackCsr) -> Self {
         let n = host.vertex_count();
         assert!(
             n <= ADJ_VERTEX_MASK as usize,
@@ -232,11 +232,11 @@ impl SlackGraphBuffers {
         Self {
             n,
             capacity: host.capacity(),
-            row_pack: GpuBuffer::from_vec(pack).named("row_pack"),
-            staged_skips: GpuBuffer::from_vec(skips).named("staged_skips"),
-            adj: GpuBuffer::from_vec(adj).named("adj"),
-            epochs: GpuBuffer::from_slice(host.epochs()).named("epochs"),
-            slot_tails: GpuBuffer::from_slice(host.slot_tails()).named("slot_tails"),
+            row_pack: gpu.upload(pack).named("row_pack"),
+            staged_skips: gpu.upload(skips).named("staged_skips"),
+            adj: gpu.upload(adj).named("adj"),
+            epochs: gpu.upload(host.epochs().to_vec()).named("epochs"),
+            slot_tails: gpu.upload(host.slot_tails().to_vec()).named("slot_tails"),
         }
     }
 
@@ -246,14 +246,15 @@ impl SlackGraphBuffers {
     /// owning row's meta word — O(degree) staging per op, the whole
     /// point of the slack store. A relayout (row growth or compaction)
     /// invalidates slot indices, so any journal containing one rebuilds
-    /// every buffer from the host's current layout instead.
-    pub fn sync(&mut self, host: &mut SlackCsr) {
+    /// every buffer from the host's current layout instead, allocated
+    /// in `gpu`.
+    pub fn sync(&mut self, gpu: &mut Gpu, host: &mut SlackCsr) {
         let deltas = host.take_deltas();
         if deltas.is_empty() {
             return;
         }
         if deltas.iter().any(|d| matches!(d, SlackDelta::Relayout)) {
-            *self = Self::from_slack(host);
+            *self = Self::from_slack(gpu, host);
             return;
         }
         let (adj, epochs) = (host.adj(), host.epochs());
@@ -294,8 +295,8 @@ pub struct StateBuffers {
 }
 
 impl StateBuffers {
-    /// Uploads a host-side [`BcState`].
-    pub fn upload(state: &BcState) -> Self {
+    /// Uploads a host-side [`BcState`] into `gpu`.
+    pub fn upload(gpu: &mut Gpu, state: &BcState) -> Self {
         let n = state.n;
         let k = state.sources.len();
         let mut d = Vec::with_capacity(k * n);
@@ -310,10 +311,10 @@ impl StateBuffers {
             n,
             k,
             sources: state.sources.clone(),
-            bc: GpuBuffer::from_slice(&state.bc).named("bc"),
-            d: GpuBuffer::from_vec(d).named("d"),
-            sigma: GpuBuffer::from_vec(sigma).named("sigma"),
-            delta: GpuBuffer::from_vec(delta).named("delta"),
+            bc: gpu.upload(state.bc.clone()).named("bc"),
+            d: gpu.upload(d).named("d"),
+            sigma: gpu.upload(sigma).named("sigma"),
+            delta: gpu.upload(delta).named("delta"),
         }
     }
 
@@ -390,9 +391,9 @@ pub struct ScratchBuffers {
 }
 
 impl ScratchBuffers {
-    /// Allocates scratch for `blocks` blocks over `n`-vertex rows, with
-    /// queue rows wide enough for `num_arcs` per-level pushes.
-    pub fn new(blocks: usize, n: usize, num_arcs: usize) -> Self {
+    /// Allocates scratch in `gpu` for `blocks` blocks over `n`-vertex
+    /// rows, with queue rows wide enough for `num_arcs` per-level pushes.
+    pub fn new(gpu: &mut Gpu, blocks: usize, n: usize, num_arcs: usize) -> Self {
         let qw = Self::queue_width(n, num_arcs);
         // 32 f64 = 256 bytes: every slab row starts on a segment-aligned
         // boundary, like the BC array itself.
@@ -402,16 +403,16 @@ impl ScratchBuffers {
             blocks,
             qw,
             bc_stride,
-            t: GpuBuffer::new(blocks * n, T_UNTOUCHED).named("t"),
-            sigma_hat: GpuBuffer::new(blocks * n, 0.0).named("sigma_hat"),
-            delta_hat: GpuBuffer::new(blocks * n, 0.0).named("delta_hat"),
-            d_hat: GpuBuffer::new(blocks * n, 0).named("d_hat"),
-            bc_delta: GpuBuffer::new(blocks * bc_stride, 0.0).named("bc_delta"),
-            q: GpuBuffer::new(blocks * qw, 0).named("q"),
-            q2: GpuBuffer::new(blocks * qw, 0).named("q2"),
-            qq: GpuBuffer::new(blocks * qw, 0).named("qq"),
-            scan: GpuBuffer::new(blocks * 2 * qw, 0).named("scan"),
-            lens: GpuBuffer::new(blocks * LEN_SLOTS, 0).named("lens"),
+            t: gpu.alloc(blocks * n, T_UNTOUCHED).named("t"),
+            sigma_hat: gpu.alloc(blocks * n, 0.0).named("sigma_hat"),
+            delta_hat: gpu.alloc(blocks * n, 0.0).named("delta_hat"),
+            d_hat: gpu.alloc(blocks * n, 0).named("d_hat"),
+            bc_delta: gpu.alloc(blocks * bc_stride, 0.0).named("bc_delta"),
+            q: gpu.alloc(blocks * qw, 0).named("q"),
+            q2: gpu.alloc(blocks * qw, 0).named("q2"),
+            qq: gpu.alloc(blocks * qw, 0).named("qq"),
+            scan: gpu.alloc(blocks * 2 * qw, 0).named("scan"),
+            lens: gpu.alloc(blocks * LEN_SLOTS, 0).named("lens"),
         }
     }
 
@@ -425,16 +426,16 @@ impl ScratchBuffers {
     /// Grows the queue rows if `num_arcs` no longer fits (the insertion
     /// stream adds arcs). Queue contents are per-update scratch, so the
     /// old rows are simply dropped; per-vertex rows never change size.
-    pub fn ensure_arc_capacity(&mut self, num_arcs: usize) {
+    pub fn ensure_arc_capacity(&mut self, gpu: &mut Gpu, num_arcs: usize) {
         let qw = Self::queue_width(self.n, num_arcs);
         if qw <= self.qw {
             return;
         }
         self.qw = qw;
-        self.q = GpuBuffer::new(self.blocks * qw, 0).named("q");
-        self.q2 = GpuBuffer::new(self.blocks * qw, 0).named("q2");
-        self.qq = GpuBuffer::new(self.blocks * qw, 0).named("qq");
-        self.scan = GpuBuffer::new(self.blocks * 2 * qw, 0).named("scan");
+        self.q = gpu.alloc(self.blocks * qw, 0).named("q");
+        self.q2 = gpu.alloc(self.blocks * qw, 0).named("q2");
+        self.qq = gpu.alloc(self.blocks * qw, 0).named("qq");
+        self.scan = gpu.alloc(self.blocks * 2 * qw, 0).named("scan");
     }
 
     /// Base offset of block `b`'s `n`-wide rows.
@@ -463,12 +464,12 @@ impl ScratchBuffers {
     /// and the drain can replay sequential commit order. Slab contents
     /// are per-launch scratch (always drained back to zero), so the old
     /// buffer is simply dropped.
-    pub fn ensure_bc_rows(&mut self, rows: usize) {
+    pub fn ensure_bc_rows(&mut self, gpu: &mut Gpu, rows: usize) {
         let rows = rows.max(self.blocks);
         if rows <= self.bc_rows() {
             return;
         }
-        self.bc_delta = GpuBuffer::new(rows * self.bc_stride, 0.0).named("bc_delta");
+        self.bc_delta = gpu.alloc(rows * self.bc_stride, 0.0).named("bc_delta");
     }
 
     /// Reduces the BC delta slab into `bc`, **serially in row order**,
@@ -523,13 +524,19 @@ impl ScratchBuffers {
 mod tests {
     use super::*;
     use crate::brandes::brandes_state;
+    use dynbc_gpusim::DeviceConfig;
     use dynbc_graph::{Csr, EdgeList};
+
+    fn gpu() -> Gpu {
+        Gpu::new(DeviceConfig::test_tiny())
+    }
 
     #[test]
     fn slack_mirror_matches_host_store() {
+        let mut g = gpu();
         let el = EdgeList::from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)]);
         let slack = SlackCsr::from_csr_exact(&Csr::from_edge_list(&el));
-        let gb = SlackGraphBuffers::from_slack(&slack);
+        let gb = SlackGraphBuffers::from_slack(&mut g, &slack);
         assert_eq!(gb.n, 4);
         assert_eq!(gb.capacity, 8, "exact layout: capacity == arc count");
         let pack = gb.row_pack.to_vec();
@@ -550,15 +557,16 @@ mod tests {
 
     #[test]
     fn sync_replays_slot_deltas_without_rebuild() {
+        let mut g = gpu();
         let el = EdgeList::from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         // Generous slack, compaction off: the mutations below stay
         // in-place slot rewrites, never a relayout.
         let mut slack = SlackCsr::from_csr(&Csr::from_edge_list(&el), 100, 100);
-        let mut gb = SlackGraphBuffers::from_slack(&slack);
+        let mut gb = SlackGraphBuffers::from_slack(&mut g, &slack);
         let cap0 = gb.capacity;
         assert!(slack.insert_edge(0, 5));
         assert!(slack.remove_edge(2, 3));
-        gb.sync(&mut slack);
+        gb.sync(&mut g, &mut slack);
         assert_eq!(slack.relayouts(), 0, "slack absorbed both mutations");
         assert_eq!(gb.capacity, cap0);
         let packed: Vec<u32> = slack
@@ -576,20 +584,21 @@ mod tests {
             );
         }
         // Second sync with nothing pending is a no-op.
-        gb.sync(&mut slack);
+        gb.sync(&mut g, &mut slack);
         assert_eq!(gb.adj.to_vec(), packed);
     }
 
     #[test]
     fn sync_rebuilds_after_relayout() {
+        let mut g = gpu();
         let el = EdgeList::from_pairs(5, [(0, 1), (1, 2)]);
         // Zero slack leaves one spare slot per row; the second insert
         // into row 1 overflows it and forces growth.
         let mut slack = SlackCsr::from_csr(&Csr::from_edge_list(&el), 0, 100);
-        let mut gb = SlackGraphBuffers::from_slack(&slack);
+        let mut gb = SlackGraphBuffers::from_slack(&mut g, &slack);
         assert!(slack.insert_edge(1, 3));
         assert!(slack.insert_edge(1, 4));
-        gb.sync(&mut slack);
+        gb.sync(&mut g, &mut slack);
         assert!(slack.relayouts() > 0, "zero-slack rows must grow");
         assert_eq!(gb.capacity, slack.capacity());
         for v in 0..5usize {
@@ -610,17 +619,19 @@ mod tests {
 
     #[test]
     fn state_round_trips_through_device() {
+        let mut g = gpu();
         let el = EdgeList::from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
         let csr = Csr::from_edge_list(&el);
         let state = brandes_state(&csr, &[0, 2]);
-        let dev = StateBuffers::upload(&state);
+        let dev = StateBuffers::upload(&mut g, &state);
         let back = dev.download();
         assert_eq!(back, state);
     }
 
     #[test]
     fn scratch_row_offsets() {
-        let scr = ScratchBuffers::new(3, 10, 40);
+        let mut g = gpu();
+        let scr = ScratchBuffers::new(&mut g, 3, 10, 40);
         assert_eq!(scr.row(2), 20);
         assert!(scr.qw.is_power_of_two());
         assert!(scr.qw >= 50);
@@ -636,8 +647,9 @@ mod tests {
 
     #[test]
     fn bc_delta_drains_in_block_order_and_rezeroes() {
-        let scr = ScratchBuffers::new(3, 4, 0);
-        let bc = GpuBuffer::new(4, 1.0f64);
+        let mut g = gpu();
+        let scr = ScratchBuffers::new(&mut g, 3, 4, 0);
+        let bc = g.alloc(4, 1.0f64);
         scr.bc_delta.host_set(scr.bc_row(0), 0.5); // block 0, v = 0
         scr.bc_delta.host_set(scr.bc_row(2), 0.25); // block 2, v = 0
         scr.bc_delta.host_set(scr.bc_row(1) + 3, -1.0); // block 1, v = 3
@@ -651,14 +663,15 @@ mod tests {
 
     #[test]
     fn ensure_bc_rows_grows_and_drains_in_row_order() {
-        let mut scr = ScratchBuffers::new(2, 4, 0);
+        let mut g = gpu();
+        let mut scr = ScratchBuffers::new(&mut g, 2, 4, 0);
         assert_eq!(scr.bc_rows(), 2);
-        scr.ensure_bc_rows(1); // never below one row per block
+        scr.ensure_bc_rows(&mut g, 1); // never below one row per block
         assert_eq!(scr.bc_rows(), 2);
-        scr.ensure_bc_rows(6); // 3 ops × 2 blocks
+        scr.ensure_bc_rows(&mut g, 6); // 3 ops × 2 blocks
         assert_eq!(scr.bc_rows(), 6);
         assert_eq!(scr.bc_delta.len(), 6 * scr.bc_stride);
-        let bc = GpuBuffer::new(4, 0.0f64);
+        let bc = g.alloc(4, 0.0f64);
         scr.bc_delta.host_set(scr.bc_row(5) + 1, 2.0); // op 2, block 1
         scr.bc_delta.host_set(scr.bc_row(0) + 1, 1.0); // op 0, block 0
         scr.drain_bc_delta_into(&bc);
@@ -668,11 +681,12 @@ mod tests {
 
     #[test]
     fn ensure_arc_capacity_grows_queue_rows_only() {
-        let mut scr = ScratchBuffers::new(2, 10, 16);
+        let mut g = gpu();
+        let mut scr = ScratchBuffers::new(&mut g, 2, 10, 16);
         let qw0 = scr.qw;
-        scr.ensure_arc_capacity(8); // smaller: no-op
+        scr.ensure_arc_capacity(&mut g, 8); // smaller: no-op
         assert_eq!(scr.qw, qw0);
-        scr.ensure_arc_capacity(8 * qw0);
+        scr.ensure_arc_capacity(&mut g, 8 * qw0);
         assert!(scr.qw > qw0);
         assert!(scr.qw.is_power_of_two());
         assert_eq!(scr.q.len(), 2 * scr.qw);

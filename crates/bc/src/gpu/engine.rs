@@ -195,19 +195,28 @@ impl GpuDynamicBc {
             knob::parse_from_env(knob::SLACK_FACTOR_ENV, 25u32),
             knob::parse_from_env(knob::SLACK_COMPACT_ENV, 25u32),
         );
-        let store = SlackGraphBuffers::from_slack(&slack);
+        // Every buffer lives in the engine's own device address space.
+        let mut gpu = Gpu::new(device);
+        let store = SlackGraphBuffers::from_slack(&mut gpu, &slack);
         // The scratch pool: allocated once, reused by every update (and
         // grown on demand — see `apply_batch`). Queue rows start with
         // headroom for the insertion stream growing the graph; sizing
         // follows the slack store's slot capacity, since edge-parallel
         // kernels scan every slot.
-        let scr = ScratchBuffers::new(num_blocks, el.vertex_count(), store.capacity + 4096);
+        let scr = ScratchBuffers::new(
+            &mut gpu,
+            num_blocks,
+            el.vertex_count(),
+            store.capacity + 4096,
+        );
+        let st = StateBuffers::upload(&mut gpu, &state);
+        let case_buf = gpu.alloc(sources.len(), 0).named("case");
         Self {
-            gpu: Gpu::new(device),
+            gpu,
             par,
-            st: StateBuffers::upload(&state),
+            st,
             scr,
-            case_buf: GpuBuffer::new(sources.len(), 0).named("case"),
+            case_buf,
             num_blocks,
             dedup: DedupStrategy::default(),
             force_general: false,
@@ -563,7 +572,7 @@ impl GpuDynamicBc {
             }
             // Replay the stage's deltas onto the device mirror before any
             // kernel reads it (off the simulated clock, like all staging).
-            self.store.sync(&mut self.slack);
+            self.store.sync(&mut self.gpu, &mut self.slack);
 
             // Scratch sized by batch width: queue rows for the widest
             // snapshot, one BC-delta slab row per (op, block) pair.
@@ -572,8 +581,10 @@ impl GpuDynamicBc {
             // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
             let exec_t = tel_on.then(std::time::Instant::now);
 
-            self.scr.ensure_arc_capacity(self.store.capacity + 4096);
-            self.scr.ensure_bc_rows(stage.len() * self.num_blocks);
+            self.scr
+                .ensure_arc_capacity(&mut self.gpu, self.store.capacity + 4096);
+            self.scr
+                .ensure_bc_rows(&mut self.gpu, stage.len() * self.num_blocks);
 
             let cfg = ExecConfig {
                 par: self.par,
@@ -685,7 +696,7 @@ impl GpuDynamicBc {
             // resulting deltas onto the device mirror (off the clock,
             // like all staging).
             self.slack.settle();
-            self.store.sync(&mut self.slack);
+            self.store.sync(&mut self.gpu, &mut self.slack);
             if tel_on {
                 if let (Some(cpu), Some(tel)) = (routed, self.telemetry.as_deref_mut()) {
                     tel.record_router_stage(cpu, route_t.elapsed().as_secs_f64());

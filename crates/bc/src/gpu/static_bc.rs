@@ -18,7 +18,7 @@
 use super::buffers::{ScratchBuffers, SlackGraphBuffers, SLOT_Q2LEN, SLOT_QLEN, SLOT_QQLEN};
 use super::engine::Parallelism;
 use super::kernels::GraphView;
-use dynbc_gpusim::{BlockCtx, CheckReport, DeviceConfig, Gpu, GpuBuffer, KernelStats};
+use dynbc_gpusim::{BlockCtx, CheckReport, DeviceConfig, Gpu, KernelStats};
 use dynbc_graph::{Csr, SlackCsr, VertexId};
 
 const INF: u32 = u32::MAX;
@@ -97,12 +97,12 @@ fn static_bc_core(
     // the edge-parallel scans touch exactly the CSR's arcs and node rows
     // are all clean (no epoch checks).
     let slack = SlackCsr::from_csr_exact(csr);
-    let store = SlackGraphBuffers::from_slack(&slack);
+    let store = SlackGraphBuffers::from_slack(&mut gpu, &slack);
     let g = GraphView::settled(&store);
     // CAS-gated discovery never duplicates queue entries, so queue rows of
     // width ~n suffice (ScratchBuffers rounds up internally).
-    let scr = ScratchBuffers::new(num_blocks, n, 0);
-    let bc = GpuBuffer::new(n, 0.0f64).named("bc");
+    let scr = ScratchBuffers::new(&mut gpu, num_blocks, n, 0);
+    let bc = gpu.alloc(n, 0.0f64).named("bc");
     let body = |block: &mut BlockCtx, b: usize| {
         for (si, &s) in sources.iter().enumerate() {
             if si % num_blocks != b {

@@ -1,79 +1,18 @@
-//! Criterion microbenches of the substrate layers: device-style data
-//! structures, graph traversal, Brandes passes, a dynamic update, and the
-//! host-parallel launch path of the simulator itself.
+//! Criterion microbenches of the substrate layers: graph traversal,
+//! Brandes passes, a dynamic update, and the host-parallel launch path of
+//! the simulator itself.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dynbc_bc::brandes::{sample_sources, source_pass};
 use dynbc_bc::dynamic::CpuDynamicBc;
 use dynbc_bench::HarnessReport;
-use dynbc_ds::{bitonic_sort, remove_duplicates, DedupScratch, MultiLevelQueue};
-use dynbc_gpusim::{DeviceConfig, Gpu, GpuBuffer};
+use dynbc_gpusim::{DeviceConfig, Gpu};
 use dynbc_graph::algo::bfs;
 use dynbc_graph::{gen, Csr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
-
-fn rand_vec(n: usize, modulo: u32, seed: u64) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(0..modulo)).collect()
-}
-
-fn bench_sorting(c: &mut Criterion) {
-    let data = rand_vec(1024, u32::MAX, 1);
-    let mut g = c.benchmark_group("sort_1024");
-    g.bench_function("bitonic_network", |b| {
-        b.iter_batched(
-            || data.clone(),
-            |mut v| {
-                bitonic_sort(&mut v);
-                black_box(v)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("std_unstable", |b| {
-        b.iter_batched(
-            || data.clone(),
-            |mut v| {
-                v.sort_unstable();
-                black_box(v)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-fn bench_dedup(c: &mut Criterion) {
-    // Frontier-like input: many duplicates from a small id universe.
-    let data = rand_vec(512, 64, 2);
-    c.bench_function("dedup_frontier_512", |b| {
-        let mut scratch = DedupScratch::with_capacity(512);
-        b.iter_batched(
-            || data.clone(),
-            |mut q| black_box(remove_duplicates(&mut q, 512, &mut scratch)),
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-fn bench_mlq(c: &mut Criterion) {
-    c.bench_function("mlq_enqueue_drain_4096", |b| {
-        let mut mlq = MultiLevelQueue::new(64);
-        let items = rand_vec(4096, 64, 3);
-        b.iter(|| {
-            for (i, &v) in items.iter().enumerate() {
-                mlq.enqueue((v % 64) as usize, i as u32);
-            }
-            let mut total = 0usize;
-            mlq.drain_top_down(63, |_, _| total += 1);
-            mlq.clear();
-            black_box(total)
-        })
-    });
-}
 
 fn bench_graph(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
@@ -164,8 +103,8 @@ fn scaling_launch_telemetry(span_log: bool) -> (f64, Vec<u32>, Vec<u32>) {
 /// profile report).
 fn scaling_launch_on(mut g: Gpu, blocks: usize) -> ((f64, Vec<u32>, Vec<u32>), Gpu) {
     const ROW: usize = 512;
-    let rows = GpuBuffer::<u32>::new(blocks * ROW, 1);
-    let hist = GpuBuffer::<u32>::new(64, 0);
+    let rows = g.alloc::<u32>(blocks * ROW, 1);
+    let hist = g.alloc::<u32>(64, 0);
     let r = g.launch(blocks, |block, b| {
         block.parallel_for(ROW, |lane, i| {
             let idx = b * ROW + i;
@@ -432,8 +371,8 @@ fn bench_memsim_overhead(c: &mut Criterion) {
         scaling_launch_on(g, 56).1.take_profile_report()
     };
     let (plain, off) = (profiled(None), profiled(Some(false)));
+    assert_eq!(plain, off);
     assert_eq!(plain.to_json(), off.to_json());
-    assert_eq!(plain.chrome_trace_json(), off.chrome_trace_json());
 
     type Mode = (&'static str, fn() -> (f64, Vec<u32>, Vec<u32>));
     let modes: [Mode; 3] = [
@@ -509,7 +448,7 @@ fn bench_memsim_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sorting, bench_dedup, bench_mlq, bench_graph, bench_dynamic_update,
+    targets = bench_graph, bench_dynamic_update,
         bench_launch_scaling, bench_racecheck_overhead,
         bench_telemetry_overhead, bench_memsim_overhead
 }

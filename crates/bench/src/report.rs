@@ -75,7 +75,9 @@ pub struct HarnessReport {
     pub cpu_model: String,
     /// `rustc --version` of the compiler that built the harness.
     pub rustc: String,
-    /// Git revision of the working tree (read from `.git`, best effort).
+    /// Git revision of the working tree (read from `.git`, best effort),
+    /// suffixed `-dirty` when tracked files differ from it and
+    /// `-tree-unknown` when that could not be determined.
     pub git_rev: String,
     /// Measured rows.
     pub rows: Vec<Row>,
@@ -91,7 +93,10 @@ impl HarnessReport {
             nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cpu_model: cpu_model().unwrap_or_else(|| "unknown".to_string()),
             rustc: env!("BENCH_RUSTC_VERSION").to_string(),
-            git_rev: git_rev().unwrap_or_else(|| "unknown".to_string()),
+            git_rev: git_rev().map_or_else(
+                || "unknown".to_string(),
+                |rev| stamp_rev(&rev, tree_dirty()),
+            ),
             rows: Vec::new(),
         }
     }
@@ -223,6 +228,30 @@ pub fn git_rev() -> Option<String> {
         None
     } else {
         Some(head.to_string())
+    }
+}
+
+/// Whether tracked files differ from `HEAD`, from `git status
+/// --porcelain --untracked-files=no`; `None` when git cannot say (no
+/// `git` binary, not a checkout).
+fn tree_dirty() -> Option<bool> {
+    let out = std::process::Command::new("git")
+        .arg("-C")
+        .arg(workspace_root())
+        .args(["status", "--porcelain", "--untracked-files=no"])
+        .output()
+        .ok()?;
+    out.status.success().then_some(!out.stdout.is_empty())
+}
+
+/// `rev` marked with the working tree's state: `-dirty` for a modified
+/// tree, `-tree-unknown` when the state is unknown, so a stamp never
+/// implies a clean tree it did not see.
+fn stamp_rev(rev: &str, dirty: Option<bool>) -> String {
+    match dirty {
+        Some(false) => rev.to_string(),
+        Some(true) => format!("{rev}-dirty"),
+        None => format!("{rev}-tree-unknown"),
     }
 }
 
@@ -420,6 +449,13 @@ mod tests {
         let mut b = HarnessReport::new("x");
         b.push_row_with("g", "e", 1.0, 0.5, &[("p50", 2.0), ("p99", 3.0)]);
         assert_eq!(a.rows[0].json(), b.rows[0].json());
+    }
+
+    #[test]
+    fn rev_stamp_marks_dirty_and_unknown_trees() {
+        assert_eq!(stamp_rev("abc123", Some(false)), "abc123");
+        assert_eq!(stamp_rev("abc123", Some(true)), "abc123-dirty");
+        assert_eq!(stamp_rev("abc123", None), "abc123-tree-unknown");
     }
 
     #[test]

@@ -735,6 +735,11 @@ mod tests {
     use super::*;
     use crate::device::DeviceConfig;
 
+    /// A buffer at the start of a fresh device's address space.
+    fn alloc<T: Copy>(len: usize, init: T) -> GpuBuffer<T> {
+        crate::Gpu::new(DeviceConfig::test_tiny()).alloc(len, init)
+    }
+
     fn ctx() -> BlockCtx {
         BlockCtx::new(DeviceConfig::test_tiny(), 0, false, false, None)
     }
@@ -742,7 +747,7 @@ mod tests {
     #[test]
     fn parallel_for_covers_all_items_in_order() {
         let mut b = ctx();
-        let buf = GpuBuffer::<u32>::new(10, 0);
+        let buf = alloc::<u32>(10, 0);
         b.parallel_for(10, |lane, i| {
             lane.write(&buf, i, i as u32 + 1);
         });
@@ -755,7 +760,7 @@ mod tests {
     #[test]
     fn coalesced_warp_touches_one_segment() {
         let mut b = ctx();
-        let buf = GpuBuffer::<u32>::new(8, 7);
+        let buf = alloc::<u32>(8, 7);
         // 4 consecutive u32 = 16 bytes -> exactly one 32-byte segment
         // (base is 256-aligned).
         b.parallel_for(4, |lane, i| {
@@ -767,7 +772,7 @@ mod tests {
     #[test]
     fn scattered_warp_touches_many_segments() {
         let mut b = ctx();
-        let buf = GpuBuffer::<u32>::new(1024, 0);
+        let buf = alloc::<u32>(1024, 0);
         // Stride 32 elements = 128 bytes apart: every lane its own segment.
         b.parallel_for(4, |lane, i| {
             lane.read(&buf, i * 32);
@@ -780,7 +785,7 @@ mod tests {
         let dev = DeviceConfig::test_tiny();
         // Warp A: every lane does 1 event. Warp B: one lane does 4 events.
         let mut a = BlockCtx::new(dev, 0, false, false, None);
-        let buf = GpuBuffer::<u32>::new(64, 0);
+        let buf = alloc::<u32>(64, 0);
         a.parallel_for(4, |lane, i| {
             lane.read(&buf, i);
         });
@@ -804,7 +809,7 @@ mod tests {
     #[test]
     fn atomics_functional_and_conflicts_counted() {
         let mut b = ctx();
-        let buf = GpuBuffer::<u32>::new(1, 0);
+        let buf = alloc::<u32>(1, 0);
         // 4 lanes atomically bump the same counter: 3 conflicts in the warp.
         let mut olds = Vec::new();
         b.parallel_for(4, |lane, _| {
@@ -819,7 +824,7 @@ mod tests {
     #[test]
     fn atomics_on_distinct_addresses_do_not_conflict() {
         let mut b = ctx();
-        let buf = GpuBuffer::<u32>::new(4, 0);
+        let buf = alloc::<u32>(4, 0);
         b.parallel_for(4, |lane, i| {
             lane.atomic_add_u32(&buf, i, 1);
         });
@@ -830,7 +835,7 @@ mod tests {
     #[test]
     fn cas_semantics() {
         let mut b = ctx();
-        let flags = GpuBuffer::<u8>::new(1, 0);
+        let flags = alloc::<u8>(1, 0);
         let mut results = Vec::new();
         b.parallel_for(3, |lane, _| {
             results.push(lane.atomic_cas_u8(&flags, 0, 0, 2));
@@ -843,7 +848,7 @@ mod tests {
     #[test]
     fn atomic_max_semantics() {
         let mut b = ctx();
-        let buf = GpuBuffer::<u32>::new(1, 5);
+        let buf = alloc::<u32>(1, 5);
         b.parallel_for(4, |lane, i| {
             lane.atomic_max_u32(&buf, 0, i as u32 * 3);
         });
@@ -854,7 +859,7 @@ mod tests {
     fn barrier_commits_max_of_compute_and_memory() {
         let dev = DeviceConfig::test_tiny();
         let mut b = BlockCtx::new(dev, 0, false, false, None);
-        let buf = GpuBuffer::<u32>::new(256, 0);
+        let buf = alloc::<u32>(256, 0);
         // One warp, 4 lanes, one scattered read each: compute = base 1 +
         // 1 event * 1 = 2; mem = 4 segments * 2 = 8. Interval = max = 8.
         b.parallel_for(4, |lane, i| {
@@ -872,7 +877,7 @@ mod tests {
     #[test]
     fn scalar_accessors_round_trip_and_charge() {
         let mut b = ctx();
-        let buf = GpuBuffer::<u32>::new(4, 0);
+        let buf = alloc::<u32>(4, 0);
         b.write_scalar(&buf, 2, 42);
         assert_eq!(b.read_scalar(&buf, 2), 42);
         assert_eq!(b.stats().warp_execs, 2);
@@ -882,7 +887,7 @@ mod tests {
     #[test]
     fn seg_set_survives_growth() {
         let mut b = ctx();
-        let buf = GpuBuffer::<u32>::new(100_000, 0);
+        let buf = alloc::<u32>(100_000, 0);
         // One warp where a single lane touches 3000 distinct segments —
         // forces SegSet growth mid-warp.
         b.parallel_for(1, |lane, _| {
@@ -896,7 +901,7 @@ mod tests {
     #[test]
     fn repeated_segment_in_same_warp_counted_once() {
         let mut b = ctx();
-        let buf = GpuBuffer::<u32>::new(64, 0);
+        let buf = alloc::<u32>(64, 0);
         b.parallel_for(4, |lane, _| {
             lane.read(&buf, 0);
             lane.read(&buf, 1);

@@ -944,7 +944,6 @@ fn cross_diag(
 mod tests {
     use super::*;
     use crate::grid::Gpu;
-    use crate::mem::GpuBuffer;
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceConfig::test_tiny()).with_racecheck(false)
@@ -957,7 +956,7 @@ mod tests {
     #[test]
     fn intra_block_read_write_race_is_reported_with_context() {
         let mut g = gpu();
-        let cells = GpuBuffer::<u32>::new(8, 0).named("cells");
+        let cells = g.alloc::<u32>(8, 0).named("cells");
         let (_, check) = g.launch_checked("racy", 1, |block, _| {
             block.parallel_for(4, |lane, i| {
                 // Every lane reads cell 3; lane 2 also writes it.
@@ -984,7 +983,7 @@ mod tests {
     #[test]
     fn same_value_waw_is_warning_differing_values_error() {
         let mut g = gpu();
-        let cells = GpuBuffer::<u32>::new(4, 0).named("flags");
+        let cells = g.alloc::<u32>(4, 0).named("flags");
         let (_, check) = g.launch_checked("benign", 1, |block, _| {
             block.parallel_for(4, |lane, _| {
                 lane.write(&cells, 0, 7); // all lanes agree on the value
@@ -1005,7 +1004,7 @@ mod tests {
     #[test]
     fn volatile_annotation_silences_intra_block_but_not_cross_block() {
         let mut g = gpu();
-        let cells = GpuBuffer::<u32>::new(4, 0).named("t");
+        let cells = g.alloc::<u32>(4, 0).named("t");
         let (_, check) = g.launch_checked("volatile_ok", 1, |block, _| {
             block.parallel_for(4, |lane, _| {
                 // The kernels' benign test-then-set idiom.
@@ -1039,7 +1038,7 @@ mod tests {
         // head then reading it from every lane of the next parallel_for is
         // the kernels' standard shape and must stay clean.
         let mut g = gpu();
-        let cells = GpuBuffer::<u32>::new(4, 0).named("lens");
+        let cells = g.alloc::<u32>(4, 0).named("lens");
         let (_, check) = g.launch_checked("scalar_ok", 1, |block, _| {
             block.write_scalar(&cells, 0, 3);
             block.parallel_for(4, |lane, _| {
@@ -1054,7 +1053,7 @@ mod tests {
     #[test]
     fn lane_barrier_phases_order_accesses() {
         let mut g = gpu();
-        let cells = GpuBuffer::<u32>::new(4, 0).named("stage");
+        let cells = g.alloc::<u32>(4, 0).named("stage");
         let (_, check) = g.launch_checked("phased", 1, |block, _| {
             block.parallel_for(4, |lane, i| {
                 if i == 0 {
@@ -1070,7 +1069,7 @@ mod tests {
     #[test]
     fn atomic_mixed_with_plain_write_is_contract_violation() {
         let mut g = gpu();
-        let cells = GpuBuffer::<u32>::new(4, 0).named("acc");
+        let cells = g.alloc::<u32>(4, 0).named("acc");
         let (_, check) = g.launch_checked("mixed", 1, |block, _| {
             block.parallel_for(4, |lane, i| {
                 if i == 0 {
@@ -1087,7 +1086,7 @@ mod tests {
     #[test]
     fn cross_block_atomic_kinds_must_match() {
         let mut g = gpu();
-        let cells = GpuBuffer::<u32>::new(4, 0).named("counter");
+        let cells = g.alloc::<u32>(4, 0).named("counter");
         // Same op kind from every block: self-commuting, allowed.
         let (_, check) = g.launch_checked("uniform", 2, |block, _| {
             block.parallel_for(2, |lane, _| {
@@ -1118,7 +1117,7 @@ mod tests {
     #[test]
     fn barrier_divergence_reports_checked_and_panics_unchecked() {
         let mut g = gpu();
-        let cells = GpuBuffer::<u32>::new(4, 0).named("x");
+        let cells = g.alloc::<u32>(4, 0).named("x");
         let (_, check) = g.launch_checked("diverge", 1, |block, _| {
             block.parallel_for(4, |lane, i| {
                 lane.read(&cells, i);
@@ -1132,7 +1131,6 @@ mod tests {
         assert_eq!(d.class, DiagClass::BarrierDivergence);
 
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut g = gpu();
             g.launch(1, |block, _| {
                 block.parallel_for(4, |lane, i| {
                     lane.read(&cells, i);
@@ -1151,7 +1149,7 @@ mod tests {
     #[test]
     fn out_of_bounds_is_reported_and_suppressed() {
         let mut g = gpu();
-        let cells = GpuBuffer::<u32>::from_vec(vec![11, 22]).named("short");
+        let cells = g.upload::<u32>(vec![11, 22]).named("short");
         let (_, check) = g.launch_checked("oob", 1, |block, _| {
             block.parallel_for(1, |lane, _| {
                 lane.write(&cells, 7, 99); // past the end: suppressed
@@ -1170,7 +1168,7 @@ mod tests {
     fn checked_mode_is_cost_and_result_neutral() {
         let run = |checked: bool| {
             let mut g = gpu();
-            let buf = GpuBuffer::<f64>::new(32, 0.0).named("acc");
+            let buf = g.alloc::<f64>(32, 0.0).named("acc");
             let r = if checked {
                 g.launch_checked("k", 3, |block, b| {
                     block.parallel_for(16, |lane, i| {
@@ -1199,7 +1197,7 @@ mod tests {
     #[test]
     fn launch_named_panics_on_errors_and_counts_warnings() {
         let mut g = gpu().with_racecheck(true);
-        let cells = GpuBuffer::<u32>::new(4, 0).named("w");
+        let cells = g.alloc::<u32>(4, 0).named("w");
         g.launch_named("benign", 1, |block, _| {
             block.parallel_for(4, |lane, _| {
                 lane.write(&cells, 0, 1); // same-value WAW: warning only
@@ -1221,7 +1219,7 @@ mod tests {
     fn reports_are_deterministic_across_host_thread_counts() {
         let run = |threads: usize| {
             let mut g = gpu().with_host_threads(threads);
-            let cells = GpuBuffer::<u32>::new(8, 0).named("shared");
+            let cells = g.alloc::<u32>(8, 0).named("shared");
             let (_, check) = g.launch_checked("racy", 4, |block, b| {
                 block.parallel_for(2, |lane, i| {
                     lane.write(&cells, (b + i) % 3, b as u32);

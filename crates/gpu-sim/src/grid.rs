@@ -34,6 +34,7 @@ use crate::block::BlockCtx;
 use crate::cache::{self, BlockCacheOut, CacheConfig, L2Cache};
 use crate::checker::{self, CheckReport, Recorder};
 use crate::device::DeviceConfig;
+use crate::mem::{GpuBuffer, FIRST_BASE};
 use crate::profile::{self, BlockBuckets};
 use crate::stats::KernelStats;
 use dynbc_prof::{LaunchProfile, ProfileReport};
@@ -155,6 +156,8 @@ pub struct Gpu {
     /// launch, persists across launches (cross-launch locality is the
     /// point), only ever probed single-threaded during launch reduction.
     l2: Option<Box<L2Cache>>,
+    /// Next free synthetic address of this device's address space.
+    next_base: u64,
 }
 
 impl Gpu {
@@ -179,7 +182,24 @@ impl Gpu {
             memsim: memsim_from_env(),
             cache_cfg: CacheConfig::from_env(),
             l2: None,
+            next_base: FIRST_BASE,
         }
+    }
+
+    /// Allocates a buffer of `len` copies of `init` in this device's
+    /// address space. Addresses are handed out in allocation order from a
+    /// per-device counter, so coalescing and the memsim cache sets depend
+    /// only on what this device allocated, never on other devices or
+    /// threads in the process. A buffer belongs to the device that
+    /// allocated it: launch it only on that device.
+    pub fn alloc<T: Copy>(&mut self, len: usize, init: T) -> GpuBuffer<T> {
+        self.upload(vec![init; len])
+    }
+
+    /// Allocates a buffer holding `data` in this device's address space
+    /// (see [`Gpu::alloc`]).
+    pub fn upload<T: Copy>(&mut self, data: Vec<T>) -> GpuBuffer<T> {
+        GpuBuffer::place(data, &mut self.next_base)
     }
 
     /// Builder-style override of checked execution (see
@@ -700,7 +720,6 @@ fn schedule_makespan(block_cycles: &[f64], num_sms: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::GpuBuffer;
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceConfig::test_tiny())
@@ -709,7 +728,7 @@ mod tests {
     #[test]
     fn launch_runs_every_block() {
         let mut g = gpu();
-        let buf = GpuBuffer::<u32>::new(4, 0);
+        let buf = g.alloc::<u32>(4, 0);
         let r = g.launch(4, |block, b| {
             block.parallel_for(1, |lane, _| {
                 lane.atomic_add_u32(&buf, b % 4, 1);
@@ -749,7 +768,7 @@ mod tests {
     #[test]
     fn clock_accumulates_and_resets() {
         let mut g = gpu();
-        let buf = GpuBuffer::<u32>::new(8, 0);
+        let buf = g.alloc::<u32>(8, 0);
         g.launch(1, |block, _| {
             block.parallel_for(8, |lane, i| {
                 lane.read(&buf, i);
@@ -783,7 +802,7 @@ mod tests {
         // host thread executed a block.
         let run = |threads: usize| {
             let mut g = gpu().with_host_threads(threads);
-            let buf = GpuBuffer::<f64>::new(64, 0.0);
+            let buf = g.alloc::<f64>(64, 0.0);
             let r = g.launch(3, |block, b| {
                 block.parallel_for(64, |lane, i| {
                     lane.atomic_add_f64(&buf, (i * (b + 1)) % 64, 0.5);
@@ -816,10 +835,10 @@ mod tests {
         // actually interleaves).
         let run = |threads: usize| {
             let mut g = Gpu::new(DeviceConfig::test_tiny()).with_host_threads(threads);
-            let rows = GpuBuffer::<u32>::new(16 * 64, 0);
-            let counts = GpuBuffer::<u32>::new(32, 0);
-            let maxes = GpuBuffer::<u32>::new(32, 0);
-            let hist = GpuBuffer::<u32>::new(16, 0);
+            let rows = g.alloc::<u32>(16 * 64, 0);
+            let counts = g.alloc::<u32>(32, 0);
+            let maxes = g.alloc::<u32>(32, 0);
+            let hist = g.alloc::<u32>(16, 0);
             let mut reports = Vec::new();
             for round in 0..3usize {
                 let r = g.launch(16, |block, b| {
@@ -878,15 +897,14 @@ mod tests {
                 });
             }
         }
-        let seq_gpu = gpu().with_host_threads(1);
-        let seq_buf = GpuBuffer::<u32>::new(BLOCKS * 32, 0);
-        let seq_hist = GpuBuffer::<u32>::new(8, 0);
-        let mut seq_gpu = seq_gpu;
+        let mut seq_gpu = gpu().with_host_threads(1);
+        let seq_buf = seq_gpu.alloc::<u32>(BLOCKS * 32, 0);
+        let seq_hist = seq_gpu.alloc::<u32>(8, 0);
         let seq = seq_gpu.launch(BLOCKS, kernel(&seq_buf, &seq_hist));
 
-        let par_gpu = gpu();
-        let par_buf = GpuBuffer::<u32>::new(BLOCKS * 32, 0);
-        let par_hist = GpuBuffer::<u32>::new(8, 0);
+        let mut par_gpu = gpu();
+        let par_buf = par_gpu.alloc::<u32>(BLOCKS * 32, 0);
+        let par_hist = par_gpu.alloc::<u32>(8, 0);
         let f = kernel(&par_buf, &par_hist);
         let per_block = par_gpu.run_blocks_parallel(BLOCKS, 4, false, false, None, &f);
         let cycles: Vec<f64> = per_block.iter().map(|(c, _, _, _, _)| *c).collect();
@@ -906,7 +924,7 @@ mod tests {
     #[test]
     fn more_threads_than_blocks_is_fine() {
         let mut g = gpu().with_host_threads(64);
-        let buf = GpuBuffer::<u32>::new(3, 0);
+        let buf = g.alloc::<u32>(3, 0);
         let r = g.launch(3, |block, b| {
             block.parallel_for(1, |lane, _| {
                 lane.write(&buf, b, b as u32 + 1);

@@ -41,7 +41,7 @@
 //! bit-identical for any `DYNBC_HOST_THREADS`.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8};
 
 /// Scalar element types kernels may move through [`Lane`](crate::Lane) and
 /// scalar accessors: plain-old-data values whose bit pattern fits in 64
@@ -104,10 +104,8 @@ impl DeviceValue for bool {
     }
 }
 
-/// Global allocator for synthetic device addresses. Buffers get disjoint,
-/// 256-byte-aligned address ranges so segment ids never collide across
-/// buffers.
-static NEXT_BASE: AtomicU64 = AtomicU64::new(0x1000);
+/// First synthetic address of every device's address space.
+pub(crate) const FIRST_BASE: u64 = 0x1000;
 
 /// Interior-mutable element storage shareable across block threads.
 ///
@@ -123,7 +121,8 @@ struct SyncCell<T>(UnsafeCell<T>);
 #[allow(unsafe_code)]
 unsafe impl<T: Send> Sync for SyncCell<T> {}
 
-/// A typed buffer in simulated device memory.
+/// A typed buffer in simulated device memory, allocated through the
+/// [`Gpu`](crate::Gpu) whose launches use it.
 pub struct GpuBuffer<T: Copy> {
     data: Box<[SyncCell<T>]>,
     pub(crate) base: u64,
@@ -142,16 +141,16 @@ impl<T: Copy + std::fmt::Debug> std::fmt::Debug for GpuBuffer<T> {
 
 #[allow(unsafe_code)]
 impl<T: Copy> GpuBuffer<T> {
-    /// Allocates a device buffer holding `len` copies of `init`.
-    pub fn new(len: usize, init: T) -> Self {
-        Self::from_vec(vec![init; len])
-    }
-
-    /// Allocates a device buffer from host data.
-    pub fn from_vec(data: Vec<T>) -> Self {
+    /// Places `data` at the next free address of a device's address
+    /// space, advancing `next_base` past it. Buffers get disjoint,
+    /// 256-byte-aligned ranges so segment ids never collide across the
+    /// buffers of one device; each [`Gpu`](crate::Gpu) owns its counter
+    /// ([`Gpu::alloc`](crate::Gpu::alloc), [`Gpu::upload`](crate::Gpu::upload)),
+    /// so addresses depend only on that device's allocation order.
+    pub(crate) fn place(data: Vec<T>, next_base: &mut u64) -> Self {
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let span = (bytes + 256).next_multiple_of(256);
-        let base = NEXT_BASE.fetch_add(span, Ordering::Relaxed);
+        let base = *next_base;
+        *next_base += (bytes + 256).next_multiple_of(256);
         let data: Box<[SyncCell<T>]> = data
             .into_iter()
             .map(|v| SyncCell(UnsafeCell::new(v)))
@@ -161,11 +160,6 @@ impl<T: Copy> GpuBuffer<T> {
             base,
             name: "unnamed",
         }
-    }
-
-    /// Allocates from a host slice.
-    pub fn from_slice(data: &[T]) -> Self {
-        Self::from_vec(data.to_vec())
     }
 
     /// Attaches a diagnostic name (builder-style); out-of-bounds messages
@@ -318,30 +312,54 @@ impl GpuBuffer<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DeviceConfig, Gpu};
+    use std::sync::atomic::Ordering;
+
+    fn gpu() -> Gpu {
+        Gpu::new(DeviceConfig::test_tiny())
+    }
 
     #[test]
     fn buffers_get_disjoint_address_ranges() {
-        let a = GpuBuffer::<u32>::new(100, 0);
-        let b = GpuBuffer::<u32>::new(100, 0);
+        let mut g = gpu();
+        let a = g.alloc::<u32>(100, 0);
+        let b = g.alloc::<u32>(100, 0);
         let a_end = a.addr(99) + 4;
         let b_end = b.addr(99) + 4;
         assert!(
             a_end <= b.base || b_end <= a.base,
             "overlapping allocations"
         );
+        assert_eq!(a.base % 256, 0);
+        assert_eq!(b.base % 256, 0);
+    }
+
+    #[test]
+    fn addresses_depend_only_on_the_devices_own_allocations() {
+        let mut g1 = gpu();
+        let mut g2 = gpu();
+        let a1 = g1.alloc::<u32>(10, 0);
+        let _other = g2.alloc::<f64>(1000, 0.0);
+        let b1 = g1.alloc::<u8>(3, 0);
+        let mut g3 = gpu();
+        let a3 = g3.alloc::<u32>(10, 0);
+        let b3 = g3.alloc::<u8>(3, 0);
+        assert_eq!(a1.base, FIRST_BASE);
+        assert_eq!((a1.base, b1.base), (a3.base, b3.base));
     }
 
     #[test]
     fn addresses_scale_with_element_size() {
-        let a = GpuBuffer::<f64>::new(10, 0.0);
+        let mut g = gpu();
+        let a = g.alloc::<f64>(10, 0.0);
         assert_eq!(a.addr(3) - a.addr(0), 24);
-        let b = GpuBuffer::<u32>::new(10, 0);
+        let b = g.alloc::<u32>(10, 0);
         assert_eq!(b.addr(3) - b.addr(0), 12);
     }
 
     #[test]
     fn host_accessors_round_trip() {
-        let buf = GpuBuffer::from_slice(&[1u32, 2, 3]);
+        let buf = gpu().upload(vec![1u32, 2, 3]);
         assert_eq!(buf.host_get(1), 2);
         buf.host_set(1, 9);
         assert_eq!(buf.to_vec(), [1, 9, 3]);
@@ -355,20 +373,21 @@ mod tests {
 
     #[test]
     fn snapshot_range_reads_a_window() {
-        let buf = GpuBuffer::from_slice(&[10u32, 11, 12, 13, 14]);
+        let buf = gpu().upload(vec![10u32, 11, 12, 13, 14]);
         assert_eq!(buf.snapshot_range(1, 3), [11, 12, 13]);
         assert_eq!(buf.snapshot_range(0, 0), []);
     }
 
     #[test]
     fn atomic_views_share_storage_with_plain_access() {
-        let buf = GpuBuffer::<u32>::new(4, 7);
+        let mut g = gpu();
+        let buf = g.alloc::<u32>(4, 7);
         buf.atomic(2).fetch_add(5, Ordering::Relaxed);
         assert_eq!(buf.host_get(2), 12);
         buf.host_set(2, 100);
         assert_eq!(buf.atomic(2).load(Ordering::Relaxed), 100);
 
-        let fb = GpuBuffer::<f64>::new(2, 1.5);
+        let fb = g.alloc::<f64>(2, 1.5);
         let bits = fb.atomic_bits(0).load(Ordering::Relaxed);
         assert_eq!(f64::from_bits(bits), 1.5);
         fb.atomic_bits(0)
@@ -378,7 +397,7 @@ mod tests {
 
     #[test]
     fn buffers_are_sync_and_concurrent_atomics_total_correctly() {
-        let buf = GpuBuffer::<u32>::new(8, 0);
+        let buf = gpu().alloc::<u32>(8, 0);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {

@@ -2,7 +2,7 @@
 //! its structural bounds for any access pattern, and functional results
 //! must never depend on cost parameters.
 
-use dynbc_gpusim::{BlockCtx, DeviceConfig, Gpu, GpuBuffer};
+use dynbc_gpusim::{BlockCtx, DeviceConfig, Gpu};
 use proptest::prelude::*;
 
 /// An arbitrary access script: per lane-item, a list of buffer indices.
@@ -12,7 +12,7 @@ fn arb_pattern() -> impl Strategy<Value = Vec<Vec<usize>>> {
 
 fn run_pattern(dev: DeviceConfig, pattern: &[Vec<usize>]) -> (f64, dynbc_gpusim::KernelStats) {
     let mut gpu = Gpu::new(dev);
-    let buf = GpuBuffer::<u32>::new(256, 0);
+    let buf = gpu.alloc::<u32>(256, 0);
     let report = gpu.launch(1, |block: &mut BlockCtx, _| {
         block.parallel_for(pattern.len(), |lane, i| {
             for &idx in &pattern[i] {
@@ -52,7 +52,7 @@ proptest! {
     fn warp_count_is_ceiling_of_items_over_warp_size(n in 0usize..200) {
         let dev = DeviceConfig::test_tiny();
         let mut gpu = Gpu::new(dev);
-        let buf = GpuBuffer::<u32>::new(1, 0);
+        let buf = gpu.alloc::<u32>(1, 0);
         let report = gpu.launch(1, |block, _| {
             block.parallel_for(n, |lane, _| {
                 lane.read(&buf, 0);
@@ -78,7 +78,7 @@ proptest! {
     ) {
         let run = |dev: DeviceConfig| {
             let mut gpu = Gpu::new(dev);
-            let buf = GpuBuffer::<u32>::new(64, 0);
+            let buf = gpu.alloc::<u32>(64, 0);
             gpu.launch(2, |block, b| {
                 block.parallel_for(adds.len(), |lane, i| {
                     if i % 2 == b {
@@ -97,7 +97,7 @@ proptest! {
         adds in proptest::collection::vec(0usize..16, 0..120)
     ) {
         let mut gpu = Gpu::new(DeviceConfig::test_tiny());
-        let buf = GpuBuffer::<u32>::new(16, 0);
+        let buf = gpu.alloc::<u32>(16, 0);
         let report = gpu.launch(3, |block, _| {
             block.parallel_for(adds.len(), |lane, i| {
                 lane.atomic_add_u32(&buf, adds[i], 1);
@@ -118,7 +118,7 @@ proptest! {
     ) {
         let dev = DeviceConfig::test_tiny(); // 2 SMs
         let mut gpu = Gpu::new(dev);
-        let buf = GpuBuffer::<u32>::new(4096, 0);
+        let buf = gpu.alloc::<u32>(4096, 0);
         let report = gpu.launch(block_work.len(), |block, b| {
             block.parallel_for(block_work[b], |lane, i| {
                 lane.read(&buf, (b * 131 + i * 37) % 4096);
@@ -144,9 +144,9 @@ proptest! {
         // the sum of G single-group launches minus the repeated launch
         // fixed costs — i.e. interval accounting is additive.
         let dev = DeviceConfig::test_tiny();
-        let buf = GpuBuffer::<u32>::new(1024, 0);
         let combined = {
             let mut gpu = Gpu::new(dev);
+            let buf = gpu.alloc::<u32>(1024, 0);
             let r = gpu.launch(1, |block, _| {
                 for (g, &n) in groups.iter().enumerate() {
                     block.parallel_for(n, |lane, i| {
@@ -160,6 +160,7 @@ proptest! {
         let mut separate = 0.0;
         for (g, &n) in groups.iter().enumerate() {
             let mut gpu = Gpu::new(dev);
+            let buf = gpu.alloc::<u32>(1024, 0);
             let r = gpu.launch(1, |block, _| {
                 block.parallel_for(n, |lane, i| {
                     lane.read(&buf, (g * 97 + i) % 1024);

@@ -1,4 +1,4 @@
-//! The rule engine: seven project-specific contracts, checked lexically.
+//! The rule engine: eight project-specific contracts, checked lexically.
 //!
 //! Each rule documents the *dynamic* contract it front-runs — every one
 //! of these is already asserted by a proptest or a verify.sh tier, but
@@ -52,6 +52,11 @@ pub const NAMED_LAUNCHES: &str = "named-launches";
 /// exists so each committed op costs O(degree), not O(V + E); full
 /// rebuilds belong to construction, tests, and oracle checks.
 pub const HOT_PATH_REBUILD: &str = "hot-path-rebuild";
+/// `no-global-state`: no process-global mutable state in non-test code
+/// (`static mut`, a `static` of interior-mutable type, `thread_local!`)
+/// — a result read from such state depends on whatever else ran in the
+/// process, so no report built on it is reproducible.
+pub const NO_GLOBAL_STATE: &str = "no-global-state";
 /// Meta-rule for defective suppression annotations (unknown rule name
 /// or missing reason). Not suppressible.
 pub const ALLOW_ANNOTATION: &str = "allow-annotation";
@@ -65,6 +70,7 @@ pub const RULES: &[&str] = &[
     FLOAT_ACCUMULATION,
     NAMED_LAUNCHES,
     HOT_PATH_REBUILD,
+    NO_GLOBAL_STATE,
 ];
 
 /// The annotation marker looked for in comment text.
@@ -179,6 +185,7 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
     float_accumulation(&file, &allows, &mut findings);
     named_launches(&file, &allows, &mut findings);
     hot_path_rebuild(&file, &allows, &mut findings);
+    no_global_state(&file, &allows, &mut findings);
     unused_allows(&file, &allows, &mut findings);
     findings.sort();
     findings.dedup();
@@ -199,6 +206,7 @@ fn unused_allows(file: &SourceFile, allows: &[Allow], findings: &mut Vec<Finding
     float_accumulation(file, &none, &mut raw);
     named_launches(file, &none, &mut raw);
     hot_path_rebuild(file, &none, &mut raw);
+    no_global_state(file, &none, &mut raw);
     for a in allows {
         if !a.has_reason {
             continue; // already reported as reasonless
@@ -564,11 +572,9 @@ fn named_launches_scope(path: &str) -> bool {
     path.starts_with("crates/bc/src/")
 }
 
-const BUFFER_CTORS: &[&str] = &[
-    "GpuBuffer::new(",
-    "GpuBuffer::from_vec(",
-    "GpuBuffer::from_slice(",
-];
+/// Every `GpuBuffer` is allocated through its device (`Gpu::alloc`,
+/// `Gpu::upload`).
+const BUFFER_CTORS: &[&str] = &[".alloc(", ".upload("];
 
 fn named_launches(file: &SourceFile, allows: &[Allow], findings: &mut Vec<Finding>) {
     if !named_launches_scope(&file.path) {
@@ -659,4 +665,93 @@ fn hot_path_rebuild(file: &SourceFile, allows: &[Allow], findings: &mut Vec<Find
              annotate those sites",
         ));
     }
+}
+
+// ---------------------------------------------------------------------
+// Rule 8: no-global-state
+// ---------------------------------------------------------------------
+
+/// Non-test code: integration-test files (any `tests/` directory) are
+/// exempt, like `#[cfg(test)]` regions — a test may serialize its own
+/// environment writes through a static lock.
+fn no_global_state_scope(path: &str) -> bool {
+    !(path.starts_with("tests/") || path.contains("/tests/"))
+}
+
+/// Type names whose `static` is mutable through a shared reference.
+const INTERIOR_MUTABLE: &[&str] = &["Mutex", "RwLock", "Cell", "RefCell", "OnceLock", "OnceCell"];
+
+fn no_global_state(file: &SourceFile, allows: &[Allow], findings: &mut Vec<Finding>) {
+    if !no_global_state_scope(&file.path) {
+        return;
+    }
+    for (i, line) in file.lines.iter().enumerate() {
+        if line.in_test {
+            continue;
+        }
+        let code = &line.code;
+        let what = if code.contains("thread_local!") {
+            Some("thread_local!")
+        } else if let Some(item) = static_item(code) {
+            if item.starts_with("mut ") {
+                Some("static mut")
+            } else if static_type(&file.lines, i, item)
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .any(|w| w.starts_with("Atomic") || INTERIOR_MUTABLE.contains(&w))
+            {
+                Some("interior-mutable static")
+            } else {
+                None
+            }
+        } else {
+            None
+        };
+        if let Some(what) = what {
+            if !suppressed(allows, NO_GLOBAL_STATE, i) {
+                findings.push(Finding::new(
+                    &file.path,
+                    i + 1,
+                    NO_GLOBAL_STATE,
+                    format!(
+                        "{what}: process-global mutable state makes results depend on \
+                         what else ran in the process — keep the state in the value \
+                         that uses it (as each Gpu owns its address space)"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
+/// The text after the `static` keyword when `code` declares a static
+/// item (optionally `pub`/`pub(…)`), else `None`. `&'static` lifetimes
+/// never start an item, so they do not match.
+fn static_item(code: &str) -> Option<&str> {
+    let mut rest = code.trim_start();
+    if let Some(after) = rest.strip_prefix("pub") {
+        rest = after.trim_start();
+        if rest.starts_with('(') {
+            rest = rest[rest.find(')')? + 1..].trim_start();
+        }
+    }
+    rest.strip_prefix("static ").map(str::trim_start)
+}
+
+/// The declared type of the static item starting on line `i` (`item`
+/// is the text after `static`): everything between the first `:` and
+/// the `=`/`;`, joined over at most 5 lines.
+fn static_type(lines: &[Line], i: usize, item: &str) -> String {
+    let mut joined = item.to_string();
+    for l in lines.iter().skip(i + 1).take(4) {
+        if joined.contains('=') || joined.contains(';') {
+            break;
+        }
+        joined.push(' ');
+        joined.push_str(&l.code);
+    }
+    let start = joined.find(':').map_or(joined.len(), |p| p + 1);
+    let end = joined
+        .find(['=', ';'])
+        .map_or(joined.len(), |p| p.max(start));
+    joined[start..end].to_string()
 }

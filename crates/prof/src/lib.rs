@@ -14,10 +14,10 @@
 //!   per-block SM placement;
 //! * [`ProfileReport`] — an engine run's accumulated launches, with
 //!   deterministic aggregation ([`ProfileReport::kernel_totals`],
-//!   [`ProfileReport::stage_totals`]), a hand-rolled JSON serialization
-//!   (the workspace vendors no serde), and a Chrome-trace exporter
-//!   ([`ProfileReport::chrome_trace_json`]) that renders launches, stages
-//!   and blocks on a `chrome://tracing` / Perfetto timeline.
+//!   [`ProfileReport::stage_totals`]) and a hand-rolled JSON serialization
+//!   (the workspace vendors no serde). The Chrome/Perfetto timeline of
+//!   launches and blocks is rendered by `dynbc-telemetry`'s unified trace
+//!   exporter, next to the host pipeline spans.
 //!
 //! Collection happens in `dynbc-gpusim` (see its `profile` module); the
 //! contract that makes reports bit-identical for any `DYNBC_HOST_THREADS`
@@ -510,100 +510,6 @@ impl ProfileReport {
         out.push_str("]}");
         out
     }
-
-    /// Exports the report in the Chrome trace-event format (the JSON
-    /// `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load).
-    ///
-    /// The timeline runs on the *simulated* clock (microseconds). Three
-    /// track families are emitted:
-    ///
-    /// * pid 0 "launches" — one complete (`"X"`) event per kernel launch;
-    /// * pid 1 "SM &lt;n&gt;" — one event per block, on the SM the greedy
-    ///   scheduler placed it on (tid = SM id);
-    /// * counter (`"C"`) events on pid 0 tracking cumulative futile vs
-    ///   useful edges after each launch, plus — when memsim recorded
-    ///   traffic — an "L1/L2 hit rate" counter track per launch.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\": [\n");
-        let mut first = true;
-        let mut sep = |out: &mut String| {
-            if !std::mem::take(&mut first) {
-                out.push_str(",\n");
-            }
-        };
-        let mut futile = 0u64;
-        let mut useful = 0u64;
-        for l in &self.launches {
-            sep(&mut out);
-            let cache_args = if l.total.cache.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    ", \"l1_hit_rate\": {}, \"l2_hit_rate\": {}",
-                    json_number(l.total.cache.l1_hit_rate()),
-                    json_number(l.total.cache.l2_hit_rate()),
-                )
-            };
-            let _ = write!(
-                out,
-                "{{\"name\": {}, \"cat\": \"launch\", \"ph\": \"X\", \"pid\": 0, \"tid\": 0, \
-                 \"ts\": {}, \"dur\": {}, \"args\": {{\"index\": {}, \"num_blocks\": {}, \
-                 \"edges_scanned\": {}, \"edges_passed\": {}, \"occupancy\": {}{}}}}}",
-                json_string(&l.kernel),
-                json_number(l.start_s * 1e6),
-                json_number(l.seconds * 1e6),
-                l.index,
-                l.num_blocks,
-                l.total.edges_scanned,
-                l.total.edges_passed,
-                json_number(l.total.occupancy()),
-                cache_args,
-            );
-            for b in &l.blocks {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\": {}, \"cat\": \"block\", \"ph\": \"X\", \"pid\": 1, \
-                     \"tid\": {}, \"ts\": {}, \"dur\": {}, \
-                     \"args\": {{\"block\": {}}}}}",
-                    json_string(&format!("{}#b{}", l.kernel, b.block)),
-                    b.sm,
-                    json_number(b.start_s * 1e6),
-                    json_number(b.dur_s * 1e6),
-                    b.block,
-                );
-            }
-            useful += l.total.edges_passed;
-            futile += l.total.edges_scanned - l.total.edges_passed.min(l.total.edges_scanned);
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\": \"edge work\", \"ph\": \"C\", \"pid\": 0, \"ts\": {}, \
-                 \"args\": {{\"futile\": {}, \"useful\": {}}}}}",
-                json_number((l.start_s + l.seconds) * 1e6),
-                futile,
-                useful,
-            );
-            if !l.total.cache.is_empty() {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\": \"L1/L2 hit rate\", \"ph\": \"C\", \"pid\": 0, \"ts\": {}, \
-                     \"args\": {{\"l1\": {}, \"l2\": {}}}}}",
-                    json_number((l.start_s + l.seconds) * 1e6),
-                    json_number(l.total.cache.l1_hit_rate()),
-                    json_number(l.total.cache.l2_hit_rate()),
-                );
-            }
-        }
-        out.push_str("\n],\n\"displayTimeUnit\": \"ms\",\n");
-        let _ = writeln!(
-            out,
-            "\"metadata\": {{\"clock\": \"simulated\", \"launches\": {}}}}}",
-            self.launches.len()
-        );
-        out
-    }
 }
 
 /// Folds one per-buffer miss list into another, preserving `dst`'s
@@ -775,18 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_has_launch_block_and_counter_events() {
-        let mut r = ProfileReport::new();
-        r.launches.push(launch("sp", 0, bucket(10, 5, 1)));
-        let trace = r.chrome_trace_json();
-        assert!(trace.contains("\"traceEvents\""), "{trace}");
-        assert!(trace.contains("\"ph\": \"X\""), "{trace}");
-        assert!(trace.contains("\"ph\": \"C\""), "{trace}");
-        assert!(trace.contains("\"cat\": \"block\""), "{trace}");
-        assert!(trace.contains("\"displayTimeUnit\""), "{trace}");
-    }
-
-    #[test]
     fn cache_counters_merge_rates_and_conditional_json() {
         let mut c = CacheCounters {
             l1_hits: 30,
@@ -811,7 +705,6 @@ mod tests {
             launches: vec![plain],
         };
         assert!(!r.to_json().contains("cache"), "{}", r.to_json());
-        assert!(!r.chrome_trace_json().contains("hit rate"));
 
         // On ⇒ the cache block and hit-rate tracks appear.
         let mut hot = bucket(10, 5, 1);
@@ -827,9 +720,6 @@ mod tests {
             vec![("sigma".into(), 7), ("adj".into(), 3)]
         );
         assert_eq!(r.kernel_buffer_totals()[0].0, "k");
-        let trace = r.chrome_trace_json();
-        assert!(trace.contains("L1/L2 hit rate"), "{trace}");
-        assert!(trace.contains("\"l1_hit_rate\""), "{trace}");
     }
 
     #[test]

@@ -46,11 +46,13 @@ pub(crate) fn json_number(x: f64) -> String {
 ///   On-clock spans are complete (`"X"`) events; off-clock phases are
 ///   instant (`"i"`) events with their wall cost in `args`.
 /// * pid 1+d — one process per entry of `devices`, named by its label:
-///   kernel launches on tid 0, per-SM block spans on tid 1+sm.
+///   kernel launches on tid 0 (with their scanned/passed edge counts),
+///   per-SM block spans on tid 1+sm, a cumulative "edge work" counter
+///   track (futile vs useful edges after each launch) and, when memsim
+///   recorded traffic, an "L1/L2 hit rate" counter track.
 ///
-/// All timestamps are the simulated clock in microseconds, the same clock
-/// [`dynbc_prof::ProfileReport::chrome_trace_json`] uses, so host stages
-/// and kernel spans line up.
+/// All timestamps are the simulated clock in microseconds, the clock the
+/// device profiles record, so host stages and kernel spans line up.
 pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)]) -> String {
     let mut out = String::from("{\"traceEvents\": [\n");
     let mut first = true;
@@ -102,6 +104,7 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
     }
     for (d, (_, report)) in devices.iter().enumerate() {
         let pid = 1 + d;
+        let (mut futile, mut useful) = (0u64, 0u64);
         for l in &report.launches {
             sep(&mut out);
             // Memsim hit rates ride along only when the launch carried
@@ -119,13 +122,25 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
                 out,
                 "{{\"name\": {}, \"cat\": \"launch\", \"ph\": \"X\", \"pid\": {pid}, \
                  \"tid\": 0, \"ts\": {}, \"dur\": {}, \"args\": {{\"index\": {}, \
-                 \"num_blocks\": {}, \"occupancy\": {}{cache}}}}}",
+                 \"num_blocks\": {}, \"edges_scanned\": {}, \"edges_passed\": {}, \
+                 \"occupancy\": {}{cache}}}}}",
                 json_string(&l.kernel),
                 json_number(l.start_s * 1e6),
                 json_number(l.seconds * 1e6),
                 l.index,
                 l.num_blocks,
+                l.total.edges_scanned,
+                l.total.edges_passed,
                 json_number(l.total.occupancy()),
+            );
+            useful += l.total.edges_passed;
+            futile += l.total.edges_scanned - l.total.edges_passed.min(l.total.edges_scanned);
+            sep(&mut out);
+            let _ = write!(
+                out,
+                "{{\"name\": \"edge work\", \"ph\": \"C\", \"pid\": {pid}, \"tid\": 0, \
+                 \"ts\": {}, \"args\": {{\"futile\": {futile}, \"useful\": {useful}}}}}",
+                json_number((l.start_s + l.seconds) * 1e6),
             );
             if !l.total.cache.is_empty() {
                 sep(&mut out);
@@ -167,7 +182,7 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
 mod tests {
     use super::*;
     use crate::trace::Span;
-    use dynbc_prof::{CacheCounters, Counters, LaunchProfile};
+    use dynbc_prof::{BlockSpan, CacheCounters, Counters, LaunchProfile};
 
     fn report(cache: CacheCounters) -> ProfileReport {
         let mut report = ProfileReport::default();
@@ -194,7 +209,7 @@ mod tests {
         let plain = report(CacheCounters::default());
         let json = unified_chrome_trace(&t, &[("gpu0".to_string(), &plain)]);
         assert!(!json.contains("hit_rate"), "{json}");
-        assert!(!json.contains("\"ph\": \"C\""), "{json}");
+        assert!(!json.contains("\"cat\": \"memsim\""), "{json}");
 
         let cached = report(CacheCounters {
             l1_hits: 3,
@@ -208,6 +223,35 @@ mod tests {
         assert!(json.contains("\"l1_hit_rate\": 0.75"), "{json}");
         assert!(json.contains("\"L1/L2 hit rate\""), "{json}");
         assert!(json.contains("\"ph\": \"C\""), "{json}");
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn device_tracks_carry_blocks_edge_args_and_a_cumulative_edge_counter() {
+        let mut r = report(CacheCounters::default());
+        r.launches[0].total.edges_scanned = 10;
+        r.launches[0].total.edges_passed = 4;
+        r.launches[0].blocks.push(BlockSpan {
+            block: 0,
+            sm: 1,
+            start_s: 0.0,
+            dur_s: 1e-6,
+        });
+        let mut second = r.launches[0].clone();
+        second.index = 1;
+        second.start_s = 1e-6;
+        r.launches.push(second);
+        let json = unified_chrome_trace(&Trace::new(), &[("gpu0".to_string(), &r)]);
+        assert!(json.starts_with("{\"traceEvents\": ["), "{json}");
+        assert!(
+            json.contains("\"edges_scanned\": 10, \"edges_passed\": 4"),
+            "{json}"
+        );
+        assert!(json.contains("\"cat\": \"block\""), "{json}");
+        assert!(json.contains("\"name\": \"k#b0\""), "{json}");
+        // Futile and useful edges accumulate over the device's launches.
+        assert!(json.contains("\"futile\": 6, \"useful\": 4"), "{json}");
+        assert!(json.contains("\"futile\": 12, \"useful\": 8"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

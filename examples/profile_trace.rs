@@ -5,15 +5,15 @@
 //! cache-hierarchy model enabled, prints the nvprof style per-kernel
 //! summary plus modeled L1/L2 hit rates, and writes these artifacts:
 //!
-//! * `profile_trace.json` — Chrome trace-event file; open it at
-//!   <https://ui.perfetto.dev> (or `chrome://tracing`) to see every
-//!   kernel launch and per-SM block placement on the simulated timeline;
 //! * `profile_report.json` — the full structured `ProfileReport`
 //!   (per-launch, per-stage counters) for scripted analysis;
-//! * `unified_trace.json` — the merged telemetry + profiler Perfetto
-//!   trace: one process for the host update pipeline
+//! * `unified_trace.json` — the Chrome trace-event file; open it at
+//!   <https://ui.perfetto.dev> (or `chrome://tracing`). One process
+//!   holds the host update pipeline
 //!   (`update → validate → plan → stage → launch → commit` spans) and one
-//!   per device (kernel launches and per-SM block placement);
+//!   per device holds the kernel launches, per-SM block placement and the
+//!   edge-work and L1/L2 hit-rate counter tracks, on the simulated
+//!   timeline;
 //! * `metrics.prom` — Prometheus text exposition of the update-lifecycle
 //!   metrics registry;
 //! * `events.jsonl` — the JSON Lines per-update event log.
@@ -131,12 +131,10 @@ fn main() {
         latency.p99()
     );
 
-    let trace_path = out_dir.join("profile_trace.json");
     let report_path = out_dir.join("profile_report.json");
     let unified_path = out_dir.join("unified_trace.json");
     let metrics_path = out_dir.join("metrics.prom");
     let events_path = out_dir.join("events.jsonl");
-    std::fs::write(&trace_path, report.chrome_trace_json()).expect("write trace");
     std::fs::write(&report_path, report.to_json()).expect("write report");
     std::fs::write(
         &unified_path,
@@ -145,13 +143,10 @@ fn main() {
     .expect("write unified trace");
     std::fs::write(&metrics_path, telemetry.prometheus()).expect("write metrics");
     std::fs::write(&events_path, telemetry.events_jsonl()).expect("write events");
+    println!("\nwrote {} (structured counters)", report_path.display());
     println!(
-        "\nwrote {} — load it at https://ui.perfetto.dev or chrome://tracing",
-        trace_path.display()
-    );
-    println!("wrote {} (structured counters)", report_path.display());
-    println!(
-        "wrote {} (host pipeline + device launches, one Perfetto process each)",
+        "wrote {} (host pipeline + device launches, one Perfetto process each) \
+         — load it at https://ui.perfetto.dev or chrome://tracing",
         unified_path.display()
     );
     println!("wrote {} (Prometheus exposition)", metrics_path.display());

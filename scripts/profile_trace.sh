@@ -3,12 +3,12 @@
 #
 # Usage: scripts/profile_trace.sh [OUT_DIR]
 #
-# Writes OUT_DIR/profile_trace.json (Chrome trace-event format — open at
-# https://ui.perfetto.dev or chrome://tracing),
-# OUT_DIR/profile_report.json (the structured per-kernel/per-stage
-# counter report), OUT_DIR/unified_trace.json (the merged telemetry +
-# profiler trace: one Perfetto process for the host update pipeline, one
-# per device, with memsim L1/L2 hit-rate counter tracks),
+# Writes OUT_DIR/profile_report.json (the structured per-kernel/per-stage
+# counter report), OUT_DIR/unified_trace.json (Chrome trace-event format
+# — open at https://ui.perfetto.dev or chrome://tracing: one process for
+# the host update pipeline, one per device with its launches, block
+# placement, futile-vs-useful edge and memsim L1/L2 hit-rate counter
+# tracks),
 # OUT_DIR/metrics.prom (Prometheus text exposition including the
 # dynbc_memsim_* families), and OUT_DIR/events.jsonl (per-update event
 # log). OUT_DIR defaults to the current directory.

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 echo "== formatting gate (first-party crates; vendor/ is exempt) =="
 cargo fmt --check \
-    -p dynbc -p dynbc-bc -p dynbc-bench -p dynbc-ds -p dynbc-graph \
+    -p dynbc -p dynbc-bc -p dynbc-bench -p dynbc-graph \
     -p dynbc-gpusim -p dynbc-lint -p dynbc-prof -p dynbc-serve \
     -p dynbc-telemetry
 
@@ -61,10 +61,6 @@ for marker in '"edges_scanned"' '"kernels"' '"batch::fused::node#0"' \
     grep -q "$marker" "$PROF_DIR/profile_report.json" || {
         echo "profile_report.json missing $marker"; exit 1; }
 done
-for marker in '"traceEvents"' '"displayTimeUnit"' '"cat": "block"'; do
-    grep -q "$marker" "$PROF_DIR/profile_trace.json" || {
-        echo "profile_trace.json missing $marker"; exit 1; }
-done
 # Prometheus exposition parses: every required family present with HELP
 # and TYPE lines, histograms terminated by the +Inf bucket, and no
 # family declared twice.
@@ -86,7 +82,8 @@ grep -q 'le="+Inf"' "$PROF_DIR/metrics.prom" || {
 DUP_FAMILIES="$(grep '^# TYPE' "$PROF_DIR/metrics.prom" | sort | uniq -d)"
 [ -z "$DUP_FAMILIES" ] || {
     echo "metrics.prom declares families twice:"; echo "$DUP_FAMILIES"; exit 1; }
-for marker in '"host pipeline"' '"cat": "pipeline"' '"cat": "block"' \
+for marker in '"traceEvents"' '"displayTimeUnit"' '"host pipeline"' \
+    '"cat": "pipeline"' '"cat": "block"' '"edge work"' '"edges_scanned"' \
     '"L1/L2 hit rate"' '"cat": "memsim"'; do
     grep -q "$marker" "$PROF_DIR/unified_trace.json" || {
         echo "unified_trace.json missing $marker"; exit 1; }
@@ -129,7 +126,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc-warning-clean first-party crates =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
-    -p dynbc -p dynbc-bc -p dynbc-bench -p dynbc-ds -p dynbc-graph \
+    -p dynbc -p dynbc-bc -p dynbc-bench -p dynbc-graph \
     -p dynbc-gpusim -p dynbc-lint -p dynbc-prof -p dynbc-serve \
     -p dynbc-telemetry
 

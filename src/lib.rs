@@ -46,7 +46,6 @@
 //! | [`graph`] | `dynbc-graph` | CSR, STINGER-lite dynamic store, DIMACS-family generators, METIS I/O |
 //! | [`gpusim`] | `dynbc-gpusim` | the SIMT execution/cost model (warps, coalescing, atomics, SM scheduling) |
 //! | [`bc`] | `dynbc-bc` | Brandes, the Case 1/2/3 taxonomy, dynamic CPU engine, GPU kernels and engines |
-//! | [`ds`] | `dynbc-ds` | bitonic sort, prefix scans, duplicate removal, multi-level queues |
 //! | [`telemetry`] | `dynbc-telemetry` | update-lifecycle metrics registry, span tracing, Prometheus/JSONL/Perfetto exporters |
 //! | [`serve`] | `dynbc-serve` | streaming service layer: per-tenant shards, bounded ingest, lock-free score snapshots |
 
@@ -54,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub use dynbc_bc as bc;
-pub use dynbc_ds as ds;
 pub use dynbc_gpusim as gpusim;
 pub use dynbc_graph as graph;
 pub use dynbc_serve as serve;

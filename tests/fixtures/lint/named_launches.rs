@@ -4,7 +4,7 @@
 use dynbc_gpusim::{Gpu, GpuBuffer};
 
 pub fn run(gpu: &mut Gpu) {
-    let buf: GpuBuffer<u32> = GpuBuffer::new(4, 0);
+    let buf: GpuBuffer<u32> = gpu.alloc(4, 0);
     gpu.launch(1, |_, _| {});
     drop(buf);
 }

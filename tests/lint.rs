@@ -123,12 +123,28 @@ fn named_launches_fixture() {
     );
     // Naming the buffer and the launch clears both findings.
     let named = fixture("named_launches.rs")
-        .replace(
-            "GpuBuffer::new(4, 0);",
-            "GpuBuffer::new(4, 0).named(\"fixture\");",
-        )
+        .replace("gpu.alloc(4, 0);", "gpu.alloc(4, 0).named(\"fixture\");")
         .replace("gpu.launch(1,", "gpu.launch_named(\"fixture\", 1,");
     assert!(lint_source("crates/bc/src/gpu/fixture.rs", &named).is_empty());
+}
+
+#[test]
+fn no_global_state_fixture() {
+    // The RefCell static inside thread_local! is flagged on its own line;
+    // the immutable static and the test module's lock are not flagged.
+    expect(
+        "crates/gpu-sim/src/fixture.rs",
+        "no_global_state.rs",
+        &[
+            ("no-global-state", 7),
+            ("no-global-state", 8),
+            ("no-global-state", 9),
+            ("no-global-state", 10),
+            ("no-global-state", 11),
+        ],
+    );
+    // Integration tests may hold a static lock around env writes.
+    assert!(lint_source("tests/fixture.rs", &fixture("no_global_state.rs")).is_empty());
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! observability-only contract (BC bits and simulated seconds identical
 //! with the model on or off), per-buffer attribution, the node- vs
 //! edge-parallel locality contrast, the `DYNBC_MEMSIM` knob, the
-//! multi-GPU merge, and bit-determinism under host-parallel execution.
+//! multi-GPU merge, and bit-determinism under host-parallel execution
+//! and beside other engines running concurrently.
 
 use dynbc::gpusim::{DeviceConfig, ProfileReport, MEMSIM_ENV};
 use dynbc::prelude::*;
@@ -120,6 +121,60 @@ fn engine_memsim_is_bit_identical_across_host_threads() {
         baseline.to_json(),
         stream(Parallelism::Node, 8, true).0.to_json()
     );
+}
+
+/// Grows vertex 0's row past its slack, so the store relayouts and the
+/// engine allocates fresh device buffers mid-stream. `step` runs after
+/// construction and after every op. Returns the serialized memsim report.
+fn hub_stream(step: &dyn Fn()) -> String {
+    let mut rng = StdRng::seed_from_u64(42);
+    let el = dynbc::graph::gen::ws(&mut rng, 150, 3, 0.2);
+    let sources = sample_sources(&mut rng, 150, 8);
+    let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node);
+    eng.set_profiling(true);
+    eng.set_memsim(true);
+    eng.set_host_threads(1);
+    step();
+    for v in 100..112 {
+        if !eng.graph().has_edge(0, v) {
+            eng.insert_edge(0, v);
+        }
+        step();
+    }
+    eng.take_profile_report().to_json()
+}
+
+#[test]
+fn concurrently_built_engines_report_what_an_engine_run_alone_reports() {
+    // Memsim's cache sets follow device addresses. Each engine's device
+    // owns its address space, so two engines allocating at the same time
+    // on two threads, construction and mid-stream relayouts interleaved
+    // op by op, must each see exactly the addresses, and so the report,
+    // of an engine run alone.
+    let alone = hub_stream(&|| {});
+    let step = std::sync::Barrier::new(2);
+    let reports: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    step.wait();
+                    hub_stream(&|| {
+                        step.wait();
+                    })
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("engine thread panicked"))
+            .collect()
+    });
+    for (i, report) in reports.iter().enumerate() {
+        assert!(
+            *report == alone,
+            "engine {i}'s memsim report differs from the engine run alone"
+        );
+    }
 }
 
 /// A short stream through the multi-GPU engine with memsim on.

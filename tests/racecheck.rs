@@ -20,7 +20,7 @@
 //! themselves opt in programmatically and pass either way).
 
 use dynbc::bc::gpu::DedupStrategy;
-use dynbc::gpusim::{DeviceConfig, DiagClass, Gpu, GpuBuffer};
+use dynbc::gpusim::{DeviceConfig, DiagClass, Gpu};
 use dynbc::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,7 +38,7 @@ fn gpu() -> Gpu {
 #[test]
 fn racecheck_flags_intra_block_data_race() {
     let mut g = gpu();
-    let cells = GpuBuffer::<u32>::new(16, 0).named("frontier");
+    let cells = g.alloc::<u32>(16, 0).named("frontier");
     let (_, check) = g.launch_checked("bad_frontier", 1, |block, _| {
         block.label("fixture::scatter");
         block.parallel_for(8, |lane, i| {
@@ -59,7 +59,7 @@ fn racecheck_flags_intra_block_data_race() {
 #[test]
 fn racecheck_flags_cross_block_data_race() {
     let mut g = gpu();
-    let cells = GpuBuffer::<f64>::new(8, 0.0).named("bc");
+    let cells = g.alloc::<f64>(8, 0.0).named("bc");
     // The bug the bc_delta slab exists to prevent: blocks writing one
     // shared BC array directly.
     let (_, check) = g.launch_checked("direct_bc_commit", 2, |block, b| {
@@ -80,7 +80,7 @@ fn racecheck_flags_cross_block_data_race() {
 #[test]
 fn racecheck_flags_atomic_plain_mixing_across_blocks() {
     let mut g = gpu();
-    let cells = GpuBuffer::<u32>::new(4, 0).named("qlen");
+    let cells = g.alloc::<u32>(4, 0).named("qlen");
     let (_, check) = g.launch_checked("mixed_access", 2, |block, b| {
         block.parallel_for(2, |lane, _| {
             if b == 0 {
@@ -100,7 +100,7 @@ fn racecheck_flags_atomic_plain_mixing_across_blocks() {
 #[test]
 fn racecheck_flags_mixed_atomic_op_kinds() {
     let mut g = gpu();
-    let cells = GpuBuffer::<u32>::new(4, 0).named("depth");
+    let cells = g.alloc::<u32>(4, 0).named("depth");
     // atomicAdd and atomicMax both commute with themselves but not with
     // each other: from different blocks the final value is order-dependent.
     let (_, check) = g.launch_checked("kind_clash", 2, |block, b| {
@@ -124,7 +124,8 @@ fn racecheck_flags_mixed_atomic_op_kinds() {
 
 #[test]
 fn racecheck_flags_barrier_divergence() {
-    let cells = GpuBuffer::<u32>::new(8, 0).named("x");
+    let mut g = gpu();
+    let cells = g.alloc::<u32>(8, 0).named("x");
     let kernel = |block: &mut dynbc::gpusim::BlockCtx, _b: usize| {
         block.parallel_for(4, |lane, i| {
             lane.read(&cells, i);
@@ -134,7 +135,6 @@ fn racecheck_flags_barrier_divergence() {
         });
     };
     // Checked: structured report.
-    let mut g = gpu();
     let (_, check) = g.launch_checked("diverging", 1, kernel);
     assert!(check.has_errors());
     let d = check.errors().next().unwrap();
@@ -142,7 +142,7 @@ fn racecheck_flags_barrier_divergence() {
     assert!(d.message.contains("deadlock"), "{}", d.message);
     // Unchecked: the simulator models the hang as a panic.
     let hung = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        gpu().launch(1, kernel);
+        g.launch(1, kernel);
     }));
     assert!(hung.is_err(), "unchecked divergence must fail the launch");
 }
@@ -150,7 +150,7 @@ fn racecheck_flags_barrier_divergence() {
 #[test]
 fn racecheck_flags_out_of_bounds_with_buffer_and_index() {
     let mut g = gpu();
-    let short = GpuBuffer::<u32>::from_vec(vec![1, 2, 3]).named("adj");
+    let short = g.upload::<u32>(vec![1, 2, 3]).named("adj");
     let (_, check) = g.launch_checked("walks_off_end", 1, |block, _| {
         block.parallel_for(2, |lane, i| {
             lane.write(&short, 3 + i, 77); // both lanes past the end
@@ -173,7 +173,7 @@ fn racecheck_same_value_waw_is_a_warning_not_an_error() {
     // The paper's benign-race shape, unannotated: flagged, but only as a
     // warning (the write is provably value-preserving).
     let mut g = gpu().with_racecheck(true);
-    let cells = GpuBuffer::<u32>::new(4, 0).named("t");
+    let cells = g.alloc::<u32>(4, 0).named("t");
     g.launch_named("test_then_set", 1, |block, _| {
         block.parallel_for(4, |lane, _| {
             lane.write(&cells, 0, 1);
@@ -186,7 +186,7 @@ fn racecheck_same_value_waw_is_a_warning_not_an_error() {
 #[test]
 fn racecheck_volatile_declares_benign_races_clean() {
     let mut g = gpu();
-    let cells = GpuBuffer::<u32>::new(4, 0).named("t");
+    let cells = g.alloc::<u32>(4, 0).named("t");
     let (_, check) = g.launch_checked("declared_benign", 1, |block, _| {
         block.parallel_for(4, |lane, _| {
             if lane.read(&cells, 0) == 0 {
