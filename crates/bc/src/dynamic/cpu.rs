@@ -32,7 +32,7 @@ use crate::dynamic::result::{BatchResult, OpOutcome, SourceOutcome, UpdateResult
 use crate::obs::batch_observation;
 use crate::plan;
 use crate::state::BcState;
-use dynbc_gpusim::{telemetry_from_env, CpuConfig, OpCounter};
+use dynbc_gpusim::{CpuConfig, Instruments, OpCounter};
 use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
 use std::collections::VecDeque;
@@ -148,21 +148,17 @@ impl CpuDynamicBc {
             scratch: Scratch::new(n),
             total_ops: OpCounter::new(),
             model_clock_s: 0.0,
-            telemetry: telemetry_from_env().then(|| Box::new(Telemetry::new())),
+            telemetry: Instruments::from_env()
+                .telemetry
+                .then(|| Box::new(Telemetry::new())),
         }
     }
 
     /// Enables/disables telemetry for every batch this engine applies
-    /// (builder form). Overrides `DYNBC_TELEMETRY`. When on, `apply_batch`
-    /// records update metrics (latency, touched fractions, case tallies)
-    /// and lifecycle spans into [`telemetry_report`](Self::telemetry_report);
-    /// results are unaffected.
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.set_telemetry(on);
-        self
-    }
-
-    /// Enables/disables telemetry for every batch this engine applies.
+    /// (default: `DYNBC_TELEMETRY`). When on, `apply_batch` records update
+    /// metrics (latency, touched fractions, case tallies) and lifecycle
+    /// spans into [`telemetry_report`](Self::telemetry_report); results
+    /// are unaffected.
     pub fn set_telemetry(&mut self, on: bool) {
         if on {
             if self.telemetry.is_none() {

@@ -48,7 +48,7 @@ use crate::plan::{self, PlannedOp};
 use crate::state::BcState;
 use dynbc_gpusim::knob;
 use dynbc_gpusim::{
-    telemetry_from_env, CacheConfig, CacheCounters, DeviceConfig, Gpu, GpuBuffer, KernelStats,
+    CacheConfig, CacheCounters, DeviceConfig, Gpu, GpuBuffer, Instruments, KernelStats,
     ProfileReport,
 };
 use dynbc_graph::{Csr, EdgeList, EdgeOp, SlackCsr, VertexId};
@@ -211,6 +211,10 @@ impl GpuDynamicBc {
         );
         let st = StateBuffers::upload(&mut gpu, &state);
         let case_buf = gpu.alloc(sources.len(), 0).named("case");
+        let telemetry = gpu
+            .instruments()
+            .telemetry
+            .then(|| Box::new(Telemetry::new()));
         Self {
             gpu,
             par,
@@ -234,7 +238,7 @@ impl GpuDynamicBc {
             scratch_t_dirty: false,
             slack,
             store,
-            telemetry: telemetry_from_env().then(|| Box::new(Telemetry::new())),
+            telemetry,
         }
     }
 
@@ -285,32 +289,20 @@ impl GpuDynamicBc {
         self
     }
 
-    /// Pins the number of host threads simulated blocks run on (builder
-    /// form; `1` forces the sequential legacy path). Results are
-    /// bit-identical for any value — this knob only trades wall-clock
+    /// Pins the number of host threads simulated blocks and native stages
+    /// run on (clamped to ≥ 1; `1` forces the sequential path). Results
+    /// are bit-identical for any value — this knob only trades wall-clock
     /// time.
-    pub fn with_host_threads(mut self, threads: usize) -> Self {
-        self.gpu.set_host_threads(threads);
-        self
-    }
-
-    /// Pins the number of host threads simulated blocks run on.
     pub fn set_host_threads(&mut self, threads: usize) {
-        self.gpu.set_host_threads(threads);
+        self.gpu.instruments_mut().host_threads = threads.max(1);
     }
 
     /// Enables/disables checked (racecheck) execution for every launch
-    /// this engine performs (builder form). Overrides `DYNBC_RACECHECK`.
-    /// Checked runs panic on any error-severity diagnostic and tally
-    /// warnings in [`racecheck_warnings`](Self::racecheck_warnings).
-    pub fn with_racecheck(mut self, on: bool) -> Self {
-        self.gpu.set_racecheck(on);
-        self
-    }
-
-    /// Enables/disables checked (racecheck) execution for every launch.
+    /// this engine performs. Checked runs panic on any error-severity
+    /// diagnostic and tally warnings in
+    /// [`racecheck_warnings`](Self::racecheck_warnings).
     pub fn set_racecheck(&mut self, on: bool) {
-        self.gpu.set_racecheck(on);
+        self.gpu.instruments_mut().racecheck = on;
     }
 
     /// Warning-severity diagnostics accumulated across checked launches.
@@ -324,58 +316,34 @@ impl GpuDynamicBc {
     }
 
     /// Enables/disables profiled execution for every launch this engine
-    /// performs (builder form). Overrides `DYNBC_PROFILE`. Profiled runs
-    /// collect per-kernel/per-stage hardware-style counters into
-    /// [`profile_report`](Self::profile_report); results are unaffected
-    /// and the counters are bit-identical for any host-thread count.
-    pub fn with_profiling(mut self, on: bool) -> Self {
-        self.gpu.set_profiling(on);
-        self
-    }
-
-    /// Enables/disables profiled execution for every launch.
+    /// performs. Profiled runs collect per-kernel/per-stage hardware-style
+    /// counters into [`profile_report`](Self::profile_report); results are
+    /// unaffected and the counters are bit-identical for any host-thread
+    /// count.
     pub fn set_profiling(&mut self, on: bool) {
-        self.gpu.set_profiling(on);
-    }
-
-    /// True when launches run under the profiler.
-    pub fn profiling(&self) -> bool {
-        self.gpu.profiling()
+        self.gpu.instruments_mut().profiling = on;
     }
 
     /// Enables/disables the memsim cache-hierarchy model for every launch
-    /// this engine performs (builder form). Overrides `DYNBC_MEMSIM`.
-    /// Memsim implies profiling: each launch's `LaunchProfile` carries
-    /// L1/L2 hit/miss/eviction counters and per-buffer miss attribution.
-    /// Results are unaffected — the model observes the memory-transaction
-    /// stream but never feeds the cost model — and the counters are
-    /// bit-identical for any host-thread count.
-    pub fn with_memsim(mut self, on: bool) -> Self {
-        self.gpu.set_memsim(on);
-        self
-    }
-
-    /// Enables/disables the memsim cache-hierarchy model for every launch.
+    /// this engine performs. Memsim implies profiling: each launch's
+    /// `LaunchProfile` carries L1/L2 hit/miss/eviction counters and
+    /// per-buffer miss attribution. Results are unaffected — the model
+    /// observes the memory-transaction stream but never feeds the cost
+    /// model — and the counters are bit-identical for any host-thread
+    /// count.
     pub fn set_memsim(&mut self, on: bool) {
-        self.gpu.set_memsim(on);
+        self.gpu.instruments_mut().memsim = on;
     }
 
-    /// True when launches run under the cache-hierarchy model.
-    pub fn memsim(&self) -> bool {
-        self.gpu.memsim()
-    }
-
-    /// Overrides the modeled cache geometry (builder form). Overrides the
-    /// `DYNBC_L1_*`/`DYNBC_L2_*` knobs and resets the device's persistent
-    /// L2 state.
-    pub fn with_cache_config(mut self, cfg: CacheConfig) -> Self {
-        self.gpu.set_cache_config(cfg);
-        self
-    }
-
-    /// Overrides the modeled cache geometry and resets the L2 state.
+    /// Overrides the modeled cache geometry; the next memsim launch
+    /// starts a cold L2 of the new shape.
     pub fn set_cache_config(&mut self, cfg: CacheConfig) {
-        self.gpu.set_cache_config(cfg);
+        self.gpu.instruments_mut().cache = cfg;
+    }
+
+    /// The instrumentation switches this engine's launches run under.
+    pub fn instruments(&self) -> Instruments {
+        self.gpu.instruments()
     }
 
     /// The profiles accumulated by launches that ran with profiling on.
@@ -389,20 +357,14 @@ impl GpuDynamicBc {
         self.gpu.take_profile_report()
     }
 
-    /// Enables/disables telemetry for every batch this engine applies
-    /// (builder form). Overrides `DYNBC_TELEMETRY`. When on, `apply_batch`
-    /// records update metrics (latency, touched fractions, case tallies)
-    /// and lifecycle spans into [`telemetry_report`](Self::telemetry_report);
-    /// results are unaffected and the model-clock metrics are bit-identical
-    /// for any host-thread count.
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.set_telemetry(on);
-        self
-    }
-
     /// Enables/disables telemetry for every batch this engine applies.
+    /// When on, `apply_batch` records update metrics (latency, touched
+    /// fractions, case tallies) and lifecycle spans into
+    /// [`telemetry_report`](Self::telemetry_report); results are
+    /// unaffected and the model-clock metrics are bit-identical for any
+    /// host-thread count.
     pub fn set_telemetry(&mut self, on: bool) {
-        self.gpu.set_span_log(on);
+        self.gpu.instruments_mut().telemetry = on;
         if on {
             if self.telemetry.is_none() {
                 self.telemetry = Some(Box::new(Telemetry::new()));
@@ -426,11 +388,6 @@ impl GpuDynamicBc {
     /// (scrape-and-continue, like a Prometheus endpoint would).
     pub fn take_telemetry_report(&mut self) -> Option<Telemetry> {
         self.telemetry.as_mut().map(|t| std::mem::take(&mut **t))
-    }
-
-    /// The number of host threads launches fan blocks over.
-    pub fn host_threads(&self) -> usize {
-        self.gpu.host_threads()
     }
 
     /// The decomposition this engine uses.
@@ -634,7 +591,7 @@ impl GpuDynamicBc {
                     (touched, None)
                 }
                 Backend::Native => {
-                    let workers = self.gpu.host_threads();
+                    let workers = self.gpu.host_workers();
                     let (touched, wall) = crate::native::run_stage(
                         cfg,
                         &self.st,
@@ -665,7 +622,7 @@ impl GpuDynamicBc {
                             .sum();
                         let threshold = (self.st.n as f64 / 4.0).max(1024.0);
                         let cpu = predicted <= threshold;
-                        let workers = if cpu { 1 } else { self.gpu.host_threads() };
+                        let workers = if cpu { 1 } else { self.gpu.host_workers() };
                         let (touched, wall) = crate::native::run_stage(
                             cfg,
                             &self.st,

@@ -17,7 +17,7 @@ use super::engine::{GpuDynamicBc, Parallelism};
 use super::exec::Backend;
 use crate::dynamic::result::{BatchResult, UpdateResult};
 use crate::obs::batch_observation;
-use dynbc_gpusim::{telemetry_from_env, CacheConfig, CacheCounters, DeviceConfig, ProfileReport};
+use dynbc_gpusim::{CacheConfig, CacheCounters, DeviceConfig, Instruments, ProfileReport};
 use dynbc_graph::{EdgeList, EdgeOp, SlackCsr, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
 
@@ -26,66 +26,6 @@ use dynbc_telemetry::{Span, Telemetry};
 pub struct MultiGpuDynamicBc {
     devices: Vec<GpuDynamicBc>,
     telemetry: Option<Box<Telemetry>>,
-}
-
-/// Generates the simulator-knob plumbing shared with the single-GPU
-/// engine: setters fan out to every device, counters sum over them. One
-/// macro call instead of a hand-written forwarding method per knob.
-macro_rules! forward_device_knobs {
-    (
-        $(set $setter:ident($ty:ty), #[doc = $sdoc:literal];)*
-        $(sum $getter:ident() -> $gty:ty, #[doc = $gdoc:literal];)*
-    ) => {
-        impl MultiGpuDynamicBc {
-            $(
-                #[doc = $sdoc]
-                pub fn $setter(&mut self, value: $ty) {
-                    for dev in &mut self.devices {
-                        dev.$setter(value);
-                    }
-                }
-            )*
-            $(
-                #[doc = $gdoc]
-                pub fn $getter(&self) -> $gty {
-                    self.devices.iter().map(GpuDynamicBc::$getter).sum()
-                }
-            )*
-        }
-    };
-}
-
-forward_device_knobs! {
-    set set_host_threads(usize),
-        #[doc = " Pins the host-thread count on every simulated device (results are \
-                  bit-identical for any value; see [`GpuDynamicBc::set_host_threads`])."];
-    set set_racecheck(bool),
-        #[doc = " Enables/disables checked (racecheck) execution on every device."];
-    set set_profiling(bool),
-        #[doc = " Enables/disables profiled execution on every device (see \
-                  [`GpuDynamicBc::set_profiling`])."];
-    set set_memsim(bool),
-        #[doc = " Enables/disables the memsim cache-hierarchy model on every \
-                  device (see [`GpuDynamicBc::set_memsim`]); each device \
-                  models its own L1s and shared L2."];
-    set set_cache_config(CacheConfig),
-        #[doc = " Overrides the modeled cache geometry on every device and \
-                  resets each device's persistent L2 state (see \
-                  [`GpuDynamicBc::set_cache_config`])."];
-    set set_backend(Backend),
-        #[doc = " Selects the execution backend on every device (see \
-                  [`GpuDynamicBc::set_backend`]); results are bit-identical \
-                  across backends."];
-    sum router_cpu_stages() -> u64,
-        #[doc = " Stages the hybrid router sent down the sequential CPU path, \
-                  summed over all devices."];
-    sum router_native_stages() -> u64,
-        #[doc = " Stages the hybrid router sent to the parallel native \
-                  backend, summed over all devices."];
-    sum racecheck_warnings() -> u64,
-        #[doc = " Warning-severity racecheck diagnostics summed over all devices."];
-    sum checked_launches() -> u64,
-        #[doc = " Launches that ran under the racechecker, summed over all devices."];
 }
 
 impl MultiGpuDynamicBc {
@@ -112,20 +52,86 @@ impl MultiGpuDynamicBc {
                 // Telemetry stays at the multi-engine level: per-device
                 // collectors would double-count every update (see
                 // `set_telemetry`).
-                GpuDynamicBc::new(el, &mine, device, par).with_telemetry(false)
+                let mut dev = GpuDynamicBc::new(el, &mine, device, par);
+                dev.set_telemetry(false);
+                dev
             })
             .collect();
         Self {
             devices,
-            telemetry: telemetry_from_env().then(|| Box::new(Telemetry::new())),
+            telemetry: Instruments::from_env()
+                .telemetry
+                .then(|| Box::new(Telemetry::new())),
         }
     }
 
-    /// Enables/disables engine-level telemetry (builder form). Overrides
-    /// `DYNBC_TELEMETRY`.
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.set_telemetry(on);
-        self
+    /// Applies `f` to every device, in device-index order.
+    fn each(&mut self, f: impl FnMut(&mut GpuDynamicBc)) {
+        self.devices.iter_mut().for_each(f);
+    }
+
+    /// Sums a per-device counter over all devices.
+    fn sum(&self, f: impl Fn(&GpuDynamicBc) -> u64) -> u64 {
+        self.devices.iter().map(f).sum()
+    }
+
+    /// Pins the host-thread count on every simulated device (results are
+    /// bit-identical for any value; see [`GpuDynamicBc::set_host_threads`]).
+    pub fn set_host_threads(&mut self, threads: usize) {
+        self.each(|d| d.set_host_threads(threads));
+    }
+
+    /// Enables/disables checked (racecheck) execution on every device.
+    pub fn set_racecheck(&mut self, on: bool) {
+        self.each(|d| d.set_racecheck(on));
+    }
+
+    /// Enables/disables profiled execution on every device (see
+    /// [`GpuDynamicBc::set_profiling`]).
+    pub fn set_profiling(&mut self, on: bool) {
+        self.each(|d| d.set_profiling(on));
+    }
+
+    /// Enables/disables the memsim cache-hierarchy model on every device
+    /// (see [`GpuDynamicBc::set_memsim`]); each device models its own L1s
+    /// and shared L2.
+    pub fn set_memsim(&mut self, on: bool) {
+        self.each(|d| d.set_memsim(on));
+    }
+
+    /// Overrides the modeled cache geometry on every device (see
+    /// [`GpuDynamicBc::set_cache_config`]).
+    pub fn set_cache_config(&mut self, cfg: CacheConfig) {
+        self.each(|d| d.set_cache_config(cfg));
+    }
+
+    /// Selects the execution backend on every device (see
+    /// [`GpuDynamicBc::set_backend`]); results are bit-identical across
+    /// backends.
+    pub fn set_backend(&mut self, backend: Backend) {
+        self.each(|d| d.set_backend(backend));
+    }
+
+    /// Stages the hybrid router sent down the sequential CPU path, summed
+    /// over all devices.
+    pub fn router_cpu_stages(&self) -> u64 {
+        self.sum(GpuDynamicBc::router_cpu_stages)
+    }
+
+    /// Stages the hybrid router sent to the parallel native backend,
+    /// summed over all devices.
+    pub fn router_native_stages(&self) -> u64 {
+        self.sum(GpuDynamicBc::router_native_stages)
+    }
+
+    /// Warning-severity racecheck diagnostics summed over all devices.
+    pub fn racecheck_warnings(&self) -> u64 {
+        self.sum(GpuDynamicBc::racecheck_warnings)
+    }
+
+    /// Launches that ran under the racechecker, summed over all devices.
+    pub fn checked_launches(&self) -> u64 {
+        self.sum(GpuDynamicBc::checked_launches)
     }
 
     /// Enables/disables engine-level telemetry.

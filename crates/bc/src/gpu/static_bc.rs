@@ -91,7 +91,7 @@ fn static_bc_core(
     let n = csr.vertex_count();
     let mut gpu = Gpu::new(device);
     if let Some(threads) = host_threads {
-        gpu.set_host_threads(threads);
+        gpu.instruments_mut().host_threads = threads;
     }
     // A slack-free immutable layout: capacity equals the arc count, so
     // the edge-parallel scans touch exactly the CSR's arcs and node rows

@@ -65,8 +65,10 @@ type DirtyRow = (usize, Vec<u32>);
 type BlockRun = (Vec<(usize, usize, usize)>, Vec<DirtyRow>, [f64; 3]);
 
 /// Executes every non-trivial `(source, op)` work item of the stage with
-/// plain loops on up to `workers` scoped host threads, then drains the
-/// BC delta slab in sequential commit order. Mirrors
+/// plain loops on up to `workers` scoped host threads (callers pass the
+/// device's [`Gpu::host_workers`](dynbc_gpusim::Gpu::host_workers), which
+/// is already clamped to the host's cores), then drains the BC delta
+/// slab in sequential commit order. Mirrors
 /// `gpu::exec::run_stage` exactly — same item order, same block
 /// ownership, same return shape: the Figure-4 touched statistic as
 /// `(op_slot, row, touched)` triples.
@@ -139,8 +141,7 @@ pub(crate) fn run_stage(
         }
         (out, dirty, wall)
     };
-    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let workers = workers.max(1).min(host_cores).min(busy.len());
+    let workers = workers.min(busy.len());
     let mut per_block: Vec<Vec<(usize, usize, usize)>> = Vec::with_capacity(busy.len());
     let mut dirty_rows: Vec<DirtyRow> = Vec::new();
     if workers <= 1 {

@@ -225,8 +225,8 @@ fn d3_followed_by_later_stages_in_one_batch() {
 fn node_parallel_d3_runs_no_static_pass() {
     let el = EdgeList::from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
     for par in [Parallelism::Node, Parallelism::Edge] {
-        let mut eng =
-            GpuDynamicBc::new(&el, &[0], DeviceConfig::test_tiny(), par).with_profiling(true);
+        let mut eng = GpuDynamicBc::new(&el, &[0], DeviceConfig::test_tiny(), par);
+        eng.set_profiling(true);
         assert_eq!(eng.remove_edge(1, 2).cases.distant, 1);
         let labels: Vec<&str> = eng
             .profile_report()

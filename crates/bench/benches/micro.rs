@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dynbc_bc::brandes::{sample_sources, source_pass};
 use dynbc_bc::dynamic::CpuDynamicBc;
 use dynbc_bench::HarnessReport;
-use dynbc_gpusim::{DeviceConfig, Gpu};
+use dynbc_gpusim::{DeviceConfig, Gpu, Instruments};
 use dynbc_graph::algo::bfs;
 use dynbc_graph::{gen, Csr};
 use rand::rngs::StdRng;
@@ -73,13 +73,18 @@ fn scaling_launch_blocks(
     racecheck: bool,
     blocks: usize,
 ) -> (f64, Vec<u32>, Vec<u32>) {
-    scaling_launch_on(
-        Gpu::new(DeviceConfig::tesla_c2075())
-            .with_host_threads(threads)
-            .with_racecheck(racecheck),
-        blocks,
-    )
-    .0
+    let gpu = c2075_with(|i| {
+        i.host_threads = threads;
+        i.racecheck = racecheck;
+    });
+    scaling_launch_on(gpu, blocks).0
+}
+
+/// A Tesla C2075 device whose instruments `set` adjusts.
+fn c2075_with(set: impl FnOnce(&mut Instruments)) -> Gpu {
+    let mut gpu = Gpu::new(DeviceConfig::tesla_c2075());
+    set(gpu.instruments_mut());
+    gpu
 }
 
 /// [`scaling_launch`] with the telemetry span log toggled explicitly —
@@ -87,12 +92,11 @@ fn scaling_launch_blocks(
 /// Sanity-checks that the span log captured exactly the one launch when
 /// enabled and nothing when disabled.
 fn scaling_launch_telemetry(span_log: bool) -> (f64, Vec<u32>, Vec<u32>) {
-    let (r, g) = scaling_launch_on(
-        Gpu::new(DeviceConfig::tesla_c2075())
-            .with_host_threads(1)
-            .with_span_log(span_log),
-        56,
-    );
+    let gpu = c2075_with(|i| {
+        i.host_threads = 1;
+        i.telemetry = span_log;
+    });
+    let (r, g) = scaling_launch_on(gpu, 56);
     assert_eq!(g.launch_spans().len(), usize::from(span_log));
     r
 }
@@ -330,14 +334,12 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 /// explicitly — the disabled/enabled pair `bench_memsim_overhead`
 /// compares (at an explicit block count so the 14-block same-host
 /// calibration can share it).
-fn scaling_launch_memsim(memsim: bool, blocks: usize) -> (f64, Vec<u32>, Vec<u32>) {
-    scaling_launch_on(
-        Gpu::new(DeviceConfig::tesla_c2075())
-            .with_host_threads(1)
-            .with_memsim(memsim),
-        blocks,
-    )
-    .0
+fn scaling_launch_with_memsim(memsim: bool, blocks: usize) -> (f64, Vec<u32>, Vec<u32>) {
+    let gpu = c2075_with(|i| {
+        i.host_threads = 1;
+        i.memsim = memsim;
+    });
+    scaling_launch_on(gpu, blocks).0
 }
 
 /// Wall-clock cost of the dynbc-memsim cache-hierarchy model on the same
@@ -351,7 +353,7 @@ fn scaling_launch_memsim(memsim: bool, blocks: usize) -> (f64, Vec<u32>, Vec<u32
 fn bench_memsim_overhead(c: &mut Criterion) {
     let baseline = scaling_launch_mode(1, false);
     for memsim in [false, true] {
-        let got = scaling_launch_memsim(memsim, 56);
+        let got = scaling_launch_with_memsim(memsim, 56);
         assert_eq!(
             got.0.to_bits(),
             baseline.0.to_bits(),
@@ -363,11 +365,12 @@ fn bench_memsim_overhead(c: &mut Criterion) {
     // Byte-identical existing reports when off: a profiled memsim-off
     // simulator serializes exactly what a plain profiled one does.
     let profiled = |memsim: Option<bool>| {
-        let mut g = Gpu::new(DeviceConfig::tesla_c2075());
-        if let Some(on) = memsim {
-            g.set_memsim(on);
-        }
-        g.set_profiling(true);
+        let g = c2075_with(|i| {
+            if let Some(on) = memsim {
+                i.memsim = on;
+            }
+            i.profiling = true;
+        });
         scaling_launch_on(g, 56).1.take_profile_report()
     };
     let (plain, off) = (profiled(None), profiled(Some(false)));
@@ -377,8 +380,8 @@ fn bench_memsim_overhead(c: &mut Criterion) {
     type Mode = (&'static str, fn() -> (f64, Vec<u32>, Vec<u32>));
     let modes: [Mode; 3] = [
         ("baseline", || scaling_launch_mode(1, false)),
-        ("disabled", || scaling_launch_memsim(false, 56)),
-        ("enabled", || scaling_launch_memsim(true, 56)),
+        ("disabled", || scaling_launch_with_memsim(false, 56)),
+        ("enabled", || scaling_launch_with_memsim(true, 56)),
     ];
     let iters = 12;
     let mut walls = [const { Vec::new() }; 3];
@@ -417,10 +420,10 @@ fn bench_memsim_overhead(c: &mut Criterion) {
     // sub-measurable calibration ratios on fast hosts from turning
     // jitter into failures.
     let calib_base = min_wall(8, || {
-        black_box(scaling_launch_memsim(false, 14));
+        black_box(scaling_launch_with_memsim(false, 14));
     });
     let calib_enabled = min_wall(8, || {
-        black_box(scaling_launch_memsim(true, 14));
+        black_box(scaling_launch_with_memsim(true, 14));
     });
     let calib = calib_enabled / calib_base;
     let budget = (3.0 * calib).max(15.0);

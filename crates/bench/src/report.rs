@@ -89,7 +89,7 @@ impl HarnessReport {
     pub fn new(harness: &str) -> Self {
         Self {
             harness: harness.to_string(),
-            host_threads: dynbc_gpusim::host_threads_from_env(),
+            host_threads: dynbc_gpusim::Instruments::from_env().host_threads,
             nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cpu_model: cpu_model().unwrap_or_else(|| "unknown".to_string()),
             rustc: env!("BENCH_RUSTC_VERSION").to_string(),

@@ -40,7 +40,6 @@
 //! traffic (stores allocate like loads; no dirty state), inter-block L1
 //! coherence (real GPU L1s are not coherent either), and TLBs.
 
-use crate::knob;
 use dynbc_prof::{CacheCounters, Counters, StageProfile};
 
 /// L2 line size in bytes (four 32-byte sectors, Fermi-style).
@@ -52,10 +51,8 @@ pub const L2_SECTOR_BYTES: u64 = 32;
 
 /// Geometry of the modeled cache hierarchy.
 ///
-/// Defaults (Fermi/Tesla C2075-flavoured) come from the `DYNBC_L1_{KB,
-/// WAYS,SECTOR}` / `DYNBC_L2_{KB,WAYS}` knobs; tests and benches can set
-/// a geometry programmatically via `Gpu::set_cache_config` to stay
-/// independent of process-global environment state.
+/// The default is Fermi/Tesla C2075-flavoured; tests and benches set
+/// another geometry through `Instruments::cache`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// L1 capacity per SM (per block) in KiB.
@@ -94,21 +91,6 @@ impl CacheConfig {
         Self {
             l1_kb: 48,
             ..Self::default()
-        }
-    }
-
-    /// Reads the geometry from the `DYNBC_L1_*`/`DYNBC_L2_*` knobs,
-    /// falling back to the defaults above and clamping degenerate values.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            l1_kb: knob::parse_from_env(knob::L1_KB_ENV, d.l1_kb).max(1),
-            l1_ways: knob::parse_from_env(knob::L1_WAYS_ENV, d.l1_ways).max(1),
-            l1_line: knob::parse_from_env(knob::L1_SECTOR_ENV, d.l1_line)
-                .max(L2_SECTOR_BYTES as u32)
-                .next_power_of_two(),
-            l2_kb: knob::parse_from_env(knob::L2_KB_ENV, d.l2_kb).max(1),
-            l2_ways: knob::parse_from_env(knob::L2_WAYS_ENV, d.l2_ways).max(1),
         }
     }
 
@@ -192,6 +174,8 @@ impl TagArray {
 /// probed single-threaded during launch reduction.
 #[derive(Debug)]
 pub(crate) struct L2Cache {
+    /// The geometry this tag array was built for.
+    pub(crate) cfg: CacheConfig,
     tags: TagArray,
     /// Per-slot sector-validity masks (bit = 32-byte sector in the line).
     masks: Vec<u8>,
@@ -210,6 +194,7 @@ impl L2Cache {
         let tags = TagArray::new(cfg.l2_sets(), cfg.l2_ways);
         let slots = tags.tags.len();
         Self {
+            cfg: *cfg,
             tags,
             masks: vec![0; slots],
         }
@@ -523,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn config_from_env_defaults_are_fermi_flavoured() {
+    fn default_config_is_fermi_flavoured() {
         let d = CacheConfig::default();
         assert_eq!(d.l1_line, 32, "canonical transaction sector");
         assert_eq!(d.l1_sets(), 128); // 16 KiB / (32 B × 4)

@@ -946,7 +946,9 @@ mod tests {
     use crate::grid::Gpu;
 
     fn gpu() -> Gpu {
-        Gpu::new(DeviceConfig::test_tiny()).with_racecheck(false)
+        let mut g = Gpu::new(DeviceConfig::test_tiny());
+        g.instruments_mut().racecheck = false;
+        g
     }
 
     fn classes(report: &CheckReport) -> Vec<DiagClass> {
@@ -1196,7 +1198,8 @@ mod tests {
 
     #[test]
     fn launch_named_panics_on_errors_and_counts_warnings() {
-        let mut g = gpu().with_racecheck(true);
+        let mut g = gpu();
+        g.instruments_mut().racecheck = true;
         let cells = g.alloc::<u32>(4, 0).named("w");
         g.launch_named("benign", 1, |block, _| {
             block.parallel_for(4, |lane, _| {
@@ -1218,7 +1221,8 @@ mod tests {
     #[test]
     fn reports_are_deterministic_across_host_thread_counts() {
         let run = |threads: usize| {
-            let mut g = gpu().with_host_threads(threads);
+            let mut g = gpu();
+            g.instruments_mut().host_threads = threads;
             let cells = g.alloc::<u32>(8, 0).named("shared");
             let (_, check) = g.launch_checked("racy", 4, |block, b| {
                 block.parallel_for(2, |lane, i| {

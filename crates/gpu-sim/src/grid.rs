@@ -34,6 +34,7 @@ use crate::block::BlockCtx;
 use crate::cache::{self, BlockCacheOut, CacheConfig, L2Cache};
 use crate::checker::{self, CheckReport, Recorder};
 use crate::device::DeviceConfig;
+use crate::instruments::{host_cores, Instruments};
 use crate::mem::{GpuBuffer, FIRST_BASE};
 use crate::profile::{self, BlockBuckets};
 use crate::stats::KernelStats;
@@ -55,11 +56,11 @@ pub struct LaunchReport {
 
 /// Lightweight record of one kernel launch for telemetry span logs: just
 /// the timeline placement, no counters. Collected when
-/// [`Gpu::set_span_log`] is on (far cheaper than full profiling) and
+/// [`Instruments::telemetry`] is on (far cheaper than full profiling) and
 /// drained by the engines into their lifecycle traces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchSpan {
-    /// Kernel name as passed to `launch_named`/`launch_profiled`.
+    /// Kernel name as passed to `launch_named`/`launch_checked`.
     pub kernel: String,
     /// Ordinal of this launch on its `Gpu` (0-based).
     pub index: u64,
@@ -83,56 +84,11 @@ type BlockOut = (
     Option<BlockCacheOut>,
 );
 
-pub use crate::knob::HOST_THREADS_ENV;
-
 /// Grids smaller than this run inline on the calling thread even when more
 /// host threads are available: below it the work cannot amortize even one
 /// thread spawn, so fanning out only adds wall time. Results are identical
 /// either way (the reduction order is block-index order regardless).
 pub const PARALLEL_MIN_BLOCKS: usize = 8;
-
-pub use crate::knob::RACECHECK_ENV;
-
-/// Resolves the checked-execution default from [`RACECHECK_ENV`] (what
-/// [`Gpu::new`] uses; public so harnesses can report the setting).
-pub fn racecheck_from_env() -> bool {
-    crate::knob::flag_from_env(RACECHECK_ENV)
-}
-
-pub use crate::knob::PROFILE_ENV;
-
-/// Resolves the profiling default from [`PROFILE_ENV`] (what [`Gpu::new`]
-/// uses; public so harnesses can report the setting).
-pub fn profile_from_env() -> bool {
-    crate::knob::flag_from_env(PROFILE_ENV)
-}
-
-pub use crate::knob::TELEMETRY_ENV;
-
-/// Resolves the telemetry default from [`TELEMETRY_ENV`] (what [`Gpu::new`]
-/// and the engines use; public so harnesses can report the setting).
-pub fn telemetry_from_env() -> bool {
-    crate::knob::flag_from_env(TELEMETRY_ENV)
-}
-
-pub use crate::knob::MEMSIM_ENV;
-
-/// Resolves the memsim default from [`MEMSIM_ENV`] (what [`Gpu::new`]
-/// uses; public so harnesses can report the setting).
-pub fn memsim_from_env() -> bool {
-    crate::knob::flag_from_env(MEMSIM_ENV)
-}
-
-/// Resolves the effective host-thread count from [`HOST_THREADS_ENV`]
-/// (what [`Gpu::new`] uses; public so harnesses can report the setting).
-pub fn host_threads_from_env() -> usize {
-    let requested = crate::knob::parse_from_env(HOST_THREADS_ENV, 0usize);
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    }
-}
 
 /// A simulated GPU with an accumulating clock.
 #[derive(Debug)]
@@ -141,46 +97,36 @@ pub struct Gpu {
     elapsed_s: f64,
     total_stats: KernelStats,
     launches: u64,
-    host_threads: usize,
+    instruments: Instruments,
     host_cores: usize,
-    racecheck: bool,
     check_warnings: u64,
     checked_launches: u64,
-    profiling: bool,
     profile: ProfileReport,
-    span_log: bool,
     launch_spans: Vec<LaunchSpan>,
-    memsim: bool,
-    cache_cfg: CacheConfig,
     /// The device's shared L2 tag array: created on the first memsim
     /// launch, persists across launches (cross-launch locality is the
     /// point), only ever probed single-threaded during launch reduction.
+    /// Rebuilt cold when a launch finds the geometry changed.
     l2: Option<Box<L2Cache>>,
     /// Next free synthetic address of this device's address space.
     next_base: u64,
 }
 
 impl Gpu {
-    /// Creates a device with the clock at zero. The host-thread count is
-    /// read from [`HOST_THREADS_ENV`] (default: available cores) and the
-    /// checked-execution default from [`RACECHECK_ENV`].
+    /// Creates a device with the clock at zero and its instruments read
+    /// from the environment ([`Instruments::from_env`]).
     pub fn new(dev: DeviceConfig) -> Self {
         Self {
             dev,
             elapsed_s: 0.0,
             total_stats: KernelStats::default(),
             launches: 0,
-            host_threads: host_threads_from_env(),
-            host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            racecheck: racecheck_from_env(),
+            instruments: Instruments::from_env(),
+            host_cores: host_cores(),
             check_warnings: 0,
             checked_launches: 0,
-            profiling: profile_from_env(),
             profile: ProfileReport::new(),
-            span_log: telemetry_from_env(),
             launch_spans: Vec::new(),
-            memsim: memsim_from_env(),
-            cache_cfg: CacheConfig::from_env(),
             l2: None,
             next_base: FIRST_BASE,
         }
@@ -202,27 +148,22 @@ impl Gpu {
         GpuBuffer::place(data, &mut self.next_base)
     }
 
-    /// Builder-style override of checked execution (see
-    /// [`Gpu::set_racecheck`]). Prefer this over mutating the environment
-    /// in tests: process-global env writes race between test threads.
-    pub fn with_racecheck(mut self, on: bool) -> Self {
-        self.set_racecheck(on);
-        self
+    /// The instrumentation switches subsequent launches run under.
+    pub fn instruments(&self) -> Instruments {
+        self.instruments
     }
 
-    /// Enables/disables checked execution for subsequent launches. When
-    /// on, every [`Gpu::launch`]/[`Gpu::launch_named`] records shadow
-    /// state, panics with the full [`CheckReport`] if any error-severity
-    /// diagnostic fires, and accumulates warnings into
-    /// [`Gpu::check_warnings`]. Results (simulated seconds, stats, buffer
-    /// contents) are unaffected; only host wall-clock pays.
-    pub fn set_racecheck(&mut self, on: bool) {
-        self.racecheck = on;
+    /// Changes the instrumentation switches for subsequent launches.
+    pub fn instruments_mut(&mut self) -> &mut Instruments {
+        &mut self.instruments
     }
 
-    /// True when launches run in checked mode.
-    pub fn racecheck(&self) -> bool {
-        self.racecheck
+    /// Host workers a launch or a native stage may fan out over: the
+    /// [`Instruments::host_threads`] cap, clamped to the host's cores
+    /// (oversubscribing a smaller host only adds spawn and
+    /// context-switch overhead for zero parallelism) and to at least 1.
+    pub fn host_workers(&self) -> usize {
+        self.instruments.host_threads.clamp(1, self.host_cores)
     }
 
     /// Warning-severity diagnostics accumulated across checked launches
@@ -234,29 +175,6 @@ impl Gpu {
     /// Number of launches that ran under the checker.
     pub fn checked_launches(&self) -> u64 {
         self.checked_launches
-    }
-
-    /// Builder-style override of profiled execution (see
-    /// [`Gpu::set_profiling`]). Prefer this over mutating the environment
-    /// in tests: process-global env writes race between test threads.
-    pub fn with_profiling(mut self, on: bool) -> Self {
-        self.set_profiling(on);
-        self
-    }
-
-    /// Enables/disables profiled execution for subsequent launches. When
-    /// on, every launch collects a [`LaunchProfile`] (per-stage hardware
-    /// counters plus the block timeline) into [`Gpu::profile_report`].
-    /// Results (simulated seconds, stats, buffer contents) are unaffected;
-    /// only host wall-clock pays. When off, the collection hooks are
-    /// no-ops: one predictable branch per access, no allocation.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.profiling = on;
-    }
-
-    /// True when launches run under the profiler.
-    pub fn profiling(&self) -> bool {
-        self.profiling
     }
 
     /// The profiles accumulated by launches that ran with profiling on
@@ -272,77 +190,8 @@ impl Gpu {
         std::mem::take(&mut self.profile)
     }
 
-    /// Builder-style override of the memsim cache model (see
-    /// [`Gpu::set_memsim`]). Prefer this over mutating the environment
-    /// in tests: process-global env writes race between test threads.
-    pub fn with_memsim(mut self, on: bool) -> Self {
-        self.set_memsim(on);
-        self
-    }
-
-    /// Enables/disables the cache-hierarchy model for subsequent launches.
-    /// When on, every launch is profiled (memsim counters ride in the
-    /// [`LaunchProfile`]) and additionally runs the L1/L2 tag-array model:
-    /// per-block L1s during execution, one shared per-device L2 replayed
-    /// in block-index order at reduction. Results (simulated seconds,
-    /// stats, buffer contents) are unaffected — the model is
-    /// observability-only and never feeds the cost clock. When off, the
-    /// hook is one predictable branch per memory transaction.
-    pub fn set_memsim(&mut self, on: bool) {
-        self.memsim = on;
-    }
-
-    /// True when launches run under the cache-hierarchy model.
-    pub fn memsim(&self) -> bool {
-        self.memsim
-    }
-
-    /// Builder-style override of the modeled cache geometry (see
-    /// [`Gpu::set_cache_config`]).
-    pub fn with_cache_config(mut self, cfg: CacheConfig) -> Self {
-        self.set_cache_config(cfg);
-        self
-    }
-
-    /// Replaces the modeled cache geometry (default: the `DYNBC_L1_*`/
-    /// `DYNBC_L2_*` knobs) and discards the device's accumulated L2 state.
-    /// Prefer this over mutating the environment in tests: process-global
-    /// env writes race between test threads.
-    pub fn set_cache_config(&mut self, cfg: CacheConfig) {
-        self.cache_cfg = cfg;
-        self.l2 = None;
-    }
-
-    /// The modeled cache geometry.
-    pub fn cache_config(&self) -> CacheConfig {
-        self.cache_cfg
-    }
-
-    /// Builder-style override of the launch span log (see
-    /// [`Gpu::set_span_log`]). Prefer this over mutating the environment
-    /// in tests: process-global env writes race between test threads.
-    pub fn with_span_log(mut self, on: bool) -> Self {
-        self.set_span_log(on);
-        self
-    }
-
-    /// Enables/disables the telemetry span log for subsequent launches.
-    /// When on, every launch appends a [`LaunchSpan`] (timeline placement
-    /// plus wall time — no counters, far cheaper than full profiling) for
-    /// the engines to drain into their lifecycle traces. Results are
-    /// unaffected; when off the hook is one predictable branch, no
-    /// allocation.
-    pub fn set_span_log(&mut self, on: bool) {
-        self.span_log = on;
-    }
-
-    /// True when launches append to the span log.
-    pub fn span_log(&self) -> bool {
-        self.span_log
-    }
-
     /// Launch spans accumulated since the last drain (empty unless
-    /// [`Gpu::set_span_log`] is on).
+    /// [`Instruments::telemetry`] is on).
     pub fn launch_spans(&self) -> &[LaunchSpan] {
         &self.launch_spans
     }
@@ -351,32 +200,6 @@ impl Gpu {
     /// pipeline stage to nest them under the stage's span).
     pub fn take_launch_spans(&mut self) -> Vec<LaunchSpan> {
         std::mem::take(&mut self.launch_spans)
-    }
-
-    /// Builder-style override of the host-thread count (clamped to ≥ 1).
-    /// Prefer this over mutating the environment in tests: process-global
-    /// env writes race between test threads.
-    pub fn with_host_threads(mut self, threads: usize) -> Self {
-        self.set_host_threads(threads);
-        self
-    }
-
-    /// Sets the host-thread count for subsequent launches (clamped to ≥ 1).
-    ///
-    /// The count is a *cap*, not a demand: a launch never runs more
-    /// workers than the machine has cores (oversubscribing a smaller host
-    /// only adds spawn and context-switch overhead for zero parallelism)
-    /// nor more than it has blocks, and grids under
-    /// [`PARALLEL_MIN_BLOCKS`] run inline on the calling thread. Results
-    /// are bit-identical for every setting either way.
-    pub fn set_host_threads(&mut self, threads: usize) {
-        self.host_threads = threads.max(1);
-    }
-
-    /// Host-thread cap for launches (see [`Gpu::set_host_threads`]).
-    /// Never affects results, only wall-clock.
-    pub fn host_threads(&self) -> usize {
-        self.host_threads
     }
 
     /// The device configuration.
@@ -388,7 +211,7 @@ impl Gpu {
     /// the kernel body. Returns the launch's cost report and advances the
     /// simulated clock.
     ///
-    /// Blocks run concurrently on up to [`Gpu::host_threads`] host
+    /// Blocks run concurrently on up to [`Gpu::host_workers`] host
     /// threads; the closure therefore gets `&self`-style shared access
     /// (`Fn + Sync`) and all cross-block buffer traffic must follow the
     /// [`crate::mem`] sharing contract. Per-block results are reduced in
@@ -402,7 +225,7 @@ impl Gpu {
     }
 
     /// [`Gpu::launch`] with a kernel name threaded into diagnostics. In
-    /// checked mode (`DYNBC_RACECHECK=1` or [`Gpu::set_racecheck`]) the
+    /// checked mode ([`Instruments::racecheck`]) the
     /// launch runs under the racecheck analysis and **panics with the full
     /// report** on any error-severity diagnostic; warnings accumulate in
     /// [`Gpu::check_warnings`]. Unchecked, the name is free.
@@ -410,65 +233,14 @@ impl Gpu {
     where
         F: Fn(&mut BlockCtx, usize) + Sync,
     {
-        if self.racecheck {
+        if self.instruments.racecheck {
             let (report, check) = self.launch_checked(name, num_blocks, f);
             self.check_warnings += check.warnings().count() as u64;
             assert!(!check.has_errors(), "DYNBC_RACECHECK failed:\n{check}");
             report
         } else {
-            self.run_launch(name, num_blocks, false, self.profiling, self.memsim, &f)
-                .0
+            self.run_launch(name, num_blocks, false, &f).0
         }
-    }
-
-    /// Runs the kernel with profiling unconditionally on and returns the
-    /// launch's [`LaunchProfile`] alongside the cost report. The profile
-    /// is *also* appended to [`Gpu::profile_report`]. Simulated seconds,
-    /// stats and buffer contents are identical to an unprofiled launch;
-    /// counters are bit-identical for any `DYNBC_HOST_THREADS` value.
-    pub fn launch_profiled<F>(
-        &mut self,
-        name: &str,
-        num_blocks: usize,
-        f: F,
-    ) -> (LaunchReport, LaunchProfile)
-    where
-        F: Fn(&mut BlockCtx, usize) + Sync,
-    {
-        let (report, _) = self.run_launch(name, num_blocks, false, true, self.memsim, &f);
-        let prof = self
-            .profile
-            .launches
-            .last()
-            .cloned()
-            .expect("profiled launch records a profile");
-        (report, prof)
-    }
-
-    /// Runs the kernel with the cache-hierarchy model (and therefore
-    /// profiling) unconditionally on and returns the launch's
-    /// [`LaunchProfile`] — its `total.cache` and per-stage `buffer_misses`
-    /// carry the memsim data — alongside the cost report. The profile is
-    /// *also* appended to [`Gpu::profile_report`]. Simulated seconds,
-    /// stats and buffer contents are identical to an unmodeled launch;
-    /// counters are bit-identical for any `DYNBC_HOST_THREADS` value.
-    pub fn launch_memsim<F>(
-        &mut self,
-        name: &str,
-        num_blocks: usize,
-        f: F,
-    ) -> (LaunchReport, LaunchProfile)
-    where
-        F: Fn(&mut BlockCtx, usize) + Sync,
-    {
-        let (report, _) = self.run_launch(name, num_blocks, false, true, true, &f);
-        let prof = self
-            .profile
-            .launches
-            .last()
-            .cloned()
-            .expect("memsim launch records a profile");
-        (report, prof)
     }
 
     /// Runs the kernel in checked mode unconditionally and returns the
@@ -485,41 +257,42 @@ impl Gpu {
     where
         F: Fn(&mut BlockCtx, usize) + Sync,
     {
-        let (report, recorders) =
-            self.run_launch(name, num_blocks, true, self.profiling, self.memsim, &f);
+        let (report, recorders) = self.run_launch(name, num_blocks, true, &f);
         let check = checker::analyze(name, &self.dev, &recorders);
         self.checked_launches += 1;
         (report, check)
     }
 
-    /// Shared launch body; `record` selects checked execution, `profiled`
-    /// counter collection, `cached` the memsim cache model (which implies
-    /// `profiled` — memsim counters ride in the launch profile). Shadow
-    /// logs, counter buckets and cache streams come back in block-index
-    /// order, matching the reduction order.
+    /// Shared launch body; `record` selects checked execution, the
+    /// instruments select counter collection and the memsim cache model
+    /// (which implies profiling — memsim counters ride in the launch
+    /// profile). Shadow logs, counter buckets and cache streams come back
+    /// in block-index order, matching the reduction order.
     fn run_launch<F>(
         &mut self,
         name: &str,
         num_blocks: usize,
         record: bool,
-        profiled: bool,
-        cached: bool,
         f: &F,
     ) -> (LaunchReport, Vec<Recorder>)
     where
         F: Fn(&mut BlockCtx, usize) + Sync,
     {
-        let profiled = profiled || cached;
-        let cache_cfg = cached.then_some(self.cache_cfg);
-        let threads = self
-            .host_threads
-            .min(self.host_cores)
-            .min(num_blocks.max(1));
+        let Instruments {
+            profiling,
+            memsim: cached,
+            telemetry: span_log,
+            cache: cfg,
+            ..
+        } = self.instruments;
+        let profiled = profiling || cached;
+        let cache_cfg = cached.then_some(cfg);
+        let threads = self.host_workers().min(num_blocks.max(1));
         // Wall timing only when something records it (profiling or the
         // telemetry span log): the disabled path stays branch-predictable
         // with no clock syscalls.
         // dynbc-lint: allow(no-wall-clock) — wall_s feeds the profile/span sinks only; simulated seconds come from the cost model
-        let wall_t = (profiled || self.span_log).then(std::time::Instant::now);
+        let wall_t = (profiled || span_log).then(std::time::Instant::now);
         let per_block: Vec<BlockOut> = if threads <= 1 || num_blocks < PARALLEL_MIN_BLOCKS {
             // Legacy sequential path: also the fallback that documents the
             // reduction order the parallel path must reproduce.
@@ -555,7 +328,7 @@ impl Gpu {
         let makespan_cycles = schedule_makespan(&block_cycles, self.dev.num_sms);
         let seconds = self.dev.cycles_to_seconds(makespan_cycles) + self.dev.launch_overhead_s;
         let wall_s = wall_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        if self.span_log {
+        if span_log {
             self.launch_spans.push(LaunchSpan {
                 kernel: name.to_string(),
                 index: self.launches,
@@ -574,8 +347,12 @@ impl Gpu {
                 // Memsim's shared-L2 replay: single-threaded, block-index
                 // order, against the device's persistent L2 — deterministic
                 // for any host-thread count, like every reduction here.
-                let cfg = self.cache_cfg;
-                let l2 = self.l2.get_or_insert_with(|| Box::new(L2Cache::new(&cfg)));
+                // A geometry change since the last memsim launch starts a
+                // cold L2 of the new shape.
+                let l2 = match &mut self.l2 {
+                    Some(l2) if l2.cfg == cfg => l2,
+                    slot => slot.insert(Box::new(L2Cache::new(&cfg))),
+                };
                 cache::fold_into_stages(block_caches, &cfg, l2, &mut stages, &mut total);
             }
             let blocks = profile::block_spans(
@@ -725,6 +502,12 @@ mod tests {
         Gpu::new(DeviceConfig::test_tiny())
     }
 
+    fn gpu_on(threads: usize) -> Gpu {
+        let mut g = gpu();
+        g.instruments_mut().host_threads = threads;
+        g
+    }
+
     #[test]
     fn launch_runs_every_block() {
         let mut g = gpu();
@@ -801,7 +584,7 @@ mod tests {
         // the reduction happens in block-index order regardless of which
         // host thread executed a block.
         let run = |threads: usize| {
-            let mut g = gpu().with_host_threads(threads);
+            let mut g = gpu_on(threads);
             let buf = g.alloc::<f64>(64, 0.0);
             let r = g.launch(3, |block, b| {
                 block.parallel_for(64, |lane, i| {
@@ -834,7 +617,7 @@ mod tests {
         // other), barriers, and uneven per-block work (so self-scheduling
         // actually interleaves).
         let run = |threads: usize| {
-            let mut g = Gpu::new(DeviceConfig::test_tiny()).with_host_threads(threads);
+            let mut g = gpu_on(threads);
             let rows = g.alloc::<u32>(16 * 64, 0);
             let counts = g.alloc::<u32>(32, 0);
             let maxes = g.alloc::<u32>(32, 0);
@@ -897,7 +680,7 @@ mod tests {
                 });
             }
         }
-        let mut seq_gpu = gpu().with_host_threads(1);
+        let mut seq_gpu = gpu_on(1);
         let seq_buf = seq_gpu.alloc::<u32>(BLOCKS * 32, 0);
         let seq_hist = seq_gpu.alloc::<u32>(8, 0);
         let seq = seq_gpu.launch(BLOCKS, kernel(&seq_buf, &seq_hist));
@@ -914,16 +697,15 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_is_clamped_and_reported() {
-        let g = gpu().with_host_threads(0);
-        assert_eq!(g.host_threads(), 1);
-        let g = gpu().with_host_threads(6);
-        assert_eq!(g.host_threads(), 6);
+    fn worker_count_is_clamped_to_one_and_the_host_cores() {
+        assert_eq!(gpu_on(0).host_workers(), 1);
+        assert_eq!(gpu_on(1).host_workers(), 1);
+        assert_eq!(gpu_on(usize::MAX).host_workers(), host_cores());
     }
 
     #[test]
     fn more_threads_than_blocks_is_fine() {
-        let mut g = gpu().with_host_threads(64);
+        let mut g = gpu_on(64);
         let buf = g.alloc::<u32>(3, 0);
         let r = g.launch(3, |block, b| {
             block.parallel_for(1, |lane, _| {
@@ -937,7 +719,7 @@ mod tests {
     #[test]
     fn kernel_panic_propagates_from_worker_threads() {
         let result = std::panic::catch_unwind(|| {
-            let mut g = gpu().with_host_threads(4);
+            let mut g = gpu_on(4);
             g.launch(8, |_, b| {
                 if b == 5 {
                     panic!("kernel assert fired in block {b}");

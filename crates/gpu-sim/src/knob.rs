@@ -84,22 +84,6 @@ pub const SERVE_BATCH_MAX_ENV: &str = "DYNBC_SERVE_BATCH_MAX";
 /// (any case) enables; unset, empty, `0`, or `false` disables.
 pub const MEMSIM_ENV: &str = "DYNBC_MEMSIM";
 
-/// Modeled L1 capacity per SM in KiB (`dynbc-memsim`).
-pub const L1_KB_ENV: &str = "DYNBC_L1_KB";
-
-/// Modeled L1 associativity in ways (`dynbc-memsim`).
-pub const L1_WAYS_ENV: &str = "DYNBC_L1_WAYS";
-
-/// Modeled L1 line/sector size in bytes (`dynbc-memsim`); defaults to
-/// the simulator's canonical 32-byte transaction granularity.
-pub const L1_SECTOR_ENV: &str = "DYNBC_L1_SECTOR";
-
-/// Modeled shared-L2 capacity in KiB (`dynbc-memsim`).
-pub const L2_KB_ENV: &str = "DYNBC_L2_KB";
-
-/// Modeled shared-L2 associativity in ways (`dynbc-memsim`).
-pub const L2_WAYS_ENV: &str = "DYNBC_L2_WAYS";
-
 /// One registered environment knob: its variable name, the effective
 /// default when unset, and a one-line description of its effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,31 +169,6 @@ pub const KNOBS: &[Knob] = &[
         name: MEMSIM_ENV,
         default: "0",
         doc: "Cache-hierarchy model: L1/L2 hit rates and per-buffer miss attribution",
-    },
-    Knob {
-        name: L1_KB_ENV,
-        default: "16",
-        doc: "Memsim: modeled per-SM L1 capacity in KiB",
-    },
-    Knob {
-        name: L1_WAYS_ENV,
-        default: "4",
-        doc: "Memsim: modeled L1 associativity (ways)",
-    },
-    Knob {
-        name: L1_SECTOR_ENV,
-        default: "32",
-        doc: "Memsim: modeled L1 line size in bytes (the 32 B transaction sector)",
-    },
-    Knob {
-        name: L2_KB_ENV,
-        default: "768",
-        doc: "Memsim: modeled shared L2 capacity in KiB",
-    },
-    Knob {
-        name: L2_WAYS_ENV,
-        default: "8",
-        doc: "Memsim: modeled L2 associativity (ways)",
     },
 ];
 

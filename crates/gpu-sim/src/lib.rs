@@ -16,14 +16,16 @@
 //!   coalescing, same-address atomic serialization, and barrier-delimited
 //!   `max(compute, memory)` intervals;
 //! * [`Gpu`] — kernel launches, greedy block-to-SM scheduling, a simulated
-//!   clock;
+//!   clock, and one [`Instruments`] switch set (read from the environment
+//!   once, at construction) that selects what a launch records;
 //! * [`checker`] — `dynbc-racecheck`, a `cuda-memcheck --tool racecheck`
-//!   analogue: checked launches ([`Gpu::launch_checked`],
-//!   `DYNBC_RACECHECK=1`) record per-cell shadow state and report data
-//!   races, sharing-contract violations, barrier divergence, and
-//!   out-of-bounds indexing with kernel/buffer/lane context;
+//!   analogue: checked launches ([`Gpu::launch_checked`], or every launch
+//!   under [`Instruments::racecheck`] / `DYNBC_RACECHECK=1`) record
+//!   per-cell shadow state and report data races, sharing-contract
+//!   violations, barrier divergence, and out-of-bounds indexing with
+//!   kernel/buffer/lane context;
 //! * `dynbc-prof` integration — profiled launches
-//!   ([`Gpu::launch_profiled`], `DYNBC_PROFILE=1`) collect
+//!   ([`Instruments::profiling`], `DYNBC_PROFILE=1`) collect
 //!   hardware-counter-style per-kernel/per-stage [`ProfileReport`]s
 //!   (futile vs useful edge work, divergence, occupancy, coalescing,
 //!   atomic contention, queue/dedup ops) with the same bit-determinism
@@ -52,6 +54,7 @@ pub mod checker;
 pub mod cpu_model;
 pub mod device;
 pub mod grid;
+mod instruments;
 pub mod knob;
 pub mod mem;
 mod profile;
@@ -62,11 +65,9 @@ pub use cache::CacheConfig;
 pub use checker::{AccessKind, AtomicKind, CheckReport, DiagClass, Diagnostic, Severity};
 pub use cpu_model::OpCounter;
 pub use device::{CpuConfig, DeviceConfig};
-pub use grid::{
-    host_threads_from_env, memsim_from_env, profile_from_env, racecheck_from_env,
-    telemetry_from_env, Gpu, LaunchReport, LaunchSpan, HOST_THREADS_ENV, MEMSIM_ENV, PROFILE_ENV,
-    RACECHECK_ENV, TELEMETRY_ENV,
-};
+pub use grid::{Gpu, LaunchReport, LaunchSpan};
+pub use instruments::Instruments;
+pub use knob::{HOST_THREADS_ENV, MEMSIM_ENV, PROFILE_ENV, RACECHECK_ENV, TELEMETRY_ENV};
 pub use mem::{DeviceValue, GpuBuffer};
 pub use stats::KernelStats;
 

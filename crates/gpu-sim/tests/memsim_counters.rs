@@ -5,19 +5,26 @@
 //! no-op-when-off guarantee (reports without memsim carry no cache
 //! fields at all).
 
-use dynbc_gpusim::{CacheConfig, DeviceConfig, Gpu, ProfileReport};
+use dynbc_gpusim::{BlockCtx, CacheConfig, DeviceConfig, Gpu, GpuBuffer, ProfileReport};
+
+/// A tiny test device with the cache model on.
+fn memsim_gpu() -> Gpu {
+    let mut gpu = Gpu::new(DeviceConfig::test_tiny());
+    gpu.instruments_mut().memsim = true;
+    gpu
+}
 
 #[test]
 fn l1_requests_equal_mem_transactions() {
-    let mut gpu = Gpu::new(DeviceConfig::test_tiny());
+    let mut gpu = memsim_gpu();
     let buf = gpu.alloc::<u32>(4096, 0);
-    let (_r, launch) = gpu.launch_memsim("scan", 4, |block, b| {
+    gpu.launch_named("scan", 4, |block, b| {
         block.parallel_for(256, |lane, i| {
             lane.read(&buf, (i * (b + 3)) % 4096);
         });
         block.barrier();
     });
-    let c = launch.total;
+    let c = gpu.profile_report().launches.last().unwrap().total;
     assert!(c.mem_transactions > 0);
     assert_eq!(
         c.cache.l1_requests(),
@@ -31,8 +38,8 @@ fn l1_requests_equal_mem_transactions() {
 
 #[test]
 fn l2_persists_across_launches_and_sectors_fill() {
-    let mut gpu = Gpu::new(DeviceConfig::test_tiny()).with_memsim(true);
-    gpu.set_profiling(true);
+    let mut gpu = memsim_gpu();
+    gpu.instruments_mut().profiling = true;
     // 1024 u32 = 4 KiB = 128 sectors = 32 L2 lines. One block per
     // launch; with warp size 4, two consecutive warps share each sector.
     let buf = gpu.alloc::<u32>(1024, 0);
@@ -72,15 +79,15 @@ fn l2_persists_across_launches_and_sectors_fill() {
 fn tiny_geometry_forces_l1_and_l2_evictions() {
     // 1 KiB 2-way L1 (16 sets, 32 lines) and 1 KiB 2-way L2 (4 sets,
     // 8 lines): a 64-line working set thrashes both.
-    let mut gpu = Gpu::new(DeviceConfig::test_tiny()).with_memsim(true);
-    gpu.set_cache_config(CacheConfig {
+    let mut gpu = memsim_gpu();
+    gpu.instruments_mut().cache = CacheConfig {
         l1_kb: 1,
         l1_ways: 2,
         l1_line: 32,
         l2_kb: 1,
         l2_ways: 2,
-    });
-    gpu.set_profiling(true);
+    };
+    gpu.instruments_mut().profiling = true;
     let buf = gpu.alloc::<u32>(4096, 0);
     gpu.launch_named("thrash", 1, |block, _| {
         // Two passes over 64 distinct sectors (stride 8 u32 = 32 B).
@@ -105,32 +112,48 @@ fn tiny_geometry_forces_l1_and_l2_evictions() {
 }
 
 #[test]
-fn set_cache_config_resets_the_persistent_l2() {
-    let mut gpu = Gpu::new(DeviceConfig::test_tiny()).with_memsim(true);
-    gpu.set_profiling(true);
-    let buf = gpu.alloc::<u32>(256, 0);
-    let kernel = |block: &mut dynbc_gpusim::BlockCtx, _b: usize| {
-        block.parallel_for(256, |lane, i| {
-            lane.read(&buf, i);
-        });
-        block.barrier();
+fn changing_the_cache_geometry_rebuilds_the_persistent_l2() {
+    let small_l2 = CacheConfig {
+        l2_kb: 2,
+        l2_ways: 4,
+        ..CacheConfig::default()
     };
-    gpu.launch_named("warm", 1, kernel);
-    // Same geometry, but setting it drops the warmed L2 state.
-    gpu.set_cache_config(CacheConfig::default());
-    gpu.launch_named("cold", 1, kernel);
+    fn kernel(buf: &GpuBuffer<u32>) -> impl Fn(&mut BlockCtx, usize) + Sync + '_ {
+        move |block, _b| {
+            block.parallel_for(256, |lane, i| {
+                lane.read(buf, i);
+            });
+            block.barrier();
+        }
+    }
+    let mut gpu = memsim_gpu();
+    let buf = gpu.alloc::<u32>(256, 0);
+    gpu.launch_named("warm", 1, kernel(&buf));
+    // A new geometry on a warm device: the next launch starts a cold L2
+    // of the new shape.
+    gpu.instruments_mut().cache = small_l2;
+    gpu.launch_named("cold", 1, kernel(&buf));
     let report = gpu.take_profile_report();
     assert_eq!(
         report.launches[1].total.cache.l2_hits, 0,
         "reconfigured L2 must start cold"
+    );
+    // ... and counts exactly what a fresh device of that geometry counts.
+    let mut fresh = memsim_gpu();
+    fresh.instruments_mut().cache = small_l2;
+    let fresh_buf = fresh.alloc::<u32>(256, 0);
+    fresh.launch_named("cold", 1, kernel(&fresh_buf));
+    assert_eq!(
+        report.launches[1].total.cache,
+        fresh.take_profile_report().launches[0].total.cache
     );
 }
 
 #[test]
 fn reports_without_memsim_carry_no_cache_fields() {
     let mut gpu = Gpu::new(DeviceConfig::test_tiny());
-    gpu.set_profiling(true);
-    assert!(!gpu.memsim());
+    gpu.instruments_mut().profiling = true;
+    assert!(!gpu.instruments().memsim);
     let buf = gpu.alloc::<u32>(256, 0);
     gpu.launch_named("plain", 2, |block, _| {
         block.parallel_for(64, |lane, i| {
@@ -152,9 +175,10 @@ fn reports_without_memsim_carry_no_cache_fields() {
 /// `profile_counters` determinism fixture, with memsim on).
 fn run_at(threads: usize) -> ProfileReport {
     let mut gpu = Gpu::new(DeviceConfig::test_tiny());
-    gpu.set_host_threads(threads);
-    gpu.set_profiling(true);
-    gpu.set_memsim(true);
+    let ins = gpu.instruments_mut();
+    ins.host_threads = threads;
+    ins.profiling = true;
+    ins.memsim = true;
     let buf = gpu.alloc::<u32>(4096, 0).named("adj");
     let acc = gpu.alloc::<u32>(8, 0).named("bc");
     for round in 0..3usize {

@@ -12,8 +12,9 @@ where
     F: Fn(&mut dynbc_gpusim::BlockCtx, usize, &GpuBuffer<u32>) + Sync,
 {
     let mut gpu = Gpu::new(DeviceConfig::test_tiny());
+    gpu.instruments_mut().profiling = true;
     let buf = gpu.alloc(len, 0);
-    let (_report, _launch) = gpu.launch_profiled("test", 1, |block, b| f(block, b, &buf));
+    gpu.launch_named("test", 1, |block, b| f(block, b, &buf));
     gpu.take_profile_report()
 }
 
@@ -176,10 +177,10 @@ fn stage_labels_partition_counters_in_first_touch_order() {
 }
 
 #[test]
-fn launch_profiled_returns_the_pushed_launch_and_unprofiled_runs_record_nothing() {
+fn profiling_switch_records_each_launch_and_unprofiled_runs_record_nothing() {
     let mut gpu = Gpu::new(DeviceConfig::test_tiny());
     let buf = gpu.alloc::<u32>(64, 0);
-    assert!(!gpu.profiling());
+    assert!(!gpu.instruments().profiling);
     // Unprofiled launch: no entries accumulate.
     gpu.launch_named("plain", 2, |block, _| {
         block.parallel_for(4, |lane, i| {
@@ -188,13 +189,15 @@ fn launch_profiled_returns_the_pushed_launch_and_unprofiled_runs_record_nothing(
         block.barrier();
     });
     assert!(gpu.profile_report().launches.is_empty());
-    // Profiled launch: returned LaunchProfile equals the accumulated one.
-    let (_r, launch) = gpu.launch_profiled("profiled", 2, |block, _| {
+    // Profiled launch: its LaunchProfile is the report's last entry.
+    gpu.instruments_mut().profiling = true;
+    gpu.launch_named("profiled", 2, |block, _| {
         block.parallel_for(4, |lane, i| {
             lane.read(&buf, i);
         });
         block.barrier();
     });
+    let launch = gpu.profile_report().launches.last().unwrap().clone();
     assert_eq!(launch.kernel, "profiled");
     assert_eq!(launch.num_blocks, 2);
     let report = gpu.take_profile_report();
@@ -207,8 +210,8 @@ fn launch_profiled_returns_the_pushed_launch_and_unprofiled_runs_record_nothing(
 /// counter footprints), run at several host-thread counts.
 fn run_at(threads: usize) -> ProfileReport {
     let mut gpu = Gpu::new(DeviceConfig::test_tiny());
-    gpu.set_host_threads(threads);
-    gpu.set_profiling(true);
+    gpu.instruments_mut().host_threads = threads;
+    gpu.instruments_mut().profiling = true;
     let buf = gpu.alloc::<u32>(4096, 0);
     let acc = gpu.alloc::<u32>(8, 0);
     for round in 0..3usize {

@@ -42,10 +42,9 @@ pub const UNSAFE_SAFETY: &str = "unsafe-safety";
 /// must use the per-block `bc_delta` slab pattern (drained in
 /// block-index order) or carry a reasoned annotation.
 pub const FLOAT_ACCUMULATION: &str = "float-accumulation";
-/// `named-launches`: kernel launches go through the
-/// `launch_named`/`launch_checked`/`launch_profiled` family and
-/// kernel-side `GpuBuffer`s are `.named(…)`, so racecheck/prof reports
-/// stay attributable.
+/// `named-launches`: kernel launches go through `launch_named` or
+/// `launch_checked` and kernel-side `GpuBuffer`s are `.named(…)`, so
+/// racecheck/prof reports stay attributable.
 pub const NAMED_LAUNCHES: &str = "named-launches";
 /// `hot-path-rebuild`: no full CSR canonicalization (`.to_csr()` /
 /// `from_edge_list(`) in the batch-update hot paths — the slack store
@@ -590,8 +589,8 @@ fn named_launches(file: &SourceFile, allows: &[Allow], findings: &mut Vec<Findin
                 &file.path,
                 i + 1,
                 NAMED_LAUNCHES,
-                "anonymous kernel launch: use launch_named/launch_checked/\
-                 launch_profiled so racecheck and profiler reports stay attributable",
+                "anonymous kernel launch: use launch_named/launch_checked so \
+                 racecheck and profiler reports stay attributable",
             ));
         }
         if BUFFER_CTORS.iter().any(|c| code.contains(c))

@@ -291,7 +291,7 @@ pub struct BlockSpan {
 /// from [`ProfileReport::to_json`].
 #[derive(Debug, Clone)]
 pub struct LaunchProfile {
-    /// Kernel name as passed to `Gpu::launch_named`/`launch_profiled`.
+    /// Kernel name as passed to `Gpu::launch_named`/`launch_checked`.
     pub kernel: String,
     /// Ordinal of this launch on its `Gpu` (0-based).
     pub index: u64,

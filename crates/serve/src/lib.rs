@@ -39,7 +39,7 @@ pub use service::BcService;
 pub use shard::{RankChange, RankWatcher, Shard, ShardEngine, SubmitError};
 pub use snapshot::{Snapshot, SnapshotHandle, SnapshotReader};
 
-use dynbc_gpusim::knob;
+use dynbc_gpusim::{knob, Instruments};
 
 /// Configuration of a shard's ingest and batching behaviour.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +72,7 @@ impl ServeConfig {
         Self {
             queue_cap: knob::parse_from_env(knob::SERVE_QUEUE_CAP_ENV, d.queue_cap).max(1),
             batch_max: knob::parse_from_env(knob::SERVE_BATCH_MAX_ENV, d.batch_max).max(1),
-            telemetry: knob::flag_from_env(knob::TELEMETRY_ENV),
+            telemetry: Instruments::from_env().telemetry,
         }
     }
 }

@@ -148,10 +148,9 @@ fn cpu_engine() -> ShardEngine {
 fn gpu_engine(host_threads: usize) -> ShardEngine {
     let el = ring(24);
     let sources: Vec<VertexId> = (0..24).step_by(2).collect();
-    ShardEngine::gpu(
-        GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node)
-            .with_host_threads(host_threads),
-    )
+    let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node);
+    eng.set_host_threads(host_threads);
+    ShardEngine::gpu(eng)
 }
 
 #[test]
@@ -190,11 +189,11 @@ fn gpu_shard_churn_snapshots_match_oracle() {
     let (el, sources, ops) = churn();
     for backend in [Backend::Simulator, Backend::Native] {
         let mk = || {
-            ShardEngine::gpu(
+            let mut eng =
                 GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node)
-                    .with_backend(backend)
-                    .with_host_threads(2),
-            )
+                    .with_backend(backend);
+            eng.set_host_threads(2);
+            ShardEngine::gpu(eng)
         };
         race_readers_against_writer(&mk, &ops, 2);
     }

@@ -40,9 +40,9 @@ fn run_stream(
     seed: u64,
 ) -> (u64, KernelStats, StateBits) {
     let n = el.vertex_count() as u32;
-    let mut eng =
-        GpuDynamicBc::new(el, sources, DeviceConfig::test_tiny(), par).with_host_threads(threads);
-    assert_eq!(eng.host_threads(), threads.max(1));
+    let mut eng = GpuDynamicBc::new(el, sources, DeviceConfig::test_tiny(), par);
+    eng.set_host_threads(threads);
+    assert_eq!(eng.instruments().host_threads, threads.max(1));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut done = 0;
     while done < events {

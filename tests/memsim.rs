@@ -220,7 +220,7 @@ fn memsim_env_knob_enables_collection_and_implies_profiling() {
     std::env::set_var(MEMSIM_ENV, "1");
     let mut eng = GpuDynamicBc::new(&el, &[0, 3], DeviceConfig::test_tiny(), Parallelism::Node);
     std::env::remove_var(MEMSIM_ENV);
-    assert!(eng.memsim());
+    assert!(eng.instruments().memsim);
     // Profiling was never switched on, yet memsim launches still record
     // profiles (cache counters ride in LaunchProfile).
     eng.insert_edge(0, 5);

@@ -126,7 +126,7 @@ fn profile_env_knob_enables_collection() {
     std::env::set_var(PROFILE_ENV, "1");
     let mut eng = GpuDynamicBc::new(&el, &[0, 3], DeviceConfig::test_tiny(), Parallelism::Node);
     std::env::remove_var(PROFILE_ENV);
-    assert!(eng.profiling());
+    assert!(eng.instruments().profiling);
     eng.insert_edge(0, 5);
     assert!(!eng.profile_report().launches.is_empty());
 }

@@ -28,7 +28,9 @@ use rand::{Rng, SeedableRng};
 fn gpu() -> Gpu {
     // Fixtures assert on reports, so launches must not panic on errors:
     // force the env default off regardless of DYNBC_RACECHECK.
-    Gpu::new(DeviceConfig::test_tiny()).with_racecheck(false)
+    let mut g = Gpu::new(DeviceConfig::test_tiny());
+    g.instruments_mut().racecheck = false;
+    g
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +174,8 @@ fn racecheck_flags_out_of_bounds_with_buffer_and_index() {
 fn racecheck_same_value_waw_is_a_warning_not_an_error() {
     // The paper's benign-race shape, unannotated: flagged, but only as a
     // warning (the write is provably value-preserving).
-    let mut g = gpu().with_racecheck(true);
+    let mut g = gpu();
+    g.instruments_mut().racecheck = true;
     let cells = g.alloc::<u32>(4, 0).named("t");
     g.launch_named("test_then_set", 1, |block, _| {
         block.parallel_for(4, |lane, _| {
@@ -200,11 +203,11 @@ fn racecheck_volatile_declares_benign_races_clean() {
 
 #[test]
 fn racecheck_env_opt_in_reaches_new_devices() {
-    // Whatever DYNBC_RACECHECK says right now, Gpu::new must agree with
-    // the documented parse (no env mutation here: that would race with
-    // parallel tests).
-    let expect = dynbc::gpusim::racecheck_from_env();
-    assert_eq!(Gpu::new(DeviceConfig::test_tiny()).racecheck(), expect);
+    // Whatever the switch variables say right now, Gpu::new must agree
+    // with the documented parse (no env mutation here: that would race
+    // with parallel tests).
+    let expect = dynbc::gpusim::Instruments::from_env();
+    assert_eq!(Gpu::new(DeviceConfig::test_tiny()).instruments(), expect);
 }
 
 // ---------------------------------------------------------------------------
@@ -250,9 +253,9 @@ fn checked_mixed_stream(par: Parallelism, dedup: DedupStrategy, graph_seed: u64,
     let mut rng = StdRng::seed_from_u64(graph_seed);
     let el = dynbc::graph::gen::er(&mut rng, 30, 60);
     let sources = sample_sources(&mut rng, 30, 6);
-    let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), par)
-        .with_dedup_strategy(dedup)
-        .with_racecheck(true);
+    let mut eng =
+        GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), par).with_dedup_strategy(dedup);
+    eng.set_racecheck(true);
     let n = el.vertex_count() as u32;
     let mut rng = StdRng::seed_from_u64(stream_seed);
     let mut done = 0;
@@ -329,8 +332,8 @@ fn racecheck_clean_d3_lost_subtree_and_disconnection() {
         let mut eng = GpuDynamicBc::new(&el, &[0, 5, 10], DeviceConfig::test_tiny(), {
             Parallelism::Node
         })
-        .with_dedup_strategy(dedup)
-        .with_racecheck(true);
+        .with_dedup_strategy(dedup);
+        eng.set_racecheck(true);
         assert!(eng.remove_edge(0, 1).cases.distant >= 1);
         assert!(eng.remove_edge(8, 9).cases.distant >= 1);
         assert!(eng.checked_launches() > 0, "stream never hit the checker");
@@ -357,8 +360,8 @@ fn racecheck_clean_force_general_stream() {
     let sources = sample_sources(&mut rng, 24, 4);
     for par in [Parallelism::Node, Parallelism::Edge] {
         let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), par)
-            .with_force_general(true)
-            .with_racecheck(true);
+            .with_force_general(true);
+        eng.set_racecheck(true);
         let mut done = 0;
         let mut rng = StdRng::seed_from_u64(7);
         while done < 10 {
@@ -413,8 +416,8 @@ fn racecheck_checked_stream_is_cost_and_state_neutral() {
         let el = dynbc::graph::gen::er(&mut rng, 22, 44);
         let sources = sample_sources(&mut rng, 22, 4);
         let mut eng =
-            GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node)
-                .with_racecheck(checked);
+            GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node);
+        eng.set_racecheck(checked);
         let mut rng = StdRng::seed_from_u64(17);
         let mut done = 0;
         while done < 12 {

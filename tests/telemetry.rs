@@ -47,9 +47,9 @@ fn drive(mut apply: impl FnMut(u32, u32)) {
 /// final report.
 fn gpu_telemetry(par: Parallelism, threads: usize) -> Telemetry {
     let (el, sources) = workload();
-    let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), par)
-        .with_telemetry(true)
-        .with_host_threads(threads);
+    let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), par);
+    eng.set_telemetry(true);
+    eng.set_host_threads(threads);
     drive(|a, b| {
         if eng.graph().has_edge(a, b) {
             eng.remove_edge(a, b);
@@ -69,8 +69,8 @@ fn multi_telemetry(threads: usize) -> Telemetry {
         DeviceConfig::test_tiny(),
         Parallelism::Node,
         3,
-    )
-    .with_telemetry(true);
+    );
+    eng.set_telemetry(true);
     eng.set_host_threads(threads);
     drive(|a, b| {
         if eng.graph().has_edge(a, b) {
@@ -132,7 +132,8 @@ fn multi_gpu_metrics_are_bit_identical_across_host_threads() {
 #[test]
 fn cpu_and_gpu_agree_on_model_clock_families() {
     let (el, sources) = workload();
-    let mut cpu = CpuDynamicBc::new(&el, &sources).with_telemetry(true);
+    let mut cpu = CpuDynamicBc::new(&el, &sources);
+    cpu.set_telemetry(true);
     drive(|a, b| {
         if cpu.graph().has_edge(a, b) {
             cpu.remove_edge(a, b);
@@ -163,8 +164,8 @@ fn disabled_mode_is_a_no_op() {
     let _guard = ENV_LOCK.lock().unwrap();
     let (el, sources) = workload();
     let mut plain = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node);
-    let mut telem = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node)
-        .with_telemetry(true);
+    let mut telem = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node);
+    telem.set_telemetry(true);
     assert!(plain.telemetry_report().is_none());
     assert!(!plain.telemetry());
     // Telemetry never changes what an engine computes: identical modeled
@@ -254,8 +255,8 @@ fn stage_spans_split_items_and_native_wall_by_kind() {
     let el = EdgeList::from_pairs(5, [(0, 1), (1, 2), (2, 3), (0, 4)]);
     for backend in [Backend::Simulator, Backend::Native] {
         let mut eng = GpuDynamicBc::new(&el, &[0], DeviceConfig::test_tiny(), Parallelism::Node)
-            .with_backend(backend)
-            .with_telemetry(true);
+            .with_backend(backend);
+        eng.set_telemetry(true);
         eng.apply_batch(&[EdgeOp::Insert(3, 4), EdgeOp::Remove(0, 4)]);
         eng.remove_edge(1, 2);
         let tel = eng.take_telemetry_report().unwrap();
