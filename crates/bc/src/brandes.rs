@@ -35,7 +35,7 @@ pub fn source_pass(g: &Csr, s: VertexId) -> SourcePass {
 }
 
 /// [`source_pass`] over any [`Topology`](crate::topology::Topology) —
-/// also runs directly on the mutable [`DynGraph`](dynbc_graph::DynGraph)
+/// also runs directly on the mutable [`SlackCsr`](dynbc_graph::SlackCsr)
 /// store, which the decremental fallback path needs.
 pub fn source_pass_on<T: crate::topology::Topology>(g: &T, s: VertexId) -> SourcePass {
     let n = g.vertex_count();

@@ -22,8 +22,10 @@
 //!   add/subtract bookkeeping that is only sound when levels are static.
 //!
 //! The engine is instrumented with an [`OpCounter`]; modeled seconds come
-//! from [`CpuConfig::model_seconds`]. Per the paper's methodology, the
-//! graph-structure update itself (STINGER-lite insertion) is not timed.
+//! from [`CpuConfig::model_seconds`]. The graph lives in the same
+//! [`SlackCsr`] store the GPU engines use, mutated through its settled
+//! single-op path; per the paper's methodology, that graph-structure
+//! update itself is not timed.
 
 use crate::brandes::brandes_state;
 use crate::cases::InsertionCase;
@@ -33,7 +35,8 @@ use crate::obs::batch_observation;
 use crate::plan;
 use crate::state::BcState;
 use dynbc_gpusim::{CpuConfig, Instruments, OpCounter};
-use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp, VertexId};
+use dynbc_graph::slack::{DEFAULT_COMPACT_PCT, DEFAULT_SLACK_PCT};
+use dynbc_graph::{Csr, EdgeList, EdgeOp, SlackCsr, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
 use std::collections::VecDeque;
 
@@ -121,7 +124,7 @@ impl Scratch {
 /// Dynamic-BC engine over a mutable graph, keeping state for `k` sources.
 #[derive(Debug, Clone)]
 pub struct CpuDynamicBc {
-    pub(super) graph: DynGraph,
+    pub(super) graph: SlackCsr,
     pub(super) state: BcState,
     pub(super) cpu: CpuConfig,
     pub(super) scratch: Scratch,
@@ -139,13 +142,11 @@ impl CpuDynamicBc {
     pub fn new(el: &EdgeList, sources: &[VertexId]) -> Self {
         let csr = Csr::from_edge_list(el);
         let state = brandes_state(&csr, sources);
-        let graph = DynGraph::from_edge_list(el);
-        let n = el.vertex_count();
         Self {
-            graph,
+            graph: SlackCsr::from_csr(&csr, DEFAULT_SLACK_PCT, DEFAULT_COMPACT_PCT),
             state,
             cpu: CpuConfig::i7_2600k(),
-            scratch: Scratch::new(n),
+            scratch: Scratch::new(el.vertex_count()),
             total_ops: OpCounter::new(),
             model_clock_s: 0.0,
             telemetry: Instruments::from_env()
@@ -197,7 +198,7 @@ impl CpuDynamicBc {
     }
 
     /// The engine's current graph.
-    pub fn graph(&self) -> &DynGraph {
+    pub fn graph(&self) -> &SlackCsr {
         &self.graph
     }
 
@@ -261,7 +262,11 @@ impl CpuDynamicBc {
             // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
             let op_t = tel_on.then(std::time::Instant::now);
             let mut ops = OpCounter::new();
-            self.graph.apply_op(op);
+            let committed = match op {
+                EdgeOp::Insert(u, v) => self.graph.insert_edge(u, v),
+                EdgeOp::Remove(u, v) => self.graph.remove_edge(u, v),
+            };
+            debug_assert!(committed, "validated op {op} must commit");
             let planned = plan::plan_op(&self.state.d, op, |v| self.graph.neighbors(v));
             // Classification charge: one two-load compare per source,
             // plus the surviving-predecessor scans for removals.
@@ -346,6 +351,9 @@ impl CpuDynamicBc {
             }
             batch_ops.add(&ops);
         }
+        // No device mirror reads the store's delta journal here; drain it
+        // so a long-lived engine does not accumulate it.
+        self.graph.take_deltas();
         self.total_ops.add(&batch_ops);
         let model_seconds = self.cpu.model_seconds(&batch_ops);
         let wall_seconds = wall_start.elapsed().as_secs_f64();
@@ -388,7 +396,7 @@ impl CpuDynamicBc {
 /// Returns the number of touched vertices.
 #[allow(clippy::too_many_arguments)]
 fn case2_update(
-    g: &DynGraph,
+    g: &SlackCsr,
     s: VertexId,
     u_high: VertexId,
     u_low: VertexId,
@@ -507,7 +515,7 @@ fn case2_update(
 /// Returns the number of touched vertices.
 #[allow(clippy::too_many_arguments)]
 fn case3_update(
-    g: &DynGraph,
+    g: &SlackCsr,
     s: VertexId,
     u_high: VertexId,
     u_low: VertexId,
@@ -549,14 +557,14 @@ fn case3_update(
             // is smaller and fully drained); untouched ones kept their old
             // values.
             let mut sig = 0.0;
-            g.for_each_neighbor_counted(v, ops, |x, _| {
+            for_each_neighbor_counted(g, v, ops, |x, _| {
                 if scr.dist(d, x) as usize + 1 == level {
                     sig += scr.sig(sigma, x);
                 }
             });
             scr.sigma_hat[v as usize] = sig;
             // Expand: relocate farther neighbours, mark next-level ones.
-            g.for_each_neighbor_counted(v, ops, |w, scr_ops| {
+            for_each_neighbor_counted(g, v, ops, |w, scr_ops| {
                 let dw = scr.dist(d, w);
                 let next = level as u32 + 1;
                 if dw > next {
@@ -597,7 +605,7 @@ fn case3_update(
         i += 1;
         let dw_new = scr.dist(d, w);
         let dw_old = d[w as usize];
-        g.for_each_neighbor_counted(w, ops, |x, _| {
+        for_each_neighbor_counted(g, w, ops, |x, _| {
             if scr.t[x as usize] != T_UNTOUCHED {
                 return;
             }
@@ -629,7 +637,7 @@ fn case3_update(
             ops.queue_ops += 1;
             let shat_w = scr.sigma_hat[w as usize];
             let mut acc = 0.0;
-            g.for_each_neighbor_counted(w, ops, |x, scr_ops| {
+            for_each_neighbor_counted(g, w, ops, |x, scr_ops| {
                 if scr.dist(d, x) as usize == level + 1 {
                     scr_ops.accums += 1;
                     let (sx, dx) = if scr.t[x as usize] != T_UNTOUCHED {
@@ -664,26 +672,15 @@ fn case3_update(
 
 /// Neighbour iteration that also counts edge traversals — keeps the
 /// instrumentation inseparable from the traversal, like the GPU side.
-trait CountedNeighbors {
-    fn for_each_neighbor_counted<F: FnMut(VertexId, &mut OpCounter)>(
-        &self,
-        v: VertexId,
-        ops: &mut OpCounter,
-        f: F,
-    );
-}
-
-impl CountedNeighbors for DynGraph {
-    fn for_each_neighbor_counted<F: FnMut(VertexId, &mut OpCounter)>(
-        &self,
-        v: VertexId,
-        ops: &mut OpCounter,
-        mut f: F,
-    ) {
-        for w in self.neighbors(v) {
-            ops.edges += 1;
-            f(w, ops);
-        }
+fn for_each_neighbor_counted<F: FnMut(VertexId, &mut OpCounter)>(
+    g: &SlackCsr,
+    v: VertexId,
+    ops: &mut OpCounter,
+    mut f: F,
+) {
+    for w in g.neighbors(v) {
+        ops.edges += 1;
+        f(w, ops);
     }
 }
 
@@ -831,12 +828,16 @@ mod tests {
         let n = 300;
         let el = gen::ba(&mut rng, n, 3);
         let sources: Vec<u32> = (0..n as u32).step_by(17).collect();
-        let mut probe = DynGraph::from_edge_list(&el);
+        let mut probe = el.clone();
         let mut ops = Vec::new();
         while ops.len() < 8 {
             let a = rng.gen_range(0..n as u32);
             let b = rng.gen_range(0..n as u32);
-            let op = match probe.neighbors(a).next() {
+            let first_neighbor = probe
+                .edges()
+                .iter()
+                .find_map(|&(x, y)| (x == a).then_some(y).or((y == a).then_some(x)));
+            let op = match first_neighbor {
                 Some(w) if ops.len() % 2 == 1 => EdgeOp::Remove(a, w),
                 _ => EdgeOp::Insert(a, b),
             };
@@ -866,7 +867,7 @@ mod tests {
         .unwrap_err();
         let msg = err.downcast_ref::<String>().expect("formatted panic");
         assert!(msg.contains("out of range"), "{msg}");
-        assert_eq!(eng.graph().to_edge_list(), el);
+        assert_eq!(eng.graph().to_csr().to_edge_list(), el);
         assert_eq!(eng.state().bc, bc);
     }
 

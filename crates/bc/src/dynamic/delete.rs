@@ -173,7 +173,7 @@ impl CpuDynamicBc {
         let n = self.graph.vertex_count();
         let pass = source_pass_on(&self.graph, s);
         // Model cost: one full SSSP + accumulation over the graph.
-        ops.edges += 4 * self.graph.edge_count() as u64;
+        ops.edges += 4 * (self.graph.arc_count() / 2) as u64;
         ops.inits += 3 * n as u64;
         ops.queue_ops += n as u64;
         ops.accums += n as u64;
@@ -289,7 +289,7 @@ mod tests {
             let mut eng = CpuDynamicBc::new(&el, &sources);
             let mut removed = 0;
             while removed < 8 {
-                let edges = eng.graph().to_edge_list();
+                let edges = eng.graph().to_csr().to_edge_list();
                 if edges.edge_count() == 0 {
                     break;
                 }

@@ -17,7 +17,7 @@ use super::engine::{GpuDynamicBc, Parallelism};
 use super::exec::Backend;
 use crate::dynamic::result::{BatchResult, UpdateResult};
 use crate::obs::batch_observation;
-use dynbc_gpusim::{CacheConfig, CacheCounters, DeviceConfig, Instruments, ProfileReport};
+use dynbc_gpusim::{CacheCounters, DeviceConfig, Instruments, ProfileReport};
 use dynbc_graph::{EdgeList, EdgeOp, SlackCsr, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
 
@@ -70,11 +70,6 @@ impl MultiGpuDynamicBc {
         self.devices.iter_mut().for_each(f);
     }
 
-    /// Sums a per-device counter over all devices.
-    fn sum(&self, f: impl Fn(&GpuDynamicBc) -> u64) -> u64 {
-        self.devices.iter().map(f).sum()
-    }
-
     /// Pins the host-thread count on every simulated device (results are
     /// bit-identical for any value; see [`GpuDynamicBc::set_host_threads`]).
     pub fn set_host_threads(&mut self, threads: usize) {
@@ -99,12 +94,6 @@ impl MultiGpuDynamicBc {
         self.each(|d| d.set_memsim(on));
     }
 
-    /// Overrides the modeled cache geometry on every device (see
-    /// [`GpuDynamicBc::set_cache_config`]).
-    pub fn set_cache_config(&mut self, cfg: CacheConfig) {
-        self.each(|d| d.set_cache_config(cfg));
-    }
-
     /// Selects the execution backend on every device (see
     /// [`GpuDynamicBc::set_backend`]); results are bit-identical across
     /// backends.
@@ -112,26 +101,12 @@ impl MultiGpuDynamicBc {
         self.each(|d| d.set_backend(backend));
     }
 
-    /// Stages the hybrid router sent down the sequential CPU path, summed
-    /// over all devices.
-    pub fn router_cpu_stages(&self) -> u64 {
-        self.sum(GpuDynamicBc::router_cpu_stages)
-    }
-
-    /// Stages the hybrid router sent to the parallel native backend,
-    /// summed over all devices.
-    pub fn router_native_stages(&self) -> u64 {
-        self.sum(GpuDynamicBc::router_native_stages)
-    }
-
     /// Warning-severity racecheck diagnostics summed over all devices.
     pub fn racecheck_warnings(&self) -> u64 {
-        self.sum(GpuDynamicBc::racecheck_warnings)
-    }
-
-    /// Launches that ran under the racechecker, summed over all devices.
-    pub fn checked_launches(&self) -> u64 {
-        self.sum(GpuDynamicBc::checked_launches)
+        self.devices
+            .iter()
+            .map(GpuDynamicBc::racecheck_warnings)
+            .sum()
     }
 
     /// Enables/disables engine-level telemetry.

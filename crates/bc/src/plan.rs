@@ -234,7 +234,14 @@ pub fn validate_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynbc_graph::DynGraph;
+    use dynbc_graph::{Csr, EdgeList};
+
+    /// The CSR of `pairs` after applying `op` to them.
+    fn after(n: usize, pairs: &[(VertexId, VertexId)], op: EdgeOp) -> Csr {
+        let mut el = EdgeList::from_pairs(n, pairs.iter().copied());
+        assert!(el.apply_op(op));
+        Csr::from_edge_list(&el)
+    }
 
     #[test]
     fn same_level_is_case1() {
@@ -283,13 +290,9 @@ mod tests {
     fn removal_with_surviving_predecessor_is_d2() {
         // Path 0-1-3 plus 0-2-3: removing (1,3) leaves predecessor 2 at
         // level 1, so distances from source 0 hold → D2 (Adjacent).
-        let mut g = DynGraph::new(4);
-        for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
-            g.insert_edge(u, v);
-        }
+        let g = after(4, &[(0, 1), (0, 2), (1, 3), (2, 3)], EdgeOp::Remove(1, 3));
         let d = [0u32, 1, 1, 2];
-        g.remove_edge(1, 3);
-        let c = classify_removal(&d, 1, 3, |x| g.neighbors(x));
+        let c = classify_removal(&d, 1, 3, |x| g.neighbors(x).iter().copied());
         assert_eq!(c.case, InsertionCase::Adjacent);
         assert_eq!((c.u_high, c.u_low), (1, 3));
     }
@@ -297,26 +300,19 @@ mod tests {
     #[test]
     fn removal_of_sole_predecessor_is_d3() {
         // Path 0-1-2: removing (1,2) orphans vertex 2 → D3 (Distant).
-        let mut g = DynGraph::new(3);
-        g.insert_edge(0, 1);
-        g.insert_edge(1, 2);
+        let g = after(3, &[(0, 1), (1, 2)], EdgeOp::Remove(1, 2));
         let d = [0u32, 1, 2];
-        g.remove_edge(1, 2);
-        let c = classify_removal(&d, 2, 1, |x| g.neighbors(x));
+        let c = classify_removal(&d, 2, 1, |x| g.neighbors(x).iter().copied());
         assert_eq!(c.case, InsertionCase::Distant);
         assert_eq!((c.u_high, c.u_low), (1, 2));
     }
 
     #[test]
     fn removal_at_equal_levels_is_d1() {
-        let mut g = DynGraph::new(4);
-        for (u, v) in [(0, 1), (0, 2), (1, 2)] {
-            g.insert_edge(u, v);
-        }
+        let g = after(4, &[(0, 1), (0, 2), (1, 2)], EdgeOp::Remove(1, 2));
         let d = [0u32, 1, 1, INF];
-        g.remove_edge(1, 2);
         assert_eq!(
-            classify_removal(&d, 1, 2, |x| g.neighbors(x)).case,
+            classify_removal(&d, 1, 2, |x| g.neighbors(x).iter().copied()).case,
             InsertionCase::Same
         );
     }
@@ -326,12 +322,9 @@ mod tests {
         // Star around 0; inserting (1, 2) is Case 1 for the source row
         // seeing both endpoints at level 1, Case 2 for the row seeing
         // levels 2 and 1 (insert classification reads only distances).
-        let mut g = DynGraph::new(4);
-        for w in 1..4 {
-            g.insert_edge(0, w);
-        }
+        let g = Csr::from_edge_list(&EdgeList::from_pairs(4, [(0, 1), (0, 2), (0, 3)]));
         let d = vec![vec![0u32, 1, 1, 1], vec![1u32, 2, 1, 0]];
-        let p = plan_op(&d, EdgeOp::Insert(1, 2), |x| g.neighbors(x));
+        let p = plan_op(&d, EdgeOp::Insert(1, 2), |x| g.neighbors(x).iter().copied());
         assert!(!g.has_edge(1, 2), "plan_op does not commit the op");
         assert_eq!(p.cases.same, 1);
         assert_eq!(p.cases.adjacent, 1);
@@ -346,37 +339,31 @@ mod tests {
         // Diamond 0-1-3, 0-2-3 plus leaf 3-4: removing (1,3) is D2 for
         // source 0, and the surviving-predecessor scan charges vertex
         // 3's degree after the removal (2: vertices 2 and 4).
-        let mut g = DynGraph::new(5);
-        for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)] {
-            g.insert_edge(u, v);
-        }
-        let d = vec![vec![0u32, 1, 1, 2, 3]];
         let op = EdgeOp::Remove(1, 3);
-        assert!(g.apply_op(op));
-        let p = plan_op(&d, op, |x| g.neighbors(x));
+        let g = after(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], op);
+        let d = vec![vec![0u32, 1, 1, 2, 3]];
+        let p = plan_op(&d, op, |x| g.neighbors(x).iter().copied());
         assert_eq!(p.cases.adjacent, 1);
         assert_eq!(p.scan_edges, 2);
     }
 
     #[test]
     fn stage_cut_on_distance_changing_item() {
-        let mut g = DynGraph::new(4);
-        g.insert_edge(0, 1);
+        let g = Csr::from_edge_list(&EdgeList::from_pairs(4, [(0, 1)]));
         // Source 0: vertex 3 unreachable → component merge → Distant.
         let d = vec![vec![0u32, 1, INF, INF]];
-        let p = plan_op(&d, EdgeOp::Insert(1, 2), |x| g.neighbors(x));
+        let p = plan_op(&d, EdgeOp::Insert(1, 2), |x| g.neighbors(x).iter().copied());
         assert!(p.cuts_stage());
     }
 
-    fn validate(g: &DynGraph, ops: &[EdgeOp]) -> Result<(), BatchOpError> {
-        validate_batch(g.vertex_count(), |u, v| g.has_edge(u, v), ops)
+    fn validate(g: &EdgeList, ops: &[EdgeOp]) -> Result<(), BatchOpError> {
+        validate_batch(g.vertex_count(), |u, v| g.contains(u, v), ops)
     }
 
     #[test]
     fn validate_batch_leaves_graph_untouched() {
-        let mut g = DynGraph::new(5);
-        g.insert_edge(0, 1);
-        let before = g.to_edge_list();
+        let g = EdgeList::from_pairs(5, [(0, 1)]);
+        let before = g.clone();
         // Inserting then removing the same edge within one batch, and
         // removing then re-inserting one, are both valid.
         validate(
@@ -389,16 +376,15 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(g.to_edge_list(), before);
+        assert_eq!(g, before);
         // A failed validation leaves the graph unchanged as well.
         validate(&g, &[EdgeOp::Remove(0, 1), EdgeOp::Remove(1, 0)]).unwrap_err();
-        assert_eq!(g.to_edge_list(), before);
+        assert_eq!(g, before);
     }
 
     #[test]
     fn validate_batch_reports_duplicate_insert_at_its_index() {
-        let mut g = DynGraph::new(6);
-        g.insert_edge(0, 1);
+        let g = EdgeList::from_pairs(6, [(0, 1)]);
         // Op 2 re-inserts the edge op 0 already inserted.
         let err = validate(
             &g,
@@ -416,8 +402,7 @@ mod tests {
 
     #[test]
     fn validate_batch_rejects_bad_ops() {
-        let mut g = DynGraph::new(4);
-        g.insert_edge(0, 1);
+        let g = EdgeList::from_pairs(4, [(0, 1)]);
         for (op, kind, phrase) in [
             (
                 EdgeOp::Insert(1, 1),

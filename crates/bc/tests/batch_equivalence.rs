@@ -8,7 +8,7 @@ use dynbc_bc::dynamic::CpuDynamicBc;
 use dynbc_bc::gpu::{Backend, GpuDynamicBc, MultiGpuDynamicBc, Parallelism};
 use dynbc_bc::CaseCounts;
 use dynbc_gpusim::DeviceConfig;
-use dynbc_graph::{gen, Csr, DynGraph, EdgeList, EdgeOp};
+use dynbc_graph::{gen, Csr, EdgeList, EdgeOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,10 +35,11 @@ fn arb_graph() -> impl Strategy<Value = EdgeList> {
 /// an insertion otherwise, tracked against a probe graph so the stream
 /// never contains self loops, duplicate insertions, or absent removals.
 /// Also returns the probe's final graph: an oracle for the engines'
-/// stores that shares no code with them.
+/// stores that shares no code with them (a sorted `EdgeList`, not a
+/// `SlackCsr`).
 fn op_stream(el: &EdgeList, seed: u64, len: usize) -> (Vec<EdgeOp>, Csr) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut probe = DynGraph::from_edge_list(el);
+    let mut probe = el.clone();
     let n = probe.vertex_count() as u32;
     let mut ops = Vec::new();
     let mut attempts = 0;
@@ -49,7 +50,7 @@ fn op_stream(el: &EdgeList, seed: u64, len: usize) -> (Vec<EdgeOp>, Csr) {
         if a == b {
             continue;
         }
-        let op = if probe.has_edge(a, b) {
+        let op = if probe.contains(a, b) {
             EdgeOp::Remove(a, b)
         } else {
             EdgeOp::Insert(a, b)
@@ -57,7 +58,7 @@ fn op_stream(el: &EdgeList, seed: u64, len: usize) -> (Vec<EdgeOp>, Csr) {
         assert!(probe.apply_op(op));
         ops.push(op);
     }
-    (ops, probe.to_csr())
+    (ops, Csr::from_edge_list(&probe))
 }
 
 fn sources_for(el: &EdgeList) -> Vec<u32> {
@@ -91,7 +92,7 @@ proptest! {
 
     #[test]
     fn cpu_batch_is_bit_identical_to_sequential(el in arb_graph(), seed in 0u64..1_000, len in 2usize..8) {
-        let (ops, _) = op_stream(&el, seed, len);
+        let (ops, probe) = op_stream(&el, seed, len);
         if ops.is_empty() { return Ok(()); }
         let (seq_bits, seq_cases) = sequential_cpu(&el, &ops);
 
@@ -102,6 +103,7 @@ proptest! {
             prop_assert_eq!(op.cases, seq_cases[i], "op {} case tallies", i);
         }
         prop_assert_eq!(bits(&eng.state().bc), seq_bits, "CPU batched BC bits");
+        prop_assert_eq!(eng.graph().to_csr(), probe, "CPU: store");
     }
 
     #[test]
@@ -179,20 +181,24 @@ proptest! {
 /// a random existing edge, the rest insert a random absent pair.
 fn churn_stream(el: &EdgeList, seed: u64, len: usize) -> Vec<EdgeOp> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut probe = DynGraph::from_edge_list(el);
+    let mut probe = el.clone();
     let n = probe.vertex_count() as u32;
     let mut ops = Vec::with_capacity(len);
     while ops.len() < len {
         let a = rng.gen_range(0..n);
         let op = if rng.gen_bool(0.75) {
-            let nbrs: Vec<u32> = probe.neighbors(a).collect();
+            let nbrs: Vec<u32> = probe
+                .edges()
+                .iter()
+                .filter_map(|&(x, y)| (x == a).then_some(y).or((y == a).then_some(x)))
+                .collect();
             if nbrs.is_empty() {
                 continue;
             }
             EdgeOp::Remove(a, nbrs[rng.gen_range(0..nbrs.len())])
         } else {
             let b = rng.gen_range(0..n);
-            if a == b || probe.has_edge(a, b) {
+            if a == b || probe.contains(a, b) {
                 continue;
             }
             EdgeOp::Insert(a, b)

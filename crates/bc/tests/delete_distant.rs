@@ -16,7 +16,7 @@ use dynbc_bc::dynamic::OpOutcome;
 use dynbc_bc::gpu::{Backend, GpuDynamicBc, Parallelism};
 use dynbc_bc::BcState;
 use dynbc_gpusim::DeviceConfig;
-use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp};
+use dynbc_graph::{Csr, EdgeList, EdgeOp};
 
 const INF: u32 = u32::MAX;
 
@@ -61,11 +61,11 @@ fn assert_matches_brandes(st: &BcState, fresh: &BcState, ctx: &str) {
 /// two against each other and against Brandes on the final graph, and
 /// returns the simulator's per-op outcomes and final state.
 fn check(el: &EdgeList, sources: &[u32], ops: &[EdgeOp]) -> (Vec<OpOutcome>, BcState) {
-    let mut probe = DynGraph::from_edge_list(el);
+    let mut probe = el.clone();
     for &op in ops {
         assert!(probe.apply_op(op));
     }
-    let fresh = brandes_state(&probe.to_csr(), sources);
+    let fresh = brandes_state(&Csr::from_edge_list(&probe), sources);
     let mut sim = engine(el, sources, Backend::Simulator);
     let mut native = engine(el, sources, Backend::Native);
     let sim_ops = sim.apply_batch(ops).per_op;

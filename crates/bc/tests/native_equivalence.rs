@@ -13,7 +13,7 @@ use dynbc_bc::brandes::brandes_state;
 use dynbc_bc::dynamic::{OpOutcome, SourceOutcome};
 use dynbc_bc::gpu::{Backend, GpuDynamicBc, MultiGpuDynamicBc, Parallelism};
 use dynbc_gpusim::DeviceConfig;
-use dynbc_graph::{gen, DynGraph, EdgeList, EdgeOp};
+use dynbc_graph::{gen, Csr, EdgeList, EdgeOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,7 +41,7 @@ fn arb_graph() -> impl Strategy<Value = EdgeList> {
 /// never contains self loops, duplicate insertions, or absent removals.
 fn op_stream(el: &EdgeList, seed: u64, len: usize) -> Vec<EdgeOp> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut probe = DynGraph::from_edge_list(el);
+    let mut probe = el.clone();
     let n = probe.vertex_count() as u32;
     let mut ops = Vec::new();
     let mut attempts = 0;
@@ -52,7 +52,7 @@ fn op_stream(el: &EdgeList, seed: u64, len: usize) -> Vec<EdgeOp> {
         if a == b {
             continue;
         }
-        let op = if probe.has_edge(a, b) {
+        let op = if probe.contains(a, b) {
             EdgeOp::Remove(a, b)
         } else {
             EdgeOp::Insert(a, b)
@@ -181,25 +181,29 @@ fn removal_stream(
     seed: u64,
     len: usize,
     bridge_at: usize,
-) -> (Vec<EdgeOp>, DynGraph) {
+) -> (Vec<EdgeOp>, EdgeList) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut probe = DynGraph::from_edge_list(el);
+    let mut probe = el.clone();
     let n = probe.vertex_count() as u32;
     let bridge = (0, n - 4);
     let mut ops = Vec::new();
     while ops.len() < len {
         let a = rng.gen_range(0..n);
-        let op = if ops.len() == bridge_at && probe.has_edge(bridge.0, bridge.1) {
+        let op = if ops.len() == bridge_at && probe.contains(bridge.0, bridge.1) {
             EdgeOp::Remove(bridge.0, bridge.1)
         } else if rng.gen_bool(0.75) {
-            let nbrs: Vec<u32> = probe.neighbors(a).collect();
+            let nbrs: Vec<u32> = probe
+                .edges()
+                .iter()
+                .filter_map(|&(x, y)| (x == a).then_some(y).or((y == a).then_some(x)))
+                .collect();
             if nbrs.is_empty() {
                 continue;
             }
             EdgeOp::Remove(a, nbrs[rng.gen_range(0..nbrs.len())])
         } else {
             let b = rng.gen_range(0..n);
-            if a == b || probe.has_edge(a, b) {
+            if a == b || probe.contains(a, b) {
                 continue;
             }
             EdgeOp::Insert(a, b)
@@ -261,7 +265,7 @@ proptest! {
                 "{} batched={}: BC bits vs batched simulator", backend, batched
             );
         }
-        let fresh = brandes_state(&after.to_csr(), &sources);
+        let fresh = brandes_state(&Csr::from_edge_list(&after), &sources);
         for i in 0..sources.len() {
             prop_assert_eq!(&sim.d[i], &fresh.d[i], "d, source row {}", i);
             for v in 0..sim.n {

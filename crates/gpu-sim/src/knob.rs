@@ -60,15 +60,6 @@ pub const INSERTIONS_ENV: &str = "DYNBC_INSERTIONS";
 /// Master seed for the bench harnesses' graph/stream generators.
 pub const SEED_ENV: &str = "DYNBC_SEED";
 
-/// Per-row slack percentage the engines' device-resident adjacency store
-/// over-allocates (`SlackCsr`): headroom for in-place edge insertions
-/// before a row has to relocate.
-pub const SLACK_FACTOR_ENV: &str = "DYNBC_SLACK_FACTOR";
-
-/// Tombstone percentage (dead slots over occupied slots) above which the
-/// slack store compacts on settle.
-pub const SLACK_COMPACT_ENV: &str = "DYNBC_SLACK_COMPACT";
-
 /// Capacity of a serve shard's bounded ingest queue (`dynbc-serve`):
 /// submissions beyond it are rejected with backpressure.
 pub const SERVE_QUEUE_CAP_ENV: &str = "DYNBC_SERVE_QUEUE_CAP";
@@ -144,16 +135,6 @@ pub const KNOBS: &[Knob] = &[
         name: SEED_ENV,
         default: "20140519",
         doc: "Master seed for graph and update-stream generation",
-    },
-    Knob {
-        name: SLACK_FACTOR_ENV,
-        default: "25",
-        doc: "Per-row slack percentage of the device-resident adjacency store",
-    },
-    Knob {
-        name: SLACK_COMPACT_ENV,
-        default: "25",
-        doc: "Tombstone percentage that triggers slack-store compaction on settle",
     },
     Knob {
         name: SERVE_QUEUE_CAP_ENV,

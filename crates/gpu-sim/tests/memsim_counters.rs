@@ -152,8 +152,10 @@ fn changing_the_cache_geometry_rebuilds_the_persistent_l2() {
 #[test]
 fn reports_without_memsim_carry_no_cache_fields() {
     let mut gpu = Gpu::new(DeviceConfig::test_tiny());
-    gpu.instruments_mut().profiling = true;
-    assert!(!gpu.instruments().memsim);
+    // Pinned, so a `DYNBC_MEMSIM` in the environment cannot turn it on.
+    let ins = gpu.instruments_mut();
+    ins.profiling = true;
+    ins.memsim = false;
     let buf = gpu.alloc::<u32>(256, 0);
     gpu.launch_named("plain", 2, |block, _| {
         block.parallel_for(64, |lane, i| {

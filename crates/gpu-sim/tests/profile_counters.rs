@@ -180,7 +180,11 @@ fn stage_labels_partition_counters_in_first_touch_order() {
 fn profiling_switch_records_each_launch_and_unprofiled_runs_record_nothing() {
     let mut gpu = Gpu::new(DeviceConfig::test_tiny());
     let buf = gpu.alloc::<u32>(64, 0);
-    assert!(!gpu.instruments().profiling);
+    // Pinned off (memsim implies profiling), so `DYNBC_PROFILE` or
+    // `DYNBC_MEMSIM` in the environment cannot turn recording on.
+    let ins = gpu.instruments_mut();
+    ins.profiling = false;
+    ins.memsim = false;
     // Unprofiled launch: no entries accumulate.
     gpu.launch_named("plain", 2, |block, _| {
         block.parallel_for(4, |lane, i| {

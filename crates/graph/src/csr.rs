@@ -64,7 +64,7 @@ impl Csr {
     /// Builds a CSR from pre-computed parts: `offsets` of length `n + 1`
     /// and `adj` with each row already sorted ascending. Crate-internal
     /// fast path for snapshotting structures that already know their
-    /// degrees (see [`DynGraph::to_csr`](crate::dynamic::DynGraph::to_csr)).
+    /// degrees (see [`SlackCsr::to_csr`](crate::slack::SlackCsr::to_csr)).
     pub(crate) fn from_sorted_parts(offsets: Vec<usize>, adj: Vec<VertexId>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert_eq!(*offsets.last().unwrap(), adj.len());

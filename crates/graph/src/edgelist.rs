@@ -4,8 +4,10 @@
 //! deduplicated, self-loop-free list of undirected edges stored with
 //! `u < v`. It is the interchange format between generators, I/O, the
 //! immutable [`Csr`](crate::csr::Csr) snapshot and the mutable
-//! [`DynGraph`](crate::dynamic::DynGraph) store.
+//! [`SlackCsr`](crate::slack::SlackCsr) store, and the simple edge-set
+//! model the tests check that store against.
 
+use crate::op::EdgeOp;
 use crate::VertexId;
 
 /// A simple undirected graph as a canonical edge list.
@@ -115,6 +117,15 @@ impl EdgeList {
                 self.edges.insert(idx, key);
                 true
             }
+        }
+    }
+
+    /// Applies one [`EdgeOp`]. Returns `false` (changing nothing) for a
+    /// self loop, a duplicate insertion or the removal of an absent edge.
+    pub fn apply_op(&mut self, op: EdgeOp) -> bool {
+        match op {
+            EdgeOp::Insert(u, v) => self.insert_edge(u, v),
+            EdgeOp::Remove(u, v) => self.remove_edges(&[(u, v)]) == 1,
         }
     }
 }

@@ -5,12 +5,12 @@
 //! * [`EdgeList`] — canonical undirected edge lists (generator/I-O
 //!   interchange format);
 //! * [`Csr`] — the immutable R/C adjacency snapshot the kernels consume;
-//! * [`DynGraph`] — a STINGER-lite blocked store for streaming updates,
-//!   the store of the CPU reference engine;
-//! * [`SlackCsr`] — a slack-CSR dynamic adjacency store (per-row gaps,
-//!   tombstoned removals, epoch-versioned batch views): the GPU engines'
-//!   one host graph, mirrored on the device instead of snapshotting a
-//!   fresh [`Csr`] per op;
+//! * [`SlackCsr`] — the one mutable adjacency store, a slack CSR
+//!   (per-row gaps, tombstoned removals, epoch-versioned batch views):
+//!   the host graph of every engine, CPU and GPU, and mirrored on the
+//!   device by the GPU engines instead of snapshotting a fresh [`Csr`]
+//!   per op;
+//! * [`EdgeOp`] — one streaming mutation, the unit the engines apply;
 //! * [`gen`] — synthetic generators for the seven DIMACS-10 families of the
 //!   paper's Table I;
 //! * [`suite`] — the reconstructed benchmark suite itself;
@@ -23,10 +23,10 @@
 
 pub mod algo;
 pub mod csr;
-pub mod dynamic;
 pub mod edgelist;
 pub mod gen;
 pub mod io;
+pub mod op;
 pub mod slack;
 pub mod suite;
 
@@ -36,6 +36,6 @@ pub mod suite;
 pub type VertexId = u32;
 
 pub use csr::Csr;
-pub use dynamic::{BatchOpError, BatchOpErrorKind, DynGraph, EdgeOp};
 pub use edgelist::EdgeList;
+pub use op::{BatchOpError, BatchOpErrorKind, EdgeOp};
 pub use slack::{SlackCsr, SlackDelta};

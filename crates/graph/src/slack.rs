@@ -39,7 +39,7 @@
 //!
 //! Every decision here — insert position, revival of a settled tombstone,
 //! row growth, compaction — is a pure function of the op sequence and the
-//! two configuration knobs. No wall clock, no hashing, no allocation-
+//! two layout parameters. No wall clock, no hashing, no allocation-
 //! dependent choices: two engines fed the same stream hold byte-identical
 //! stores, and [`SlackCsr::to_csr`] is byte-identical to
 //! [`Csr::from_edge_list`] over the same edge set (the oracle the
@@ -48,12 +48,11 @@
 use crate::csr::Csr;
 use crate::VertexId;
 
-/// Default per-row slack, percent of the degree (the `DYNBC_SLACK_FACTOR`
-/// knob's default).
+/// Per-row slack every engine builds its store with, percent of the
+/// degree.
 pub const DEFAULT_SLACK_PCT: u32 = 25;
-/// Default compaction threshold: compact when tombstones reach this
-/// percent of the occupied slots (the `DYNBC_SLACK_COMPACT` knob's
-/// default).
+/// Compaction threshold every engine builds its store with: compact when
+/// tombstones reach this percent of the occupied slots.
 pub const DEFAULT_COMPACT_PCT: u32 = 25;
 
 /// Epoch of a settled live slot: `(born = 0, died = MAX)`.

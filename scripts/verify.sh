@@ -100,6 +100,11 @@ echo "== memsim tier: DYNBC_MEMSIM=1 observability-only contract =="
 # bit-determinism across host-thread counts.
 DYNBC_MEMSIM=1 cargo test -q --test memsim
 
+echo "== gpu-sim instrument switches: DYNBC_MEMSIM=1 DYNBC_PROFILE=1 =="
+# The simulator's own tests must pin every switch they depend on, so an
+# instrumentation variable set in the environment cannot flip them.
+DYNBC_MEMSIM=1 DYNBC_PROFILE=1 cargo test -q -p dynbc-gpusim
+
 echo "== serve smoke test: shard ingest + top-k vs the CpuDynamicBc oracle =="
 # One shard over the CPU engine, a short insertion stream with
 # backpressure-aware submission, rank-change subscription, and a final

@@ -43,7 +43,7 @@
 //!
 //! | Module | Backing crate | Contents |
 //! |---|---|---|
-//! | [`graph`] | `dynbc-graph` | CSR, STINGER-lite dynamic store, DIMACS-family generators, METIS I/O |
+//! | [`graph`] | `dynbc-graph` | CSR, slack-CSR dynamic store, DIMACS-family generators, METIS I/O |
 //! | [`gpusim`] | `dynbc-gpusim` | the SIMT execution/cost model (warps, coalescing, atomics, SM scheduling) |
 //! | [`bc`] | `dynbc-bc` | Brandes, the Case 1/2/3 taxonomy, dynamic CPU engine, GPU kernels and engines |
 //! | [`telemetry`] | `dynbc-telemetry` | update-lifecycle metrics registry, span tracing, Prometheus/JSONL/Perfetto exporters |
@@ -71,6 +71,6 @@ pub mod prelude {
     };
     pub use dynbc_bc::state::BcState;
     pub use dynbc_gpusim::{CpuConfig, DeviceConfig};
-    pub use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp, VertexId};
+    pub use dynbc_graph::{Csr, EdgeList, EdgeOp, VertexId};
     pub use dynbc_telemetry::{Telemetry, UpdateObservation};
 }
