@@ -396,22 +396,18 @@ fn delete_fallback_item(block: &mut BlockCtx, ctx: &Ctx<'_>) -> usize {
     delete::fallback_subtract_old(block, ctx);
     static_source_edge(block, ctx.g, ctx.scr, ctx.block_slot, ctx.bc_slot, ctx.s);
     // Touched statistic (host instrumentation, off the clock): state
-    // entries the commit will change. Snapshots cover only rows this
+    // entries the commit will change. Element reads cover only rows this
     // block owns (its scratch row, this source's state row).
-    let n = ctx.n();
     let base = ctx.scr.row(ctx.block_slot);
-    let krow = ctx.src_row * n;
-    let touched = {
-        let dh = ctx.scr.d_hat.snapshot_range(base, n);
-        let sh = ctx.scr.sigma_hat.snapshot_range(base, n);
-        let delh = ctx.scr.delta_hat.snapshot_range(base, n);
-        let d = ctx.st.d.snapshot_range(krow, n);
-        let sg = ctx.st.sigma.snapshot_range(krow, n);
-        let dl = ctx.st.delta.snapshot_range(krow, n);
-        (0..n)
-            .filter(|&x| dh[x] != d[x] || sh[x] != sg[x] || delh[x] != dl[x])
-            .count()
-    };
+    let krow = ctx.src_row * ctx.n();
+    let touched = (0..ctx.n())
+        .filter(|&x| {
+            let (s, k) = (base + x, krow + x);
+            ctx.scr.d_hat.host_get(s) != ctx.st.d.host_get(k)
+                || ctx.scr.sigma_hat.host_get(s) != ctx.st.sigma.host_get(k)
+                || ctx.scr.delta_hat.host_get(s) != ctx.st.delta.host_get(k)
+        })
+        .count();
     delete::fallback_commit(block, ctx);
     touched
 }
@@ -420,10 +416,7 @@ fn delete_fallback_item(block: &mut BlockCtx, ctx: &Ctx<'_>) -> usize {
 /// scratch row (host instrumentation, off the clock).
 fn touched_flags(ctx: &Ctx<'_>) -> usize {
     let base = ctx.scr.row(ctx.block_slot);
-    ctx.scr
-        .t
-        .snapshot_range(base, ctx.n())
-        .iter()
-        .filter(|&&t| t != T_UNTOUCHED)
+    (base..base + ctx.n())
+        .filter(|&i| ctx.scr.t.host_get(i) != T_UNTOUCHED)
         .count()
 }

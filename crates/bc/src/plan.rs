@@ -361,9 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn validate_batch_leaves_graph_untouched() {
+    fn validate_batch_accepts_paired_ops_and_rejects_a_bad_batch() {
         let g = EdgeList::from_pairs(5, [(0, 1)]);
-        let before = g.clone();
         // Inserting then removing the same edge within one batch, and
         // removing then re-inserting one, are both valid.
         validate(
@@ -376,10 +375,8 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(g, before);
-        // A failed validation leaves the graph unchanged as well.
+        // Removing an edge twice is not.
         validate(&g, &[EdgeOp::Remove(0, 1), EdgeOp::Remove(1, 0)]).unwrap_err();
-        assert_eq!(g, before);
     }
 
     #[test]

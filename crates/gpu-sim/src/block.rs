@@ -20,6 +20,16 @@
 //! `max(compute, memory) + atomics` — warps overlap, so the slower
 //! pipeline bounds progress while atomics serialize on the L2.
 //!
+//! Every access is charged by `touch`. It dedups the access's segment in a
+//! per-warp set (`SegSet`), behind a memo of the segment the previous
+//! lane's touch #k hit (k counts the lane's events so far). A lane whose
+//! touch #k hits that same segment stops at the memo, which is exact: the
+//! memo only holds segments already in this warp's set, so a hit is never
+//! the warp's first touch of its segment. The charged segments and cycles,
+//! and memsim's L1 requests (one per first touch), are the same as when
+//! every touch takes the set, which it does while the profiler is on,
+//! because the profiler records every access.
+//!
 //! Within a block, execution is sequential and deterministic; parallelism
 //! is *modeled*, never raced. Functionally, lanes see each other's writes
 //! immediately, which is a superset of CUDA's intra-block visibility; the
@@ -33,58 +43,102 @@ use crate::checker::{
     AccessKind, AccessRecord, AtomicKind, DivergenceRecord, OobRecord, Recorder, SCALAR_LANE,
 };
 use crate::device::DeviceConfig;
-use crate::mem::{DeviceValue, GpuBuffer};
+use crate::mem::{DeviceValue, GpuBuffer, ADDR_LIMIT};
 use crate::profile::{BlockBuckets, BlockProfile};
 use crate::stats::KernelStats;
 use std::sync::atomic::Ordering;
 
-/// Open-addressed set of 32-byte segment ids, cleared per warp via a
-/// generation counter (no rehash/zeroing in the hot path).
+/// Bits of a [`SegSet`] word that hold the segment id; the generation
+/// takes the rest. Segment ids are byte addresses `>> 5`, so this covers
+/// every address a device allocates (below `ADDR_LIMIT`).
+const KEY_BITS: u32 = ADDR_LIMIT.trailing_zeros() - 5;
+const KEY_MASK: u64 = (1 << KEY_BITS) - 1;
+
+/// Touch ordinals the per-warp memo covers; a lane's later touches always
+/// take the set.
+const MEMO_ORDINALS: usize = 1024;
+
+/// Open-addressed set of the 32-byte segment ids one warp has touched,
+/// cleared per warp via a generation counter (no rehash/zeroing in the
+/// hot path), plus the warp's previous-lane memo. Each slot packs
+/// `generation << KEY_BITS | segment` into one word; a slot stamped with
+/// an older generation is empty.
 #[derive(Debug)]
 struct SegSet {
-    keys: Vec<u64>,
-    gens: Vec<u32>,
-    gen: u32,
+    slots: Vec<u64>,
+    /// Per touch ordinal `k`: the stamped segment that touch #k of the
+    /// most recent lane reaching `k` in this warp hit. Every entry
+    /// stamped with the current generation is in `slots`.
+    memo: Vec<u64>,
+    gen: u64,
     live: usize,
 }
 
 impl SegSet {
     fn new() -> Self {
-        let cap = 256;
         Self {
-            keys: vec![0; cap],
-            gens: vec![0; cap],
+            slots: vec![0; 256],
+            memo: Vec::new(),
             gen: 0,
             live: 0,
         }
     }
 
     fn next_generation(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
+        self.gen += 1;
         self.live = 0;
-        if self.gen == 0 {
+        if self.gen == 1 << (64 - KEY_BITS) {
             // Generation counter wrapped: hard-clear to avoid stale hits.
-            self.gens.fill(0);
+            self.slots.fill(0);
+            self.memo.fill(0);
             self.gen = 1;
         }
     }
 
-    /// Inserts `key`; returns `true` if it was not present this generation.
-    fn insert(&mut self, key: u64) -> bool {
-        if self.live * 4 >= self.keys.len() * 3 {
+    /// Packs `seg` with the current generation. Only an out-of-bounds
+    /// index (suppressed under checking) can address past `ADDR_LIMIT`;
+    /// its high bits are dropped rather than spill into the generation.
+    #[inline]
+    fn stamp(&self, seg: u64) -> u64 {
+        self.gen << KEY_BITS | (seg & KEY_MASK)
+    }
+
+    /// `true` when touch #`ordinal` of the previous lane hit `seg` in this
+    /// warp, so `seg` is already in the set.
+    #[inline]
+    fn memo_hit(&self, ordinal: usize, seg: u64) -> bool {
+        self.memo.get(ordinal) == Some(&self.stamp(seg))
+    }
+
+    /// Inserts `seg` as touch #`ordinal` of the current lane; returns
+    /// `true` if it was not present this generation.
+    fn insert(&mut self, ordinal: usize, seg: u64) -> bool {
+        let word = self.stamp(seg);
+        if ordinal < MEMO_ORDINALS {
+            if ordinal >= self.memo.len() {
+                self.memo.resize(ordinal + 1, 0);
+            }
+            self.memo[ordinal] = word;
+        }
+        self.insert_word(word)
+    }
+
+    fn insert_word(&mut self, word: u64) -> bool {
+        if self.live * 4 >= self.slots.len() * 3 {
             self.grow();
         }
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
+        let key = word & KEY_MASK;
         // Multiplicative hash; segments are sequential-ish so mixing matters.
         let mut idx = (key.wrapping_mul(0x9E3779B97F4A7C15) >> 40) as usize & mask;
         loop {
-            if self.gens[idx] != self.gen {
-                self.keys[idx] = key;
-                self.gens[idx] = self.gen;
+            let slot = self.slots[idx];
+            if slot >> KEY_BITS != self.gen {
+                self.slots[idx] = word;
                 self.live += 1;
                 return true;
             }
-            if self.keys[idx] == key {
+            if slot == word {
                 return false;
             }
             idx = (idx + 1) & mask;
@@ -92,20 +146,13 @@ impl SegSet {
     }
 
     fn grow(&mut self) {
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; 0]);
-        let old_gens = std::mem::replace(&mut self.gens, vec![0; 0]);
-        let new_cap = old_keys.len() * 2;
-        self.keys = vec![0; new_cap];
-        self.gens = vec![0; new_cap];
-        let live: Vec<u64> = old_keys
-            .iter()
-            .zip(&old_gens)
-            .filter(|&(_, &g)| g == self.gen)
-            .map(|(&k, _)| k)
-            .collect();
+        let old = std::mem::take(&mut self.slots);
+        self.slots = vec![0; old.len() * 2];
         self.live = 0;
-        for k in live {
-            self.insert(k);
+        for word in old {
+            if word >> KEY_BITS == self.gen {
+                self.insert_word(word);
+            }
         }
     }
 }
@@ -231,6 +278,7 @@ impl BlockCtx {
                 self.lane_phase = 0;
                 let mut lane = Lane { block: self };
                 f(&mut lane, i);
+                self.stats.lane_events += u64::from(self.lane_events);
                 self.max_lane_events = self.max_lane_events.max(self.lane_events);
                 if let Some(p) = &mut self.prof {
                     p.lane_retired(self.lane_events);
@@ -349,6 +397,7 @@ impl BlockCtx {
         self.begin_warp();
         self.lane_events = 0;
         self.touch(buf.addr(i), buf.name());
+        self.stats.lane_events += u64::from(self.lane_events);
         self.max_lane_events = self.lane_events;
         if let Some(p) = &mut self.prof {
             p.lane_retired(self.lane_events);
@@ -366,6 +415,7 @@ impl BlockCtx {
         self.begin_warp();
         self.lane_events = 0;
         self.touch(buf.addr(i), buf.name());
+        self.stats.lane_events += u64::from(self.lane_events);
         self.max_lane_events = self.lane_events;
         if let Some(p) = &mut self.prof {
             p.lane_retired(self.lane_events);
@@ -414,11 +464,25 @@ impl BlockCtx {
         }
     }
 
+    /// Charges one lane access. Touch #k of a lane that hits the segment
+    /// touch #k of the previous lane hit is a repeat within the warp:
+    /// already in the set and already charged, so it stops at the memo.
+    /// The profiler sees every access, so it always takes the set.
     #[inline]
     fn touch(&mut self, addr: u64, buffer: &'static str) {
+        let ordinal = self.lane_events as usize;
         self.lane_events += 1;
-        self.stats.lane_events += 1;
-        if self.seg_set.insert(addr >> 5) {
+        if self.prof.is_none() && self.seg_set.memo_hit(ordinal, addr >> 5) {
+            return;
+        }
+        self.touch_set(ordinal, addr, buffer);
+    }
+
+    /// The dedup path of [`Self::touch`]: charges the segment if it is
+    /// new to this warp.
+    #[inline(never)]
+    fn touch_set(&mut self, ordinal: usize, addr: u64, buffer: &'static str) {
+        if self.seg_set.insert(ordinal, addr >> 5) {
             self.stats.mem_segments += 1;
             self.mem_cycles += self.dev.seg_cycles;
             // Memsim sees exactly the transactions the cost model charges:
@@ -564,7 +628,6 @@ impl Lane<'_> {
     #[inline]
     pub fn compute(&mut self, units: u32) {
         self.block.lane_events += units;
-        self.block.stats.lane_events += units as u64;
     }
 
     /// Profiler annotation: this lane examined `n` edges (loop iterations

@@ -28,9 +28,9 @@
 //!   order-dependent on real hardware too);
 //! * whole-buffer views ([`GpuBuffer::host`], [`GpuBuffer::to_vec`], …) are
 //!   host-side staging and must not be taken while a launch is running;
-//!   inside a launch, use [`GpuBuffer::snapshot_range`], which reads
-//!   element-wise and is safe as long as the range is not concurrently
-//!   written by another block.
+//!   inside a launch, read element-wise with [`GpuBuffer::host_get`],
+//!   which is safe as long as the cell is not concurrently written by
+//!   another block.
 //!
 //! Cross-block `f64` accumulation is deliberately **not** offered as a
 //! shared-cell atomic in the engines: floating-point addition does not
@@ -107,6 +107,11 @@ impl DeviceValue for bool {
 /// First synthetic address of every device's address space.
 pub(crate) const FIRST_BASE: u64 = 0x1000;
 
+/// Upper end of every device's address space. The per-warp segment set
+/// packs a segment id (`addr >> 5`) and a generation into one word, so
+/// allocation stops here (512 TiB of synthetic addresses).
+pub(crate) const ADDR_LIMIT: u64 = 1 << 49;
+
 /// Interior-mutable element storage shareable across block threads.
 ///
 /// `repr(transparent)` guarantees the same layout as `T`, so an atomic view
@@ -151,10 +156,16 @@ impl<T: Copy> GpuBuffer<T> {
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let base = *next_base;
         *next_base += (bytes + 256).next_multiple_of(256);
-        let data: Box<[SyncCell<T>]> = data
-            .into_iter()
-            .map(|v| SyncCell(UnsafeCell::new(v)))
-            .collect();
+        assert!(*next_base <= ADDR_LIMIT, "device address space exhausted");
+        // Reuse the allocation instead of copying element by element: a
+        // copy writes every page of a zero-filled buffer that the kernels
+        // may never touch.
+        let cells = Box::into_raw(data.into_boxed_slice()) as *mut [SyncCell<T>];
+        // SAFETY: `SyncCell<T>` is `repr(transparent)` over `UnsafeCell<T>`,
+        // which has the same in-memory representation as `T`, so the slice
+        // reinterprets element for element with the same length, and the
+        // box keeps the allocation it came from.
+        let data = unsafe { Box::from_raw(cells) };
         Self {
             data,
             base,
@@ -224,15 +235,6 @@ impl<T: Copy> GpuBuffer<T> {
         unsafe { *self.data[i].0.get() = v }
     }
 
-    /// Element-wise copy of `buf[start..start + len]`.
-    ///
-    /// Usable *inside* a launch, unlike [`Self::host`]: it never forms a
-    /// reference spanning cells other blocks may be writing. The caller
-    /// must still own the cells in the range (per-block rows).
-    pub fn snapshot_range(&self, start: usize, len: usize) -> Vec<T> {
-        (start..start + len).map(|i| self.get(i)).collect()
-    }
-
     /// Host-side read of the whole buffer (untimed staging). Must not be
     /// called while a launch is executing on another thread.
     pub fn host(&self) -> &[T] {
@@ -243,7 +245,9 @@ impl<T: Copy> GpuBuffer<T> {
         unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast::<T>(), self.data.len()) }
     }
 
-    /// Host-side element read.
+    /// Host-side element read. Usable inside a launch, unlike
+    /// [`Self::host`]: it never forms a reference spanning cells other
+    /// blocks may be writing. The caller must still own the cell.
     pub fn host_get(&self, i: usize) -> T {
         self.get(i)
     }
@@ -369,13 +373,6 @@ mod tests {
         assert_eq!(buf.to_vec(), [4, 5, 6]);
         assert_eq!(buf.len(), 3);
         assert!(!buf.is_empty());
-    }
-
-    #[test]
-    fn snapshot_range_reads_a_window() {
-        let buf = gpu().upload(vec![10u32, 11, 12, 13, 14]);
-        assert_eq!(buf.snapshot_range(1, 3), [11, 12, 13]);
-        assert_eq!(buf.snapshot_range(0, 0), []);
     }
 
     #[test]

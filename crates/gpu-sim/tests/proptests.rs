@@ -4,6 +4,7 @@
 
 use dynbc_gpusim::{BlockCtx, DeviceConfig, Gpu};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// An arbitrary access script: per lane-item, a list of buffer indices.
 fn arb_pattern() -> impl Strategy<Value = Vec<Vec<usize>>> {
@@ -24,28 +25,272 @@ fn run_pattern(dev: DeviceConfig, pattern: &[Vec<usize>]) -> (f64, dynbc_gpusim:
     (report.makespan_cycles, report.stats)
 }
 
+/// A 32-lane device: the warp width whose per-warp segment dedup the
+/// engines' kernels run on.
+fn wide_device() -> DeviceConfig {
+    DeviceConfig {
+        warp_size: 32,
+        threads_per_block: 64,
+        ..DeviceConfig::test_tiny()
+    }
+}
+
+/// Element counts of the script buffers: `u8`, `u32` and `f64`.
+const LENS: [usize; 3] = [512, 256, 128];
+/// Element widths in bytes, in the same order.
+const WIDTHS: [usize; 3] = [1, 4, 8];
+/// Lane strides of a script operation: broadcast, coalesced, and
+/// strided past one or more segments.
+const STRIDES: [usize; 7] = [0, 1, 2, 3, 7, 16, 33];
+
+#[derive(Debug, Clone, Copy)]
+enum OpKind {
+    Read,
+    Write,
+    Atomic,
+    Compute(u32),
+}
+
+/// One operation of a per-lane script. Lane `l` runs it only when
+/// `l % every == 0` (so lanes diverge and their touch ordinals shift), on
+/// element `(base + l * stride) % LENS[buf]` of buffer `buf`.
+#[derive(Debug, Clone, Copy)]
+struct LaneOp {
+    kind: OpKind,
+    buf: usize,
+    base: usize,
+    stride: usize,
+    every: usize,
+}
+
+impl LaneOp {
+    fn index(&self, lane: usize) -> usize {
+        (self.base + lane * self.stride) % LENS[self.buf]
+    }
+}
+
+/// One step of a single-block kernel.
+#[derive(Debug, Clone)]
+enum Step {
+    ParallelFor {
+        lanes: usize,
+        ops: Vec<LaneOp>,
+    },
+    Scalar {
+        buf: usize,
+        index: usize,
+        write: bool,
+    },
+    Barrier,
+}
+
+fn arb_lane_op() -> impl Strategy<Value = LaneOp> {
+    (
+        (0u8..4, 0usize..3, 0usize..512),
+        (0usize..STRIDES.len(), 1usize..4, 1u32..4),
+    )
+        .prop_map(|((kind, buf, base), (stride, every, units))| LaneOp {
+            kind: match kind {
+                0 => OpKind::Read,
+                1 => OpKind::Write,
+                2 => OpKind::Atomic,
+                _ => OpKind::Compute(units),
+            },
+            buf,
+            base,
+            stride: STRIDES[stride],
+            every,
+        })
+}
+
+fn arb_program() -> impl Strategy<Value = Vec<Step>> {
+    // Four parallel_fors, two scalar accesses and one barrier in seven.
+    let step = (
+        (0u8..7, 0usize..100),
+        proptest::collection::vec(arb_lane_op(), 0..10),
+        (0usize..3, 0usize..512, any::<bool>()),
+    )
+        .prop_map(|((tag, lanes), ops, (buf, index, write))| match tag {
+            0..=3 => Step::ParallelFor { lanes, ops },
+            4 | 5 => Step::Scalar {
+                buf,
+                index: index % LENS[buf],
+                write,
+            },
+            _ => Step::Barrier,
+        });
+    proptest::collection::vec(step, 0..8)
+}
+
+/// Final contents of the script buffers, `f64`s as bits.
+type Buffers = (Vec<u8>, Vec<u32>, Vec<u64>);
+
+/// Runs `program` as one block on [`wide_device`] with every instrument
+/// pinned off, or with profiling and memsim pinned on. Returns the launch
+/// report and the final buffer contents.
+fn run_program(program: &[Step], instrumented: bool) -> (dynbc_gpusim::LaunchReport, Buffers) {
+    let mut gpu = Gpu::new(wide_device());
+    let ins = gpu.instruments_mut();
+    ins.host_threads = 1;
+    ins.racecheck = false;
+    ins.telemetry = false;
+    ins.profiling = instrumented;
+    ins.memsim = instrumented;
+    let b8 = gpu.alloc::<u8>(LENS[0], 0);
+    let b32 = gpu.alloc::<u32>(LENS[1], 0);
+    let b64 = gpu.alloc::<f64>(LENS[2], 0.0);
+    let report = gpu.launch(1, |block: &mut BlockCtx, _| {
+        for step in program {
+            match *step {
+                Step::ParallelFor { lanes, ref ops } => block.parallel_for(lanes, |lane, l| {
+                    for op in ops.iter().filter(|op| l % op.every == 0) {
+                        let i = op.index(l);
+                        match (op.kind, op.buf) {
+                            (OpKind::Compute(units), _) => lane.compute(units),
+                            (OpKind::Read, 0) => drop(lane.read(&b8, i)),
+                            (OpKind::Read, 1) => drop(lane.read(&b32, i)),
+                            (OpKind::Read, _) => drop(lane.read(&b64, i)),
+                            (OpKind::Write, 0) => lane.write(&b8, i, l as u8),
+                            (OpKind::Write, 1) => lane.write(&b32, i, l as u32),
+                            (OpKind::Write, _) => lane.write(&b64, i, l as f64),
+                            (OpKind::Atomic, 0) => drop(lane.atomic_cas_u8(&b8, i, 0, 1)),
+                            (OpKind::Atomic, 1) => drop(lane.atomic_add_u32(&b32, i, 1)),
+                            (OpKind::Atomic, _) => drop(lane.atomic_add_f64(&b64, i, 0.5)),
+                        }
+                    }
+                }),
+                Step::Scalar { buf, index, write } => match (buf, write) {
+                    (0, false) => drop(block.read_scalar(&b8, index)),
+                    (1, false) => drop(block.read_scalar(&b32, index)),
+                    (_, false) => drop(block.read_scalar(&b64, index)),
+                    (0, true) => block.write_scalar(&b8, index, 9),
+                    (1, true) => block.write_scalar(&b32, index, 9),
+                    (_, true) => block.write_scalar(&b64, index, 9.0),
+                },
+                Step::Barrier => block.barrier(),
+            }
+        }
+    });
+    let f64_bits = b64.to_vec().into_iter().map(f64::to_bits).collect();
+    (report, (b8.to_vec(), b32.to_vec(), f64_bits))
+}
+
+/// The cost model's accumulators, replayed without the interpreter in
+/// the order `BlockCtx` updates them.
+#[derive(Default)]
+struct Charge {
+    lane_events: u64,
+    segments: u64,
+    conflicts: u64,
+    compute: f64,
+    mem: f64,
+    atomic: f64,
+    committed: f64,
+}
+
+impl Charge {
+    /// Charges one warp: its distinct segments, atomic targets and
+    /// busiest lane.
+    fn warp(
+        &mut self,
+        dev: &DeviceConfig,
+        segs: &BTreeSet<(usize, usize)>,
+        atomics: &mut Vec<(usize, usize)>,
+        max: u32,
+    ) {
+        self.compute += dev.warp_base_cycles + dev.event_instr_cycles * f64::from(max);
+        for _ in segs {
+            self.mem += dev.seg_cycles;
+        }
+        self.segments += segs.len() as u64;
+        if !atomics.is_empty() {
+            let n = atomics.len() as u64;
+            atomics.sort_unstable();
+            atomics.dedup();
+            let c = n - atomics.len() as u64;
+            self.atomic += n as f64 * dev.atomic_cycles + c as f64 * dev.atomic_conflict_cycles;
+            self.conflicts += c;
+        }
+    }
+
+    fn commit(&mut self) {
+        self.committed += self.compute.max(self.mem) + self.atomic;
+        (self.compute, self.mem, self.atomic) = (0.0, 0.0, 0.0);
+    }
+}
+
+/// What the cost model charges for `program` on `dev`, computed without
+/// the interpreter: per warp, a `BTreeSet` of `(buffer, 32-byte segment)`
+/// keys (buffers are disjoint and 256-byte aligned, so these are exactly
+/// the distinct segments) and the sorted atomic targets. A one-block
+/// launch's makespan is its block's committed cycles.
+fn oracle(dev: &DeviceConfig, program: &[Step]) -> Charge {
+    let mut charge = Charge::default();
+    let seg = |buf: usize, i: usize| (buf, (i * WIDTHS[buf]) >> 5);
+    for step in program {
+        match step {
+            Step::ParallelFor { lanes, ops } => {
+                for first in (0..*lanes).step_by(dev.warp_size) {
+                    let (mut segs, mut atomics, mut max) = (BTreeSet::new(), Vec::new(), 0u32);
+                    for l in first..(first + dev.warp_size).min(*lanes) {
+                        let mut events = 0u32;
+                        for op in ops.iter().filter(|op| l % op.every == 0) {
+                            let i = op.index(l);
+                            match op.kind {
+                                OpKind::Compute(units) => events += units,
+                                kind => {
+                                    events += 1;
+                                    segs.insert(seg(op.buf, i));
+                                    if matches!(kind, OpKind::Atomic) {
+                                        atomics.push((op.buf, i));
+                                    }
+                                }
+                            }
+                        }
+                        charge.lane_events += u64::from(events);
+                        max = max.max(events);
+                    }
+                    charge.warp(dev, &segs, &mut atomics, max);
+                }
+            }
+            Step::Scalar { buf, index, .. } => {
+                charge.lane_events += 1;
+                charge.warp(
+                    dev,
+                    &BTreeSet::from([seg(*buf, *index)]),
+                    &mut Vec::new(),
+                    1,
+                );
+            }
+            Step::Barrier => {
+                charge.commit();
+                charge.committed += dev.barrier_cycles;
+            }
+        }
+    }
+    charge.commit();
+    charge
+}
+
 proptest! {
     #[test]
-    fn segment_count_is_bounded_by_events_and_distinct_addresses(pattern in arb_pattern()) {
-        let (_, stats) = run_pattern(DeviceConfig::test_tiny(), &pattern);
-        let events: u64 = pattern.iter().map(|l| l.len() as u64).sum();
-        prop_assert_eq!(stats.lane_events, events);
-        // Never more segments than events.
-        prop_assert!(stats.mem_segments <= events);
-        // Upper bound: per warp, at most (distinct segments in warp);
-        // globally at most warps * 256/8 segments, trivially; tighter:
-        // the total over warps of per-warp distinct segments.
-        let ws = DeviceConfig::test_tiny().warp_size;
-        let mut expected = 0u64;
-        for chunk in pattern.chunks(ws) {
-            let set: std::collections::BTreeSet<u64> = chunk
-                .iter()
-                .flatten()
-                .map(|&i| (i as u64 * 4) >> 5)
-                .collect();
-            expected += set.len() as u64;
-        }
-        prop_assert_eq!(stats.mem_segments, expected, "per-warp distinct-segment count");
+    fn charges_match_the_btreeset_oracle_with_instruments_on_and_off(program in arb_program()) {
+        let dev = wide_device();
+        let want = oracle(&dev, &program);
+        let (plain, plain_buffers) = run_program(&program, false);
+        prop_assert_eq!(plain.stats.lane_events, want.lane_events);
+        prop_assert_eq!(plain.stats.mem_segments, want.segments, "per-warp distinct-segment count");
+        prop_assert_eq!(plain.stats.atomic_conflicts, want.conflicts);
+        prop_assert_eq!(plain.makespan_cycles.to_bits(), want.committed.to_bits());
+        // The instrumented run charges through the set on every access;
+        // it must charge, and compute, exactly what the memo path did.
+        let (instrumented, instrumented_buffers) = run_program(&program, true);
+        prop_assert_eq!(instrumented.stats, plain.stats);
+        prop_assert_eq!(
+            instrumented.makespan_cycles.to_bits(),
+            plain.makespan_cycles.to_bits()
+        );
+        prop_assert_eq!(instrumented_buffers, plain_buffers);
     }
 
     #[test]

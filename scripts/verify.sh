@@ -100,6 +100,13 @@ echo "== memsim tier: DYNBC_MEMSIM=1 observability-only contract =="
 # bit-determinism across host-thread counts.
 DYNBC_MEMSIM=1 cargo test -q --test memsim
 
+echo "== interpreter golden counters: DYNBC_PROFILE=1 DYNBC_MEMSIM=1 =="
+# With the profiler on, every lane access takes the per-warp segment set;
+# with it off (the tier-1 run above), repeats stop at the previous-lane
+# memo. Both paths must charge the pinned counters and simulated seconds.
+DYNBC_PROFILE=1 DYNBC_MEMSIM=1 cargo test -q --test model_invariants \
+    interpreter_counters_match_golden_values
+
 echo "== gpu-sim instrument switches: DYNBC_MEMSIM=1 DYNBC_PROFILE=1 =="
 # The simulator's own tests must pin every switch they depend on, so an
 # instrumentation variable set in the environment cannot flip them.

@@ -3,6 +3,7 @@
 //! knobs in the direction the paper's argument requires.
 
 use dynbc::bc::gpu::static_bc_gpu;
+use dynbc::gpusim::KernelStats;
 use dynbc::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -202,4 +203,85 @@ fn case1_updates_cost_orders_of_magnitude_less_than_worked_ones() {
         idle.model_seconds,
         worked.model_seconds
     );
+}
+
+/// A fixed small engine stream (single inserts, single removals and one
+/// mixed batch) returning the device's cumulative work counters and its
+/// simulated clock.
+fn golden_stream(par: Parallelism) -> (KernelStats, u64) {
+    let el = test_graph(160, 24);
+    let mut rng = StdRng::seed_from_u64(2024);
+    let sources = sample_sources(&mut rng, 160, 6);
+    let mut engine = GpuDynamicBc::new(&el, &sources, DeviceConfig::tesla_c2075(), par);
+    for (u, v) in [(0u32, 80u32), (7, 133), (41, 112)] {
+        assert!(!engine.graph().has_edge(u, v));
+        engine.insert_edge(u, v);
+    }
+    for u in [3u32, 90, 151] {
+        let v = engine
+            .graph()
+            .neighbors(u)
+            .next()
+            .expect("ws vertices have neighbours");
+        engine.remove_edge(u, v);
+    }
+    let w = engine
+        .graph()
+        .neighbors(20)
+        .next()
+        .expect("ws vertices have neighbours");
+    engine.apply_batch(&[
+        EdgeOp::Insert(12, 97),
+        EdgeOp::Remove(20, w),
+        EdgeOp::Insert(60, 150),
+        EdgeOp::Insert(61, 149),
+    ]);
+    (*engine.total_stats(), engine.elapsed_seconds().to_bits())
+}
+
+/// Pins the interpreter's charged quantities to values captured before
+/// the per-access charge was given its segment memo: any later change to
+/// how `BlockCtx` charges an access must leave every counter and every
+/// simulated-second bit where it was. The values hold with any
+/// instrument switched on (`DYNBC_PROFILE`, `DYNBC_MEMSIM`) and for any
+/// `DYNBC_HOST_THREADS`.
+#[test]
+fn interpreter_counters_match_golden_values() {
+    let golden = [
+        (
+            Parallelism::Node,
+            KernelStats {
+                warp_execs: 3439,
+                lane_events: 153_815,
+                mem_segments: 35_582,
+                atomics: 5479,
+                atomic_conflicts: 2219,
+                barriers: 1005,
+            },
+            0x3f2e_ed2a_51ed_96b8_u64,
+        ),
+        (
+            Parallelism::Edge,
+            KernelStats {
+                warp_execs: 18_254,
+                lane_events: 1_599_625,
+                mem_segments: 268_401,
+                atomics: 13_779,
+                atomic_conflicts: 3438,
+                barriers: 579,
+            },
+            0x3f40_b4aa_0154_60f0_u64,
+        ),
+    ];
+    for (par, stats, seconds_bits) in golden {
+        let (got_stats, got_bits) = golden_stream(par);
+        assert_eq!(got_stats, stats, "{par:?}: work counters moved");
+        assert_eq!(
+            got_bits,
+            seconds_bits,
+            "{par:?}: simulated seconds moved ({} vs {})",
+            f64::from_bits(got_bits),
+            f64::from_bits(seconds_bits)
+        );
+    }
 }
