@@ -186,12 +186,6 @@ impl CpuDynamicBc {
         self.telemetry.as_mut().map(|t| std::mem::take(&mut **t))
     }
 
-    /// Overrides the machine model used for modeled seconds.
-    pub fn with_cpu_model(mut self, cpu: CpuConfig) -> Self {
-        self.cpu = cpu;
-        self
-    }
-
     /// Current BC state (scores + per-source trees).
     pub fn state(&self) -> &BcState {
         &self.state
@@ -205,11 +199,6 @@ impl CpuDynamicBc {
     /// Cumulative operation counts across all updates.
     pub fn total_ops(&self) -> &OpCounter {
         &self.total_ops
-    }
-
-    /// The CPU model used for modeled timing.
-    pub fn cpu_model(&self) -> &CpuConfig {
-        &self.cpu
     }
 
     /// Inserts the undirected edge `{u, v}` and incrementally updates BC.

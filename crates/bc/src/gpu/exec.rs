@@ -45,11 +45,11 @@ use std::sync::Mutex;
 /// oracle. The native backend (the crate-private `native` module) runs the same
 /// node-parallel kernels as plain Rust loops over the same buffers —
 /// no lockstep interpretation, no cost-model bookkeeping — for serving
-/// update streams at host speed. `Hybrid` routes each stage between a
-/// sequential CPU pass and the parallel native backend based on an
-/// online touched-set estimate.
+/// update streams at host speed. It runs small stages inline and fans
+/// big ones out over host threads, by a fixed rule on the stage's own
+/// work items.
 ///
-/// All three backends produce bit-identical BC scores, case tallies,
+/// Both backends produce bit-identical BC scores, case tallies,
 /// and commit order for any `DYNBC_HOST_THREADS`: cross-block writes
 /// are disjoint by construction and the BC delta slab is drained in the
 /// same sequential commit order everywhere. Only the node-parallel
@@ -60,11 +60,16 @@ pub enum Backend {
     /// The SIMT interpreter — cost model, profiler, oracle (default).
     #[default]
     Simulator,
-    /// Direct execution: scoped host threads over blocks, plain loops.
+    /// Direct execution: plain loops, inline or over scoped host threads.
     Native,
-    /// Per-stage adaptive routing between a sequential CPU pass and the
-    /// parallel native backend.
-    Hybrid,
+}
+
+impl Backend {
+    /// The retired hybrid backend's name, now the native backend. Kept
+    /// only until the benchmark's `engine.hybrid_*` metrics are dropped.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Hybrid: Backend = Backend::Native;
 }
 
 impl std::fmt::Display for Backend {
@@ -72,7 +77,6 @@ impl std::fmt::Display for Backend {
         f.write_str(match self {
             Backend::Simulator => "sim",
             Backend::Native => "native",
-            Backend::Hybrid => "hybrid",
         })
     }
 }
@@ -80,7 +84,7 @@ impl std::fmt::Display for Backend {
 pub use dynbc_gpusim::knob::BACKEND_ENV;
 
 /// Reads [`BACKEND_ENV`]: unset or empty selects the simulator; any
-/// other value must be one of `sim`, `simulator`, `native`, `hybrid`
+/// other value must be one of `sim`, `simulator`, `native`
 /// (case-insensitive).
 ///
 /// # Panics
@@ -94,8 +98,7 @@ pub fn backend_from_env() -> Backend {
         Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
             "" | "sim" | "simulator" => Backend::Simulator,
             "native" => Backend::Native,
-            "hybrid" => Backend::Hybrid,
-            other => panic!("{BACKEND_ENV}={other}: expected sim, native, or hybrid"),
+            other => panic!("{BACKEND_ENV}={other}: expected sim or native"),
         },
     }
 }

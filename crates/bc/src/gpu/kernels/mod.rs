@@ -217,12 +217,6 @@ impl<'a> GraphView<'a> {
         }
     }
 
-    /// Host-side (uncharged) [`GraphView::neighbour`].
-    #[inline]
-    pub fn neighbour_host(&self, e: usize) -> VertexId {
-        self.store.adj.host_get(e) & ADJ_VERTEX_MASK
-    }
-
     /// Host-side (uncharged) [`GraphView::live`] for the native backend.
     #[inline]
     pub fn live_host(&self, e: usize) -> bool {

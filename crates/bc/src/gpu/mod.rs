@@ -3,8 +3,8 @@
 //! * [`engine`] — the dynamic-BC batch orchestration ([`GpuDynamicBc`]),
 //!   in both [`Parallelism`] decompositions;
 //! * `exec` (private) — the batch-aware dispatcher: one fused grid per stage of
-//!   the update plan, behind the [`Backend`] seam (simulator, native
-//!   direct execution, or adaptive hybrid routing);
+//!   the update plan, behind the [`Backend`] seam (simulator or native
+//!   direct execution);
 //! * [`kernels`] — Algorithms 3–8 plus the Case 3 generalization;
 //! * [`static_bc`] — from-scratch GPU BC (the Fig. 1 workload and the
 //!   Table III recomputation baseline);

@@ -73,8 +73,9 @@ type BlockRun = (Vec<(usize, usize, usize)>, Vec<DirtyRow>, [f64; 3]);
 /// ownership, same return shape: the Figure-4 touched statistic as
 /// `(op_slot, row, touched)` triples.
 ///
-/// `workers <= 1` runs inline on the calling thread with no spawn at all
-/// — this is the hybrid router's "sequential CPU path".
+/// The stage runs inline on the calling thread, with no spawn at all,
+/// unless [`fan_out`] finds enough work in its items to give more than
+/// one worker its share.
 ///
 /// With `timed`, each item's wall time is summed per [`ItemKind`] and
 /// returned alongside (`[insert, d2, d3]` seconds, added over blocks;
@@ -141,7 +142,7 @@ pub(crate) fn run_stage(
         }
         (out, dirty, wall)
     };
-    let workers = workers.min(busy.len());
+    let workers = fan_out(&items, workers).min(busy.len());
     let mut per_block: Vec<Vec<(usize, usize, usize)>> = Vec::with_capacity(busy.len());
     let mut dirty_rows: Vec<DirtyRow> = Vec::new();
     if workers <= 1 {
@@ -188,6 +189,45 @@ pub(crate) fn run_stage(
     // block-minor row order — the sequential commit order.
     drain_bc_dirty(scr, &st.bc, dirty_rows);
     (per_block.into_iter().flatten().collect(), kind_wall)
+}
+
+/// Fan-out weight of an item whose case is not `Adjacent` — a Case 3
+/// insertion or a Case D3 removal, both of which move distances — in
+/// units of a Case 2 insertion or Case D2 removal, which weigh one.
+const HEAVY_ITEM_WEIGHT: usize = 2;
+
+/// Weighted items each worker must get before a stage fans out.
+///
+/// Both constants come from the `stage#i` spans (`items_*`, `wall_*_s`)
+/// of traced serve-churn replays (caida, n = 6000, 32 sources; seeds 1
+/// and 3; median of three replays per stage, ~5 600 stages) on a
+/// two-vCPU Xeon host, each stage run inline and on two workers. A
+/// fitted light item cost ~14 µs and a heavy one ~35 µs. Inline won
+/// below 32 weighted items (median 275 vs 351 µs under 16, 434 vs
+/// 477 µs at 16–31), two workers won from 48 up (955 vs 859 µs at 48–63,
+/// 1 423 vs 1 230 µs at 64–95), and at 32–47 the small median gain was
+/// lost in the mean to thread-start spikes. Two workers therefore need
+/// 48: fanning out from there put the summed per-stage medians 1.2%
+/// below all-inline, where fanning out every stage put them 4% above
+/// (24% above in the mean).
+const ITEMS_PER_WORKER: usize = 24;
+
+/// How many of `cap` workers a stage's items earn: one per
+/// [`ITEMS_PER_WORKER`] weighted items, at least one. Reads nothing but
+/// the items' cases; whatever it picks, every result bit is the same
+/// (see the module's determinism contract).
+fn fan_out(items: &[WorkItem], cap: usize) -> usize {
+    let work: usize = items
+        .iter()
+        .map(|item| {
+            if item.case == InsertionCase::Adjacent {
+                1
+            } else {
+                HEAVY_ITEM_WEIGHT
+            }
+        })
+        .sum();
+    (work / ITEMS_PER_WORKER).clamp(1, cap.max(1))
 }
 
 fn add_wall(total: &mut [f64; 3], wall: [f64; 3]) {

@@ -1,6 +1,6 @@
 //! Property test for the backend bit-exactness contract: the native
-//! direct-execution backend (and the hybrid router, which only ever picks
-//! between native worker counts) must be *bit*-identical to the SIMT
+//! direct-execution backend, whether it runs a stage inline or fans it
+//! out over host threads, must be *bit*-identical to the SIMT
 //! simulator — same BC score bits, same per-op case tallies, same
 //! per-source touched statistics — on mixed insert/delete streams, for
 //! any host-thread count, on both the single- and multi-GPU engines.
@@ -97,25 +97,23 @@ proptest! {
         if ops.is_empty() { return Ok(()); }
         let (oracle_bits, oracle_ops) = run_single(&el, &ops, Backend::Simulator, 1);
 
-        for backend in [Backend::Native, Backend::Hybrid] {
-            for threads in [1usize, 2, 8] {
-                let (got_bits, got_ops) = run_single(&el, &ops, backend, threads);
-                prop_assert_eq!(got_ops.len(), oracle_ops.len());
-                for (i, (got, want)) in got_ops.iter().zip(&oracle_ops).enumerate() {
-                    prop_assert_eq!(
-                        got.cases, want.cases,
-                        "{} t{}: op {} case tallies", backend, threads, i
-                    );
-                    prop_assert_eq!(
-                        &got.per_source, &want.per_source,
-                        "{} t{}: op {} per-source outcomes", backend, threads, i
-                    );
-                }
+        for threads in [1usize, 2, 8] {
+            let (got_bits, got_ops) = run_single(&el, &ops, Backend::Native, threads);
+            prop_assert_eq!(got_ops.len(), oracle_ops.len());
+            for (i, (got, want)) in got_ops.iter().zip(&oracle_ops).enumerate() {
                 prop_assert_eq!(
-                    got_bits, oracle_bits.clone(),
-                    "{} t{}: BC bits vs simulator", backend, threads
+                    got.cases, want.cases,
+                    "native t{}: op {} case tallies", threads, i
+                );
+                prop_assert_eq!(
+                    &got.per_source, &want.per_source,
+                    "native t{}: op {} per-source outcomes", threads, i
                 );
             }
+            prop_assert_eq!(
+                got_bits, oracle_bits.clone(),
+                "native t{}: BC bits vs simulator", threads
+            );
         }
     }
 
@@ -131,27 +129,25 @@ proptest! {
         let oracle_br = oracle.apply_batch(&ops);
         let oracle_bits = bits(&oracle.bc());
 
-        for backend in [Backend::Native, Backend::Hybrid] {
-            for threads in [1usize, 2, 8] {
-                let mut eng = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2);
-                eng.set_backend(backend);
-                eng.set_host_threads(threads);
-                let br = eng.apply_batch(&ops);
-                for (i, (got, want)) in br.per_op.iter().zip(&oracle_br.per_op).enumerate() {
-                    prop_assert_eq!(
-                        got.cases, want.cases,
-                        "{} t{}: op {} case tallies", backend, threads, i
-                    );
-                    prop_assert_eq!(
-                        &got.per_source, &want.per_source,
-                        "{} t{}: op {} per-source outcomes", backend, threads, i
-                    );
-                }
+        for threads in [1usize, 2, 8] {
+            let mut eng = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2);
+            eng.set_backend(Backend::Native);
+            eng.set_host_threads(threads);
+            let br = eng.apply_batch(&ops);
+            for (i, (got, want)) in br.per_op.iter().zip(&oracle_br.per_op).enumerate() {
                 prop_assert_eq!(
-                    bits(&eng.bc()), oracle_bits.clone(),
-                    "{} t{}: BC bits vs simulator", backend, threads
+                    got.cases, want.cases,
+                    "native t{}: op {} case tallies", threads, i
+                );
+                prop_assert_eq!(
+                    &got.per_source, &want.per_source,
+                    "native t{}: op {} per-source outcomes", threads, i
                 );
             }
+            prop_assert_eq!(
+                bits(&eng.bc()), oracle_bits.clone(),
+                "native t{}: BC bits vs simulator", threads
+            );
         }
     }
 }
@@ -296,71 +292,83 @@ fn routing_graph(width: usize) -> EdgeList {
     EdgeList::from_pairs(n, pairs)
 }
 
-/// The hybrid router must send big updates (a component merge whose
-/// predicted footprint is the whole graph) to the parallel native backend
-/// and small Case 2 updates (predicted ~|V|/10, under the max(1024, n/4)
-/// threshold) down the sequential CPU path — with results bit-identical
-/// to both pure backends either way.
+/// The native backend runs small stages inline and fans big ones out
+/// over host threads (`native::run_stage`'s fan-out rule). One stream
+/// here has stages far on each side of that rule — one or two work items
+/// against well over a hundred, with every source row spread over both
+/// blocks — and must match the simulator bit for bit at every host-thread
+/// count, so the scoped-thread branch and its block-order reassembly are
+/// covered by input size alone.
 #[test]
-fn hybrid_router_exercises_both_paths_on_mixed_stream() {
-    let width = 38; // n = 1 + 38 + 1444 + 1 = 1484; threshold = max(1024, 371) = 1024
+fn fan_out_rule_takes_both_branches_bit_identically() {
+    let width = 12; // n = 1 + 12 + 144 + 1 = 158
     let el = routing_graph(width);
     let n = el.vertex_count() as u32;
     let isolated = n - 1;
-    // One BC source at the root: grandchild g's distance is 2, child c's
-    // is 1, so (child, foreign grandchild) insertions are pure Case 2.
-    let sources = [0u32];
-    let ops: Vec<EdgeOp> = vec![
-        // Component merge: the isolated vertex is unreachable, so this is
-        // Case 3 with a default predicted footprint of n > 1024 → native.
-        EdgeOp::Insert(0, isolated),
-        // Tiny Case 2 updates: predicted 0.1·n ≈ 148 ≤ 1024 → CPU path.
-        EdgeOp::Insert(1, 1 + width as u32 + 1),
-        EdgeOp::Insert(2, 1 + width as u32 + 2),
-        EdgeOp::Insert(3, 1 + width as u32 + 3),
+    let child = |c: u32| 1 + c;
+    // Grandchild `i` of child `c` (`routing_graph` deals them round-robin).
+    let grandchild = |c: u32, i: u32| 1 + width as u32 + c + i * width as u32;
+    // The root and every grandchild are sources.
+    let sources: Vec<u32> = std::iter::once(0)
+        .chain((1 + width as u32)..isolated)
+        .collect();
+    let (g1, g2) = (grandchild(0, 0), grandchild(0, 1));
+    let batches: Vec<Vec<EdgeOp>> = vec![
+        // Small: siblings g1, g2 are equidistant from every source but
+        // themselves, so only their own rows do work (Case 3).
+        vec![EdgeOp::Insert(g1, g2)],
+        // Big: the isolated vertex joins, Case 3 for every source.
+        vec![EdgeOp::Insert(0, isolated)],
+        // Big: children gain foreign grandchildren, Case 2 for most
+        // sources; each op ends its own stage.
+        vec![
+            EdgeOp::Insert(child(1), grandchild(2, 0)),
+            EdgeOp::Insert(child(3), grandchild(4, 1)),
+            EdgeOp::Insert(child(5), grandchild(6, 2)),
+        ],
+        // Small: the sibling edge goes again (Case D3 for g1 and g2).
+        vec![EdgeOp::Remove(g1, g2)],
+        // Big: the bridge to the isolated vertex goes (Case D3 for all).
+        vec![EdgeOp::Remove(0, isolated)],
+        vec![EdgeOp::Remove(child(1), grandchild(2, 0))],
     ];
-
-    let mut hybrid = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), {
-        Parallelism::Node
-    })
-    .with_backend(Backend::Hybrid);
-    let mut cases = Vec::new();
-    for &op in &ops {
-        let (u, v) = op.endpoints();
-        cases.push(hybrid.insert_edge(u, v).cases);
-    }
-    assert_eq!(cases[0].distant, 1, "merge op must classify Case 3");
-    assert!(
-        (1..ops.len()).all(|i| cases[i].adjacent == 1),
-        "small ops must classify Case 2: {cases:?}"
-    );
-    assert!(
-        hybrid.router_native_stages() >= 1,
-        "the merge stage should route to the parallel native backend"
-    );
-    assert!(
-        hybrid.router_cpu_stages() >= 3,
-        "every small Case 2 stage should route to the sequential CPU path; \
-         cpu={} native={}",
-        hybrid.router_cpu_stages(),
-        hybrid.router_native_stages()
-    );
-
-    // Routing must not be observable in the results.
-    for backend in [Backend::Simulator, Backend::Native] {
-        let mut pure = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), {
+    let run = |backend: Backend, threads: usize| {
+        let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), {
             Parallelism::Node
         })
         .with_backend(backend);
-        for &op in &ops {
-            let (u, v) = op.endpoints();
-            pure.insert_edge(u, v);
-        }
-        assert_eq!(
-            bits(&pure.state_snapshot().bc),
-            bits(&hybrid.state_snapshot().bc),
-            "hybrid BC bits differ from {backend}"
+        eng.set_host_threads(threads);
+        let per_op: Vec<OpOutcome> = batches
+            .iter()
+            .flat_map(|b| eng.apply_batch(b).per_op)
+            .collect();
+        (bits(&eng.state_snapshot().bc), per_op)
+    };
+    let (sim_bits, sim_ops) = run(Backend::Simulator, 1);
+    // Work items per op: its `(source, op)` pairs that are not Case 1.
+    let work: Vec<u64> = sim_ops
+        .iter()
+        .map(|o| o.cases.adjacent + o.cases.distant)
+        .collect();
+    for small in [0, 5] {
+        assert!(
+            (1..=2).contains(&work[small]),
+            "op {small} should be small: {work:?}"
         );
+    }
+    for big in [1, 2, 3, 4, 6, 7] {
+        assert!(work[big] >= 100, "op {big} should be big: {work:?}");
+    }
+    for threads in [1usize, 2, 8] {
+        let (got_bits, got_ops) = run(Backend::Native, threads);
+        for (i, (got, want)) in got_ops.iter().zip(&sim_ops).enumerate() {
+            assert_eq!(got.cases, want.cases, "t{threads}: op {i} case tallies");
+            assert_eq!(
+                got.per_source, want.per_source,
+                "t{threads}: op {i} per-source outcomes"
+            );
+        }
+        assert_eq!(got_bits, sim_bits, "t{threads}: BC bits vs simulator");
     }
 }
 

@@ -19,7 +19,7 @@
 //! | `micro` | (ours) | Criterion microbenches of the substrate and instrumentation overheads |
 //! | `lint_runtime` | (ours) | `dynbc-lint` wall time over the workspace |
 //!
-//! The serve path and the native/hybrid backends are measured by the
+//! The serve path and the native backend are measured by the
 //! separate `perfbench` benchmark, not here.
 //!
 //! Scale defaults are reduced so the suite finishes on one CPU core;

@@ -254,12 +254,6 @@ impl BlockCtx {
         &self.dev
     }
 
-    /// Number of threads available to `parallel_for` (one block's worth;
-    /// grid-stride looping over larger item counts is implicit).
-    pub fn thread_count(&self) -> usize {
-        self.dev.threads_per_block
-    }
-
     /// Executes `f(lane, i)` for every `i in 0..n`, mapped onto warps of
     /// `warp_size` lanes in lockstep. This is the `do in parallel` of the
     /// paper's Algorithms 3–8.

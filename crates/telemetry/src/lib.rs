@@ -70,16 +70,6 @@ pub const TOUCHED_FRACTION: &str = "dynbc_touched_fraction";
 /// Family: per-device share of the batch makespan, labelled `device="N"`
 /// (gauge; populated by the multi-GPU engine).
 pub const DEVICE_UTILIZATION: &str = "dynbc_device_utilization_ratio";
-/// Family: hybrid-router stage routing decisions, labelled
-/// `path="cpu|native"` (counter; populated by engines running the
-/// `Backend::Hybrid` execution backend).
-pub const ROUTER_DECISIONS_TOTAL: &str = "dynbc_router_decisions_total";
-/// Family: wall-clock latency of stages the router sent down the
-/// sequential CPU path (histogram, host wall clock).
-pub const ROUTER_CPU_LATENCY_WALL: &str = "dynbc_router_cpu_latency_wall_seconds";
-/// Family: wall-clock latency of stages executed by the parallel native
-/// backend (histogram, host wall clock).
-pub const ROUTER_NATIVE_LATENCY_WALL: &str = "dynbc_router_native_latency_wall_seconds";
 /// Family: modeled L1 requests, labelled `outcome="hit|miss"` (counter;
 /// requires `DYNBC_MEMSIM=1` on a GPU engine). Defined lazily on the
 /// first observation carrying cache counters, so exposition output
@@ -192,21 +182,6 @@ impl Telemetry {
             DEVICE_UTILIZATION,
             "Per-device share of the batch makespan on the model clock.",
             Clock::Model,
-        );
-        r.define_counter(
-            ROUTER_DECISIONS_TOTAL,
-            "Hybrid-router stage routing decisions per execution path.",
-            Clock::Model,
-        );
-        r.define_histogram(
-            ROUTER_CPU_LATENCY_WALL,
-            "Wall-clock latency of stages routed to the sequential CPU path, seconds.",
-            Clock::Wall,
-        );
-        r.define_histogram(
-            ROUTER_NATIVE_LATENCY_WALL,
-            "Wall-clock latency of stages executed by the parallel native backend, seconds.",
-            Clock::Wall,
         );
         Telemetry {
             registry: r,
@@ -347,21 +322,6 @@ impl Telemetry {
                 l2_hits as f64 / (l2_hits + l2_other) as f64,
             );
         }
-    }
-
-    /// Record one hybrid-router stage decision and the wall-clock latency
-    /// of the stage on the path it was routed to. `cpu` selects the
-    /// sequential CPU path; otherwise the parallel native backend.
-    pub fn record_router_stage(&mut self, cpu: bool, wall_seconds: f64) {
-        let path = if cpu { "cpu" } else { "native" };
-        self.registry
-            .inc(ROUTER_DECISIONS_TOTAL, &[("path", path)], 1);
-        let family = if cpu {
-            ROUTER_CPU_LATENCY_WALL
-        } else {
-            ROUTER_NATIVE_LATENCY_WALL
-        };
-        self.registry.observe(family, &[], wall_seconds);
     }
 
     /// Set the utilization gauge for one device.
@@ -533,8 +493,6 @@ mod tests {
             ..obs()
         });
         t.set_device_utilization(0, 1.0);
-        t.record_router_stage(true, 1e-5);
-        t.record_router_stage(false, 2e-4);
         let text = t.prometheus();
         for fam in [
             BATCHES_TOTAL,
@@ -547,9 +505,6 @@ mod tests {
             BATCH_SIZE_OPS,
             TOUCHED_FRACTION,
             DEVICE_UTILIZATION,
-            ROUTER_DECISIONS_TOTAL,
-            ROUTER_CPU_LATENCY_WALL,
-            ROUTER_NATIVE_LATENCY_WALL,
             MEMSIM_L1_TOTAL,
             MEMSIM_L2_TOTAL,
             MEMSIM_EVICTIONS_TOTAL,
@@ -568,8 +523,6 @@ mod tests {
             );
         }
         assert!(text.contains(&format!("{DEVICE_UTILIZATION}{{device=\"0\"}} 1")));
-        assert!(text.contains(&format!("{ROUTER_DECISIONS_TOTAL}{{path=\"cpu\"}} 1")));
-        assert!(text.contains(&format!("{ROUTER_DECISIONS_TOTAL}{{path=\"native\"}} 1")));
     }
 
     #[test]
