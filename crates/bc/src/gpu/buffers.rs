@@ -472,8 +472,10 @@ impl ScratchBuffers {
         self.bc_delta = gpu.alloc(rows * self.bc_stride, 0.0).named("bc_delta");
     }
 
-    /// Reduces the BC delta slab into `bc`, **serially in row order**,
-    /// re-zeroing the slab for the next launch.
+    /// Reduces the first `rows` rows of the BC delta slab into `bc`,
+    /// **serially in row order**, re-zeroing them for the next launch.
+    /// `rows` is the launch's row count (ops × blocks): the slab keeps
+    /// every row it ever grew to, and rows past the launch's are zero.
     ///
     /// This is the deterministic half of the commit: work items
     /// accumulate into disjoint slab rows during the (possibly
@@ -485,9 +487,10 @@ impl ScratchBuffers {
     /// one-op-at-a-time sequence of launches and drains would produce.
     /// Host-side staging, off the simulated clock — the device-side cost
     /// of the adds was already charged when the kernels wrote the slab.
-    pub fn drain_bc_delta_into(&self, bc: &GpuBuffer<f64>) {
+    pub fn drain_bc_delta_into(&self, bc: &GpuBuffer<f64>, rows: usize) {
         assert!(bc.len() >= self.n, "BC array shorter than vertex count");
-        for b in 0..self.bc_rows() {
+        assert!(rows <= self.bc_rows(), "draining past the BC delta slab");
+        for b in 0..rows {
             let base = self.bc_row(b);
             for v in 0..self.n {
                 let d = self.bc_delta.host_get(base + v);
@@ -653,11 +656,11 @@ mod tests {
         scr.bc_delta.host_set(scr.bc_row(0), 0.5); // block 0, v = 0
         scr.bc_delta.host_set(scr.bc_row(2), 0.25); // block 2, v = 0
         scr.bc_delta.host_set(scr.bc_row(1) + 3, -1.0); // block 1, v = 3
-        scr.drain_bc_delta_into(&bc);
+        scr.drain_bc_delta_into(&bc, 3);
         assert_eq!(bc.to_vec(), [1.75, 1.0, 1.0, 0.0]);
         assert!(scr.bc_delta.to_vec().iter().all(|d| d.to_bits() == 0));
         // A second drain is a no-op.
-        scr.drain_bc_delta_into(&bc);
+        scr.drain_bc_delta_into(&bc, 3);
         assert_eq!(bc.to_vec(), [1.75, 1.0, 1.0, 0.0]);
     }
 
@@ -674,9 +677,25 @@ mod tests {
         let bc = g.alloc(4, 0.0f64);
         scr.bc_delta.host_set(scr.bc_row(5) + 1, 2.0); // op 2, block 1
         scr.bc_delta.host_set(scr.bc_row(0) + 1, 1.0); // op 0, block 0
-        scr.drain_bc_delta_into(&bc);
+        scr.drain_bc_delta_into(&bc, 6);
         assert_eq!(bc.to_vec(), [0.0, 3.0, 0.0, 0.0]);
         assert!(scr.bc_delta.to_vec().iter().all(|d| d.to_bits() == 0));
+    }
+
+    #[test]
+    fn drain_reads_only_the_launchs_rows() {
+        let mut g = gpu();
+        let mut scr = ScratchBuffers::new(&mut g, 2, 4, 0);
+        scr.ensure_bc_rows(&mut g, 6); // one wide batch grew the slab
+        let bc = g.alloc(4, 0.0f64);
+        scr.bc_delta.host_set(scr.bc_row(1) + 2, 0.5); // 1-op launch, block 1
+                                                       // A row past the launch's stays untouched; a launch never writes
+                                                       // one, so a real drain would find it zero.
+        scr.bc_delta.host_set(scr.bc_row(4), 7.0);
+        scr.drain_bc_delta_into(&bc, 2);
+        assert_eq!(bc.to_vec(), [0.0, 0.0, 0.5, 0.0]);
+        assert_eq!(scr.bc_delta.host_get(scr.bc_row(1) + 2).to_bits(), 0);
+        assert_eq!(scr.bc_delta.host_get(scr.bc_row(4)), 7.0);
     }
 
     #[test]

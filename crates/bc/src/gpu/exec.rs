@@ -27,7 +27,7 @@
 //! amortization the batch API exists for — and lets light ops pack into
 //! SMs idled by heavy ones.
 
-use super::buffers::{ScratchBuffers, SlackGraphBuffers, StateBuffers, T_UNTOUCHED};
+use super::buffers::{ScratchBuffers, SlackGraphBuffers, StateBuffers};
 use super::engine::{DedupStrategy, Parallelism};
 use super::kernels::{
     case2_edge, case2_node, case3_edge, case3_node, common, delete, Ctx, GraphView,
@@ -313,7 +313,7 @@ pub(super) fn run_stage(
     });
     // Deterministic epilogue: apply the slab rows in op-major /
     // block-minor order — the sequential commit order.
-    scr.drain_bc_delta_into(&st.bc);
+    scr.drain_bc_delta_into(&st.bc, stage.len() * num_blocks);
     let mut out = Vec::with_capacity(items.len());
     for slot in &touched_slots {
         out.extend(slot.lock().unwrap().drain(..));
@@ -352,8 +352,7 @@ fn insert_item(block: &mut BlockCtx, ctx: &Ctx<'_>, cfg: ExecConfig, case: Inser
             case3_edge::phase2_edge(block, ctx, max_depth);
         }
     }
-    common::update_kernel(block, ctx, general);
-    touched_flags(ctx)
+    common::update_kernel(block, ctx, general)
 }
 
 /// Case D2 item: Algorithm 2 machinery with a negative seed and the
@@ -375,8 +374,7 @@ fn delete_adjacent_item(block: &mut BlockCtx, ctx: &Ctx<'_>, cfg: ExecConfig) ->
         Parallelism::Node => case2_node::dep_node(block, &dep_ctx, deepest),
         Parallelism::Edge => case2_edge::dep_edge(block, &dep_ctx, deepest),
     }
-    common::update_kernel(block, ctx, false);
-    touched_flags(ctx)
+    common::update_kernel(block, ctx, false)
 }
 
 /// Node-parallel Case D3 item: collect the lost subtree, settle its new
@@ -389,8 +387,7 @@ fn delete_distant_item(block: &mut BlockCtx, ctx: &Ctx<'_>) -> usize {
     let deepest = delete::d3_recount(block, ctx);
     let max_depth = case3_node::mark_node(block, ctx, deepest);
     case3_node::phase2_node(block, ctx, max_depth);
-    common::update_kernel(block, ctx, true);
-    touched_flags(ctx)
+    common::update_kernel(block, ctx, true)
 }
 
 /// Edge-parallel Case D3 item: subtract the old scores, recompute this
@@ -413,13 +410,4 @@ fn delete_fallback_item(block: &mut BlockCtx, ctx: &Ctx<'_>) -> usize {
         .count();
     delete::fallback_commit(block, ctx);
     touched
-}
-
-/// Figure 4's touched-vertex statistic, read from this block's own `t`
-/// scratch row (host instrumentation, off the clock).
-fn touched_flags(ctx: &Ctx<'_>) -> usize {
-    let base = ctx.scr.row(ctx.block_slot);
-    (base..base + ctx.n())
-        .filter(|&i| ctx.scr.t.host_get(i) != T_UNTOUCHED)
-        .count()
 }

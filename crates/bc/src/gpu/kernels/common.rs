@@ -1,10 +1,16 @@
 //! Kernels shared by both decompositions: initialization (Algorithm 3),
 //! the global-state commit (Algorithm 8), and the Merrill-style duplicate
 //! removal used by the node-parallel frontier (Section III-A).
+//!
+//! Init and commit are the two O(|V|) sweeps of every work item, and
+//! nearly all their lanes do the same thing. They run on
+//! [`BlockCtx::sweep`], which charges those lanes a warp at a time and
+//! exactly as a lane-per-vertex `parallel_for` would; only the few lanes
+//! that differ (init's `u_low`, commit's touched vertices) run as closures.
 
 use super::Ctx;
 use crate::gpu::buffers::{SLOT_Q2LEN, SLOT_QLEN, SLOT_QQLEN, T_DOWN, T_UNTOUCHED};
-use dynbc_gpusim::BlockCtx;
+use dynbc_gpusim::{BlockCtx, Sweep};
 
 /// How [`init_kernel`] seeds `u_low` (the update flavours share the rest
 /// of Algorithm 3 verbatim).
@@ -26,15 +32,32 @@ pub enum SeedMode {
 /// Sets, for all `v`: `t[v] ← untouched`, `σ̂[v] ← σ[v]`, `δ̂[v] ← 0`;
 /// `u_low` is marked `down` and seeded per `mode`. The [`SeedMode::General`]
 /// flavour also copies `d̂[v] ← d[v]` (relocations need it).
+///
+/// One lane per vertex, as in the paper. Every lane but `u_low`'s makes
+/// the same column accesses (read `σ[v]`, write `t[v]` and `σ̂[v]`, with
+/// [`SeedMode::General`] read `d[v]` and write `d̂[v]`, then write
+/// `δ̂[v]`), so they are described once as a [`Sweep`] and charged a warp
+/// at a time; `u_low`'s lane runs as a closure at its place in its warp.
 pub fn init_kernel(block: &mut BlockCtx, ctx: &Ctx<'_>, mode: SeedMode) {
     block.label("common::init");
-    let n = ctx.n();
+    let (k0, s0) = (ctx.kn(0), ctx.sn(0));
     let u_low = ctx.u_low;
     let u_high = ctx.u_high;
-    block.parallel_for(n, |lane, v| {
-        let v = v as u32;
-        let sigma_v = lane.read(&ctx.st.sigma, ctx.kn(v));
-        if v == u_low {
+    let mut sweep = Sweep::new(ctx.n());
+    let sigma = sweep.read(&ctx.st.sigma, k0);
+    sweep.fill(&ctx.scr.t, s0, T_UNTOUCHED);
+    sweep.copy(&ctx.scr.sigma_hat, s0, sigma);
+    if mode == SeedMode::General {
+        let d = sweep.read(&ctx.st.d, k0);
+        sweep.copy(&ctx.scr.d_hat, s0, d);
+    }
+    sweep.fill(&ctx.scr.delta_hat, s0, 0.0);
+    block.sweep(
+        &sweep,
+        |v| v == u_low as usize,
+        |lane, v| {
+            let v = v as u32;
+            let sigma_v = lane.read(&ctx.st.sigma, ctx.kn(v));
             lane.write(&ctx.scr.t, ctx.sn(v), T_DOWN);
             match mode {
                 SeedMode::InsertAdjacent => {
@@ -51,21 +74,15 @@ pub fn init_kernel(block: &mut BlockCtx, ctx: &Ctx<'_>, mode: SeedMode) {
                     lane.write(&ctx.scr.d_hat, ctx.sn(v), d_high + 1);
                 }
             }
-        } else {
-            lane.write(&ctx.scr.t, ctx.sn(v), T_UNTOUCHED);
-            lane.write(&ctx.scr.sigma_hat, ctx.sn(v), sigma_v);
-            if mode == SeedMode::General {
-                let dv = lane.read(&ctx.st.d, ctx.kn(v));
-                lane.write(&ctx.scr.d_hat, ctx.sn(v), dv);
-            }
-        }
-        lane.write(&ctx.scr.delta_hat, ctx.sn(v), 0.0);
-    });
+            lane.write(&ctx.scr.delta_hat, ctx.sn(v), 0.0);
+        },
+    );
     block.barrier();
 }
 
 /// Algorithm 8: commit the update to the global per-source state and the
-/// BC scores.
+/// BC scores. Returns the number of touched vertices (`t[v] ≠ untouched`),
+/// Figure 4's statistic.
 ///
 /// `BC[v] += δ̂[v] − δ[v]` — atomically in the paper (blocks working on
 /// different sources race on this array, which it argues is
@@ -77,30 +94,44 @@ pub fn init_kernel(block: &mut BlockCtx, ctx: &Ctx<'_>, mode: SeedMode) {
 /// host-parallel block execution. `σ[v] ← σ̂[v]` unconditionally,
 /// `δ[v] ← δ̂[v]` for touched vertices, and with `case3 = true` also
 /// `d[v] ← d̂[v]` for touched vertices.
-pub fn update_kernel(block: &mut BlockCtx, ctx: &Ctx<'_>, case3: bool) {
+///
+/// One lane per vertex, as in the paper. An untouched vertex's lane reads
+/// `t[v]` and `σ̂[v]` and writes `σ[v]`, the same column accesses in every
+/// such lane, so those lanes are a [`Sweep`] charged a warp at a time. A
+/// touched vertex's lane (the source's too, when touched) runs as a
+/// closure at its place in its warp. The host reads `t[v]` to tell the two
+/// apart, off the clock; the charged read of `t[v]` stays in every lane.
+pub fn update_kernel(block: &mut BlockCtx, ctx: &Ctx<'_>, case3: bool) -> usize {
     block.label("common::update");
-    let n = ctx.n();
+    let (k0, s0) = (ctx.kn(0), ctx.sn(0));
     let s = ctx.s;
-    block.parallel_for(n, |lane, v| {
-        let v = v as u32;
-        let tv = lane.read(&ctx.scr.t, ctx.sn(v));
-        if tv != T_UNTOUCHED && v != s {
-            let dh = lane.read(&ctx.scr.delta_hat, ctx.sn(v));
-            let dl = lane.read(&ctx.st.delta, ctx.kn(v));
-            lane.atomic_add_f64(&ctx.scr.bc_delta, ctx.bci(v), dh - dl);
-        }
-        let sh = lane.read(&ctx.scr.sigma_hat, ctx.sn(v));
-        lane.write(&ctx.st.sigma, ctx.kn(v), sh);
-        if tv != T_UNTOUCHED {
+    let mut sweep = Sweep::new(ctx.n());
+    sweep.read(&ctx.scr.t, s0);
+    let sigma_hat = sweep.read(&ctx.scr.sigma_hat, s0);
+    sweep.copy(&ctx.st.sigma, k0, sigma_hat);
+    let touched = block.sweep(
+        &sweep,
+        |v| ctx.scr.t.host_get(s0 + v) != T_UNTOUCHED,
+        |lane, v| {
+            let v = v as u32;
+            lane.read(&ctx.scr.t, ctx.sn(v));
+            if v != s {
+                let dh = lane.read(&ctx.scr.delta_hat, ctx.sn(v));
+                let dl = lane.read(&ctx.st.delta, ctx.kn(v));
+                lane.atomic_add_f64(&ctx.scr.bc_delta, ctx.bci(v), dh - dl);
+            }
+            let sh = lane.read(&ctx.scr.sigma_hat, ctx.sn(v));
+            lane.write(&ctx.st.sigma, ctx.kn(v), sh);
             let dh = lane.read(&ctx.scr.delta_hat, ctx.sn(v));
             lane.write(&ctx.st.delta, ctx.kn(v), dh);
             if case3 {
                 let dhat = lane.read(&ctx.scr.d_hat, ctx.sn(v));
                 lane.write(&ctx.st.d, ctx.kn(v), dhat);
             }
-        }
-    });
+        },
+    );
     block.barrier();
+    touched
 }
 
 /// Moves `Q2` into `Q` and appends it to `QQ` *without* duplicate removal

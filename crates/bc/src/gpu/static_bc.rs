@@ -122,7 +122,7 @@ fn static_bc_core(
     };
     // Deterministic reduction: per-block BC contributions were staged in
     // the `bc_delta` slab; apply them serially in block-index order.
-    scr.drain_bc_delta_into(&bc);
+    scr.drain_bc_delta_into(&bc, num_blocks);
     (
         StaticBcReport {
             bc: bc.to_vec(),

@@ -30,6 +30,38 @@
 //! every touch takes the set, which it does while the profiler is on,
 //! because the profiler records every access.
 //!
+//! [`BlockCtx::sweep`] is a `parallel_for` over `n` items in which most
+//! lanes are *uniform*: lane `v` makes the same ordered column accesses
+//! `buf[base + v]`, described once by a [`Sweep`]. Only the lanes the
+//! caller marks divergent run a [`Lane`] closure, at their own position
+//! inside their warp. The uniform lanes between them are charged a run at
+//! a time, and charged exactly what their closures would have been:
+//!
+//! * each lane retires `columns` events (lane events, the busiest lane,
+//!   and the profiler's occupancy and divergence counts);
+//! * a column's cells are contiguous, so the segments a run of lanes hits
+//!   form one range of segment ids, and each is charged if it is new to
+//!   the warp's set. Only memsim sees the order of first touches: with it
+//!   on, the segments go to the set in lane-major order (lane, then
+//!   column), the order a lane loop would reach them, between the first
+//!   touches of the divergent lanes before the run and after it. A warp
+//!   with no divergent lane whose columns are all on different buffers
+//!   charges every segment without the set: segments of distinct buffers
+//!   never coincide, and no later lane of the warp looks;
+//! * the profiler still sees one segment per lane access, and checked
+//!   execution still records one `AccessRecord` per lane access, in lane
+//!   order, so racecheck analyses uniform lanes as it does any other.
+//!
+//! Uniform lanes leave the memo alone. That keeps it exact: it still holds
+//! only segments already in the set, whichever lane last wrote an ordinal,
+//! so a divergent lane's memo hit is still never a first touch, and a
+//! miss falls through to the set, which holds every segment the warp has
+//! touched whenever a divergent lane runs. Functionally, a run of uniform
+//! lanes applies its writes as slice fills and copies. [`Sweep`] rejects a
+//! written column that overlaps another column on the same buffer, so no
+//! lane of a run sees another's write and the slice form matches lane
+//! order.
+//!
 //! Within a block, execution is sequential and deterministic; parallelism
 //! is *modeled*, never raced. Functionally, lanes see each other's writes
 //! immediately, which is a superset of CUDA's intra-block visibility; the
@@ -46,6 +78,7 @@ use crate::device::DeviceConfig;
 use crate::mem::{DeviceValue, GpuBuffer, ADDR_LIMIT};
 use crate::profile::{BlockBuckets, BlockProfile};
 use crate::stats::KernelStats;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 /// Bits of a [`SegSet`] word that hold the segment id; the generation
@@ -258,30 +291,188 @@ impl BlockCtx {
     /// `warp_size` lanes in lockstep. This is the `do in parallel` of the
     /// paper's Algorithms 3–8.
     pub fn parallel_for<F: FnMut(&mut Lane<'_>, usize)>(&mut self, n: usize, mut f: F) {
-        self.region += 1;
-        self.expected_phase = None;
-        self.pf_max_phase = 0;
+        self.begin_lanes();
         let ws = self.dev.warp_size;
         let mut base = 0usize;
         while base < n {
             let end = (base + ws).min(n);
             self.begin_warp();
             for i in base..end {
-                self.lane_events = 0;
-                self.cur_lane = i as u32;
-                self.lane_phase = 0;
-                let mut lane = Lane { block: self };
-                f(&mut lane, i);
-                self.stats.lane_events += u64::from(self.lane_events);
-                self.max_lane_events = self.max_lane_events.max(self.lane_events);
-                if let Some(p) = &mut self.prof {
-                    p.lane_retired(self.lane_events);
-                }
-                self.end_lane(i);
+                self.run_lane(i, &mut f);
             }
             self.end_warp();
             base = end;
         }
+        self.end_lanes();
+    }
+
+    /// A `parallel_for` over the `n` items of `sweep` in which lane `i`
+    /// runs `f(lane, i)` where `diverges(i)` holds and is otherwise the
+    /// uniform lane `sweep` describes. Charges, profile counts, memsim
+    /// requests, racecheck records and buffer contents are exactly those
+    /// of a `parallel_for` whose closure ran the uniform accesses itself
+    /// (see the module docs). Returns the number of divergent lanes.
+    ///
+    /// `diverges` is evaluated for all lanes of a warp before any of them
+    /// runs, so it must not depend on what the sweep's lanes write.
+    pub fn sweep<P, F>(&mut self, sweep: &Sweep<'_>, mut diverges: P, mut f: F) -> usize
+    where
+        P: FnMut(usize) -> bool,
+        F: FnMut(&mut Lane<'_>, usize),
+    {
+        self.begin_lanes();
+        let ws = self.dev.warp_size;
+        let mut odd = Vec::new();
+        let mut divergent = 0usize;
+        let mut base = 0usize;
+        while base < sweep.n {
+            let end = (base + ws).min(sweep.n);
+            odd.clear();
+            odd.extend((base..end).filter(|&i| diverges(i)));
+            divergent += odd.len();
+            // With no divergent lane, and no two columns on one buffer,
+            // every segment of the warp's single run is new to the warp.
+            let fresh = odd.is_empty() && !sweep.shared;
+            self.begin_warp();
+            let mut run = base;
+            for &i in &odd {
+                self.uniform_lanes(sweep, run..i, false);
+                self.run_lane(i, &mut f);
+                run = i + 1;
+            }
+            self.uniform_lanes(sweep, run..end, fresh);
+            self.end_warp();
+            base = end;
+        }
+        self.end_lanes();
+        divergent
+    }
+
+    /// Opens the ordered region of a `parallel_for` or sweep.
+    fn begin_lanes(&mut self) {
+        self.region += 1;
+        self.expected_phase = None;
+        self.pf_max_phase = 0;
+    }
+
+    /// Runs lane `i` of the current warp as a closure.
+    #[inline]
+    fn run_lane<F: FnMut(&mut Lane<'_>, usize)>(&mut self, i: usize, f: &mut F) {
+        self.lane_events = 0;
+        self.cur_lane = i as u32;
+        self.lane_phase = 0;
+        let mut lane = Lane { block: self };
+        f(&mut lane, i);
+        self.stats.lane_events += u64::from(self.lane_events);
+        self.max_lane_events = self.max_lane_events.max(self.lane_events);
+        if let Some(p) = &mut self.prof {
+            p.lane_retired(self.lane_events);
+        }
+        self.end_lane(i);
+    }
+
+    /// Runs the uniform lanes `lanes` of the current warp: charges them,
+    /// records them under checking, and applies their writes. `fresh`
+    /// says no segment of the run can already be in the warp's set, which
+    /// then stays untouched: no later lane of the warp looks.
+    fn uniform_lanes(&mut self, sweep: &Sweep<'_>, lanes: Range<usize>, fresh: bool) {
+        if lanes.is_empty() {
+            return;
+        }
+        let events = sweep.cols.len() as u32;
+        self.stats.lane_events += lanes.len() as u64 * u64::from(events);
+        self.max_lane_events = self.max_lane_events.max(events);
+        if let Some(p) = &mut self.prof {
+            p.lanes_retired(lanes.len() as u32, events);
+            for col in &sweep.cols {
+                for v in lanes.clone() {
+                    p.touch_seg(col.addr(v) >> 5);
+                }
+            }
+        }
+        // A uniform lane reaches no lane barrier.
+        if self.expected_phase.is_some_and(|e| e != 0) {
+            self.lane_phase = 0;
+            for v in lanes.clone() {
+                self.end_lane(v);
+            }
+        } else {
+            self.expected_phase = Some(0);
+        }
+        if self.cache.is_some() {
+            self.charge_lane_major(sweep, lanes.clone(), fresh);
+        } else {
+            // Without memsim only which segments are new matters, not the
+            // order of first touches: a column's segments over the run are
+            // one range of ids.
+            let (mut segs, mut mem) = (0u64, self.mem_cycles);
+            for col in &sweep.cols {
+                let first = col.addr(lanes.start) >> 5;
+                let last = col.addr(lanes.end - 1) >> 5;
+                for seg in first..=last {
+                    if fresh || self.seg_set.insert_word(self.seg_set.stamp(seg)) {
+                        segs += 1;
+                        mem += self.dev.seg_cycles;
+                    }
+                }
+            }
+            self.stats.mem_segments += segs;
+            self.mem_cycles = mem;
+        }
+        if let Some(rec) = &mut self.recorder {
+            for v in lanes.clone() {
+                for col in &sweep.cols {
+                    rec.note_buffer(col.buf_base, col.buffer, col.buf_len);
+                    rec.accesses.push(AccessRecord {
+                        base: col.buf_base,
+                        index: (col.start + v) as u32,
+                        kind: col.kind,
+                        lane: v as u32,
+                        region: self.region,
+                        phase: 0,
+                        epoch: self.epoch,
+                        label: self.label,
+                        value: col.write.as_ref().map_or(0, |w| w.bits(v)),
+                    });
+                }
+            }
+        }
+        for col in &sweep.cols {
+            if let Some(w) = &col.write {
+                w.apply(lanes.start, lanes.len());
+            }
+        }
+    }
+
+    /// Charges the segments of the uniform lanes `lanes` in the order a
+    /// lane loop first touches them (lane, then column), so that memsim
+    /// sees its L1 requests in that order.
+    fn charge_lane_major(&mut self, sweep: &Sweep<'_>, lanes: Range<usize>, fresh: bool) {
+        // `next[c]`: the first lane at or after which column `c` enters a
+        // segment it has not yet touched in this run.
+        let mut next = vec![lanes.start; sweep.cols.len()];
+        loop {
+            let v = next.iter().copied().min().unwrap_or(lanes.end);
+            if v >= lanes.end {
+                break;
+            }
+            for (c, col) in sweep.cols.iter().enumerate() {
+                if next[c] == v {
+                    let addr = col.addr(v);
+                    let seg = addr >> 5;
+                    if fresh || self.seg_set.insert_word(self.seg_set.stamp(seg)) {
+                        self.charge_segment(addr, col.buffer);
+                    }
+                    // Cells are `width`-aligned and `width` divides 32, so
+                    // the segment's remaining bytes hold whole cells.
+                    next[c] = v + (((seg + 1) * 32 - addr) >> col.width.trailing_zeros()) as usize;
+                }
+            }
+        }
+    }
+
+    /// Closes the ordered region of a `parallel_for` or sweep.
+    fn end_lanes(&mut self) {
         self.cur_lane = SCALAR_LANE;
         // Lane-level barriers sync the whole block: charged once per phase
         // reached, like block barriers (no-op when the kernel used none).
@@ -477,16 +668,22 @@ impl BlockCtx {
     #[inline(never)]
     fn touch_set(&mut self, ordinal: usize, addr: u64, buffer: &'static str) {
         if self.seg_set.insert(ordinal, addr >> 5) {
-            self.stats.mem_segments += 1;
-            self.mem_cycles += self.dev.seg_cycles;
-            // Memsim sees exactly the transactions the cost model charges:
-            // one L1 request per distinct 32-byte segment per warp.
-            if let Some(c) = &mut self.cache {
-                c.access(addr, buffer);
-            }
+            self.charge_segment(addr, buffer);
         }
         if let Some(p) = &mut self.prof {
             p.touch_seg(addr >> 5);
+        }
+    }
+
+    /// Charges a segment new to this warp, first touched at `addr`.
+    #[inline]
+    fn charge_segment(&mut self, addr: u64, buffer: &'static str) {
+        self.stats.mem_segments += 1;
+        self.mem_cycles += self.dev.seg_cycles;
+        // Memsim sees exactly the transactions the cost model charges:
+        // one L1 request per distinct 32-byte segment per warp.
+        if let Some(c) = &mut self.cache {
+            c.access(addr, buffer);
         }
     }
 
@@ -538,6 +735,192 @@ impl BlockCtx {
     /// Work counters so far.
     pub fn stats(&self) -> &KernelStats {
         &self.stats
+    }
+}
+
+/// The uniform lanes of a [`BlockCtx::sweep`] over `n` items: lane `v`
+/// makes the same ordered column accesses, each to `buf[base + v]` of its
+/// column. Built once per sweep, it is both the charge description and the
+/// functional effect of those lanes, with instruments on or off.
+///
+/// Column accesses must be in bounds for all `n` lanes, and a written
+/// column must not overlap another column on the same buffer; both are
+/// checked as columns are added, and a violation panics, with or without
+/// checked execution.
+pub struct Sweep<'a> {
+    n: usize,
+    cols: Vec<Column<'a>>,
+    /// Two columns are on one buffer (their segments may coincide).
+    shared: bool,
+}
+
+/// A read column of a [`Sweep`]: what [`Sweep::copy`] stores.
+#[derive(Clone, Copy)]
+pub struct Col<'a, T: Copy> {
+    buf: &'a GpuBuffer<T>,
+    base: usize,
+}
+
+/// One column access of a uniform lane.
+struct Column<'a> {
+    /// Address of lane 0's cell, and the lane stride in bytes.
+    addr0: u64,
+    width: u64,
+    buffer: &'static str,
+    /// Identity of the buffer (addresses alone repeat across devices).
+    buf_id: usize,
+    buf_base: u64,
+    buf_len: usize,
+    /// Index of lane 0's cell.
+    start: usize,
+    kind: AccessKind,
+    write: Option<Box<dyn ColumnWrite + 'a>>,
+}
+
+impl Column<'_> {
+    #[inline]
+    fn addr(&self, v: usize) -> u64 {
+        self.addr0 + v as u64 * self.width
+    }
+}
+
+/// Identity of a buffer, for telling columns on one buffer apart.
+fn buffer_id<T: Copy>(buf: &GpuBuffer<T>) -> usize {
+    std::ptr::from_ref(buf) as usize
+}
+
+/// The functional side of a written [`Sweep`] column.
+trait ColumnWrite {
+    /// Applies the writes of lanes `first..first + count`.
+    fn apply(&self, first: usize, count: usize);
+    /// Raw bits lane `v` writes (checked execution records them).
+    fn bits(&self, v: usize) -> u64;
+}
+
+struct FillWrite<'a, T: Copy> {
+    buf: &'a GpuBuffer<T>,
+    base: usize,
+    value: T,
+}
+
+impl<T: DeviceValue> ColumnWrite for FillWrite<'_, T> {
+    fn apply(&self, first: usize, count: usize) {
+        self.buf.fill_range(self.base + first, count, self.value);
+    }
+
+    fn bits(&self, _: usize) -> u64 {
+        self.value.to_raw_bits()
+    }
+}
+
+struct CopyWrite<'a, T: Copy> {
+    buf: &'a GpuBuffer<T>,
+    base: usize,
+    src: Col<'a, T>,
+}
+
+impl<T: DeviceValue> ColumnWrite for CopyWrite<'_, T> {
+    fn apply(&self, first: usize, count: usize) {
+        self.buf.copy_range(
+            self.base + first,
+            self.src.buf,
+            self.src.base + first,
+            count,
+        );
+    }
+
+    fn bits(&self, v: usize) -> u64 {
+        self.src.buf.get(self.src.base + v).to_raw_bits()
+    }
+}
+
+impl<'a> Sweep<'a> {
+    /// An empty description of `n` uniform lanes.
+    pub fn new(n: usize) -> Self {
+        Self {
+            n,
+            cols: Vec::new(),
+            shared: false,
+        }
+    }
+
+    /// Each lane `v` reads `buf[base + v]`.
+    pub fn read<T: DeviceValue>(&mut self, buf: &'a GpuBuffer<T>, base: usize) -> Col<'a, T> {
+        self.push(buf, base, AccessKind::Read, None);
+        Col { buf, base }
+    }
+
+    /// Each lane `v` writes `value` to `buf[base + v]`.
+    pub fn fill<T: DeviceValue + 'a>(&mut self, buf: &'a GpuBuffer<T>, base: usize, value: T) {
+        let write = FillWrite { buf, base, value };
+        self.push(buf, base, AccessKind::Write, Some(Box::new(write)));
+    }
+
+    /// Each lane `v` writes the value it read from `src` to
+    /// `buf[base + v]`. `src` must be a column of this sweep.
+    pub fn copy<T: DeviceValue + 'a>(
+        &mut self,
+        buf: &'a GpuBuffer<T>,
+        base: usize,
+        src: Col<'a, T>,
+    ) {
+        assert!(
+            self.cols.iter().any(|c| c.kind == AccessKind::Read
+                && c.buf_id == buffer_id(src.buf)
+                && c.start == src.base),
+            "sweep copy into `{}` from a column this sweep does not read",
+            buf.name()
+        );
+        let write = CopyWrite { buf, base, src };
+        self.push(buf, base, AccessKind::Write, Some(Box::new(write)));
+    }
+
+    fn push<T: Copy>(
+        &mut self,
+        buf: &GpuBuffer<T>,
+        base: usize,
+        kind: AccessKind,
+        write: Option<Box<dyn ColumnWrite + 'a>>,
+    ) {
+        let n = self.n;
+        let width = std::mem::size_of::<T>();
+        assert!(
+            width.is_power_of_two() && width <= 32,
+            "sweep cells must tile 32-byte segments"
+        );
+        if n > 0 {
+            assert!(
+                base + n <= buf.len(),
+                "sweep column `{}`[{base}..{}] out of bounds (len {})",
+                buf.name(),
+                base + n,
+                buf.len()
+            );
+            for c in &self.cols {
+                let writes = kind == AccessKind::Write || c.kind == AccessKind::Write;
+                assert!(
+                    c.buf_id != buffer_id(buf)
+                        || !writes
+                        || base + n <= c.start
+                        || c.start + n <= base,
+                    "sweep columns `{}`[{}..] and [{base}..] overlap, and one is written",
+                    buf.name(),
+                    c.start
+                );
+            }
+        }
+        self.shared |= self.cols.iter().any(|c| c.buf_id == buffer_id(buf));
+        self.cols.push(Column {
+            addr0: buf.addr(base),
+            width: width as u64,
+            buffer: buf.name(),
+            buf_id: buffer_id(buf),
+            buf_base: buf.base,
+            buf_len: buf.len(),
+            start: base,
+            kind,
+            write,
+        });
     }
 }
 
@@ -953,6 +1336,59 @@ mod tests {
             }
         });
         assert_eq!(b.stats().mem_segments, 3000);
+    }
+
+    #[test]
+    fn sweep_charges_and_writes_like_the_lane_loop() {
+        let run = |swept: bool| {
+            let mut b = ctx();
+            let src = alloc::<f64>(24, 0.0);
+            let flags = alloc::<u8>(16, 0);
+            for i in 0..24 {
+                src.host_set(i, i as f64);
+            }
+            let diverges = |i: usize| i == 5;
+            let odd = |lane: &mut Lane<'_>, i: usize| {
+                let x = lane.read(&src, i + 1);
+                lane.atomic_add_f64(&src, 0, x);
+            };
+            let divergent = if swept {
+                let mut sweep = Sweep::new(10);
+                let x = sweep.read(&src, 1);
+                sweep.fill(&flags, 3, 7);
+                sweep.copy(&src, 12, x);
+                b.sweep(&sweep, diverges, odd)
+            } else {
+                b.parallel_for(10, |lane, i| {
+                    if diverges(i) {
+                        odd(lane, i);
+                    } else {
+                        let x = lane.read(&src, 1 + i);
+                        lane.write(&flags, 3 + i, 7);
+                        lane.write(&src, 12 + i, x);
+                    }
+                });
+                1
+            };
+            let (cycles, stats) = b.finish();
+            (
+                cycles.to_bits(),
+                stats,
+                src.to_vec(),
+                flags.to_vec(),
+                divergent,
+            )
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap")]
+    fn sweep_rejects_a_written_column_overlapping_another() {
+        let buf = alloc::<u32>(16, 0);
+        let mut sweep = Sweep::new(8);
+        sweep.read(&buf, 0);
+        sweep.fill(&buf, 4, 1);
     }
 
     #[test]

@@ -943,6 +943,7 @@ fn cross_diag(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Sweep;
     use crate::grid::Gpu;
 
     fn gpu() -> Gpu {
@@ -980,6 +981,30 @@ mod tests {
             text.contains("`cells`[3]"),
             "display locates the cell: {text}"
         );
+    }
+
+    #[test]
+    fn sweeps_of_two_blocks_over_overlapping_columns_race() {
+        let run = |stride: usize| {
+            let mut g = gpu();
+            let cells = g.alloc::<u32>(16, 0).named("col");
+            let (_, check) = g.launch_checked("sweeps", 2, |block, b| {
+                let mut sweep = Sweep::new(8);
+                sweep.fill(&cells, stride * b, b as u32);
+                block.sweep(&sweep, |_| false, |_, _| {});
+            });
+            check
+        };
+        // Block 1's uniform lane 0 writes the cell block 0's lane 4 wrote.
+        let check = run(4);
+        let d = check.errors().next().expect("cross-block race");
+        assert_eq!(d.class, DiagClass::DataRace);
+        assert_eq!(d.buffer, Some("col"));
+        assert_eq!(d.index, Some(4));
+        assert_eq!(d.blocks, [0, 1]);
+        assert_eq!(d.lanes, [4, 0]);
+        assert_eq!(check.accesses, 16, "one record per uniform lane access");
+        assert!(run(8).is_clean(), "disjoint columns do not race");
     }
 
     #[test]

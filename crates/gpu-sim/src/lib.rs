@@ -60,7 +60,7 @@ pub mod mem;
 mod profile;
 pub mod stats;
 
-pub use block::{BlockCtx, Lane};
+pub use block::{BlockCtx, Col, Lane, Sweep};
 pub use cache::CacheConfig;
 pub use checker::{AccessKind, AtomicKind, CheckReport, DiagClass, Diagnostic, Severity};
 pub use cpu_model::OpCounter;

@@ -235,6 +235,55 @@ impl<T: Copy> GpuBuffer<T> {
         unsafe { *self.data[i].0.get() = v }
     }
 
+    /// Raw write of `v` to cells `start..start + len` (same contract as
+    /// [`Self::set`], for every cell of the range).
+    pub(crate) fn fill_range(&self, start: usize, len: usize, v: T) {
+        assert!(
+            start + len <= self.data.len(),
+            "out-of-bounds fill of GpuBuffer `{}`",
+            self.name
+        );
+        let dst = self.data.as_ptr().cast::<T>().cast_mut();
+        for i in start..start + len {
+            // SAFETY: in bounds (asserted above); module contract — this
+            // thread is the only one accessing these cells concurrently.
+            // The pointer comes from the whole slice, and every element
+            // is an `UnsafeCell`, so writing through it is permitted.
+            unsafe { dst.add(i).write(v) }
+        }
+    }
+
+    /// Raw copy of `src[src_start..src_start + len]` into cells
+    /// `start..start + len` (same contract as [`Self::get`] on the source
+    /// cells and [`Self::set`] on the destination cells). The ranges may
+    /// overlap; the copy then behaves like `memmove`.
+    pub(crate) fn copy_range(
+        &self,
+        start: usize,
+        src: &GpuBuffer<T>,
+        src_start: usize,
+        len: usize,
+    ) {
+        assert!(
+            start + len <= self.data.len() && src_start + len <= src.data.len(),
+            "out-of-bounds copy from GpuBuffer `{}` into `{}`",
+            src.name,
+            self.name
+        );
+        // SAFETY: both ranges are in bounds (asserted above); module
+        // contract — no other thread writes the source cells or accesses
+        // the destination cells concurrently. Both pointers come from
+        // whole slices of `UnsafeCell` elements, and `ptr::copy` permits
+        // overlap.
+        unsafe {
+            std::ptr::copy(
+                src.data.as_ptr().cast::<T>().add(src_start),
+                self.data.as_ptr().cast::<T>().cast_mut().add(start),
+                len,
+            );
+        }
+    }
+
     /// Host-side read of the whole buffer (untimed staging). Must not be
     /// called while a launch is executing on another thread.
     pub fn host(&self) -> &[T] {

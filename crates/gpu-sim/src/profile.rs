@@ -105,6 +105,14 @@ impl BlockProfile {
         self.active_lanes += 1;
     }
 
+    /// Retires `count > 0` lanes that each ran `lane_events` events.
+    #[inline]
+    pub(crate) fn lanes_retired(&mut self, count: u32, lane_events: u32) {
+        self.sum_lane_events += u64::from(count) * u64::from(lane_events);
+        self.min_lane_events = self.min_lane_events.min(lane_events);
+        self.active_lanes += count;
+    }
+
     /// Retires the warp: folds the scratch into the active bucket.
     /// `atomic_addrs` must already be sorted (the cost model sorts it).
     pub(crate) fn end_warp(

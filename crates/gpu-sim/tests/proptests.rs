@@ -2,7 +2,7 @@
 //! its structural bounds for any access pattern, and functional results
 //! must never depend on cost parameters.
 
-use dynbc_gpusim::{BlockCtx, DeviceConfig, Gpu};
+use dynbc_gpusim::{BlockCtx, CacheConfig, Col, DeviceConfig, Gpu, Lane, ProfileReport, Sweep};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -69,11 +69,92 @@ impl LaneOp {
     }
 }
 
+/// How a uniform lane of a sweep step touches one column.
+#[derive(Debug, Clone, Copy)]
+enum ColKind {
+    Read,
+    /// Writes the same value in every lane.
+    Fill(u8),
+    /// Writes what the lane read from the latest earlier read column on
+    /// the same buffer.
+    Copy,
+}
+
+/// One column of a sweep step: lane `v` touches `buf[base + v]`, with
+/// `base` reduced so that every lane is in bounds.
+#[derive(Debug, Clone, Copy)]
+struct SweepCol {
+    kind: ColKind,
+    buf: usize,
+    base: usize,
+}
+
+/// A sweep column that passed [`sweep_columns`]: its in-bounds base, and
+/// for a copy the index of its source column.
+#[derive(Debug, Clone, Copy)]
+struct PlacedCol {
+    kind: ColKind,
+    buf: usize,
+    base: usize,
+    src: usize,
+}
+
+impl PlacedCol {
+    fn writes(&self) -> bool {
+        !matches!(self.kind, ColKind::Read)
+    }
+}
+
+/// The columns of a `lanes`-wide sweep that `Sweep` accepts, in order:
+/// in bounds for every lane, a copy only from an earlier read of its own
+/// buffer, and no written column overlapping another on its buffer.
+fn sweep_columns(lanes: usize, cols: &[SweepCol]) -> Vec<PlacedCol> {
+    let mut placed: Vec<PlacedCol> = Vec::new();
+    for c in cols {
+        let Some(room) = (LENS[c.buf] + 1).checked_sub(lanes) else {
+            continue;
+        };
+        let base = c.base % room;
+        let src = placed
+            .iter()
+            .rposition(|p| p.buf == c.buf && matches!(p.kind, ColKind::Read));
+        let col = PlacedCol {
+            kind: c.kind,
+            buf: c.buf,
+            base,
+            src: src.unwrap_or(usize::MAX),
+        };
+        if matches!(c.kind, ColKind::Copy) && src.is_none() {
+            continue;
+        }
+        let clash = lanes > 0
+            && placed.iter().any(|p| {
+                p.buf == c.buf
+                    && (p.writes() || col.writes())
+                    && p.base < base + lanes
+                    && base < p.base + lanes
+            });
+        if !clash {
+            placed.push(col);
+        }
+    }
+    placed
+}
+
 /// One step of a single-block kernel.
 #[derive(Debug, Clone)]
 enum Step {
     ParallelFor {
         lanes: usize,
+        ops: Vec<LaneOp>,
+    },
+    /// A sweep whose lane `l` diverges when `l % every == phase` and then
+    /// runs `ops` as a `ParallelFor` lane would.
+    Sweep {
+        lanes: usize,
+        cols: Vec<SweepCol>,
+        every: usize,
+        phase: usize,
         ops: Vec<LaneOp>,
     },
     Scalar {
@@ -103,76 +184,246 @@ fn arb_lane_op() -> impl Strategy<Value = LaneOp> {
         })
 }
 
+fn arb_sweep_col() -> impl Strategy<Value = SweepCol> {
+    (0u8..3, any::<u8>(), 0usize..3, 0usize..512).prop_map(|(kind, value, buf, base)| SweepCol {
+        kind: match kind {
+            0 => ColKind::Read,
+            1 => ColKind::Fill(value),
+            _ => ColKind::Copy,
+        },
+        buf,
+        base,
+    })
+}
+
 fn arb_program() -> impl Strategy<Value = Vec<Step>> {
-    // Four parallel_fors, two scalar accesses and one barrier in seven.
+    // Four parallel_fors, three sweeps, two scalar accesses and one
+    // barrier in ten. Sweeps stay under 70 lanes so that two columns fit
+    // side by side in the 128-element `f64` buffer.
     let step = (
-        (0u8..7, 0usize..100),
+        (0u8..10, 0usize..100),
         proptest::collection::vec(arb_lane_op(), 0..10),
         (0usize..3, 0usize..512, any::<bool>()),
+        (
+            proptest::collection::vec(arb_sweep_col(), 0..7),
+            1usize..80,
+            0usize..80,
+        ),
     )
-        .prop_map(|((tag, lanes), ops, (buf, index, write))| match tag {
-            0..=3 => Step::ParallelFor { lanes, ops },
-            4 | 5 => Step::Scalar {
-                buf,
-                index: index % LENS[buf],
-                write,
+        .prop_map(
+            |((tag, lanes), ops, (buf, index, write), (cols, every, phase))| match tag {
+                0..=3 => Step::ParallelFor { lanes, ops },
+                4..=6 => Step::Sweep {
+                    // Lane counts 0 and 1 come up often enough to pin.
+                    lanes: if lanes < 10 { lanes % 2 } else { lanes % 70 },
+                    cols,
+                    every,
+                    phase: phase % every,
+                    ops,
+                },
+                7 | 8 => Step::Scalar {
+                    buf,
+                    index: index % LENS[buf],
+                    write,
+                },
+                _ => Step::Barrier,
             },
-            _ => Step::Barrier,
-        });
+        );
     proptest::collection::vec(step, 0..8)
 }
 
 /// Final contents of the script buffers, `f64`s as bits.
 type Buffers = (Vec<u8>, Vec<u32>, Vec<u64>);
 
-/// Runs `program` as one block on [`wide_device`] with every instrument
-/// pinned off, or with profiling and memsim pinned on. Returns the launch
-/// report and the final buffer contents.
-fn run_program(program: &[Step], instrumented: bool) -> (dynbc_gpusim::LaunchReport, Buffers) {
+/// The instrument configurations a program runs under.
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    /// Every instrument pinned off.
+    Plain,
+    /// Profiling and memsim pinned on.
+    Instrumented,
+    /// Checked execution (racecheck), findings returned, not asserted.
+    Checked,
+}
+
+/// What a program run leaves behind: the launch report, the final buffer
+/// contents, the profile (empty unless instrumented) and the racecheck
+/// report (empty unless checked).
+struct Outcome {
+    report: dynbc_gpusim::LaunchReport,
+    buffers: Buffers,
+    profile: ProfileReport,
+    check: String,
+}
+
+/// The three script buffers of a program run.
+struct Bufs {
+    b8: dynbc_gpusim::GpuBuffer<u8>,
+    b32: dynbc_gpusim::GpuBuffer<u32>,
+    b64: dynbc_gpusim::GpuBuffer<f64>,
+}
+
+impl Bufs {
+    /// Runs the script operations of lane `l`.
+    fn lane_ops(&self, lane: &mut Lane<'_>, l: usize, ops: &[LaneOp]) {
+        let (b8, b32, b64) = (&self.b8, &self.b32, &self.b64);
+        for op in ops.iter().filter(|op| l.is_multiple_of(op.every)) {
+            let i = op.index(l);
+            match (op.kind, op.buf) {
+                (OpKind::Compute(units), _) => lane.compute(units),
+                (OpKind::Read, 0) => drop(lane.read(b8, i)),
+                (OpKind::Read, 1) => drop(lane.read(b32, i)),
+                (OpKind::Read, _) => drop(lane.read(b64, i)),
+                (OpKind::Write, 0) => lane.write(b8, i, l as u8),
+                (OpKind::Write, 1) => lane.write(b32, i, l as u32),
+                (OpKind::Write, _) => lane.write(b64, i, l as f64),
+                (OpKind::Atomic, 0) => drop(lane.atomic_cas_u8(b8, i, 0, 1)),
+                (OpKind::Atomic, 1) => drop(lane.atomic_add_u32(b32, i, 1)),
+                (OpKind::Atomic, _) => drop(lane.atomic_add_f64(b64, i, 0.5)),
+            }
+        }
+    }
+
+    /// The uniform lane `l` of a sweep, run as a closure: the lane loop
+    /// the sweep must be indistinguishable from.
+    fn uniform_lane(&self, lane: &mut Lane<'_>, l: usize, cols: &[PlacedCol]) {
+        let mut read = vec![0u64; cols.len()];
+        for (c, col) in cols.iter().enumerate() {
+            let i = col.base + l;
+            let copied = || read[col.src];
+            match (col.kind, col.buf) {
+                (ColKind::Read, 0) => read[c] = u64::from(lane.read(&self.b8, i)),
+                (ColKind::Read, 1) => read[c] = u64::from(lane.read(&self.b32, i)),
+                (ColKind::Read, _) => read[c] = lane.read(&self.b64, i).to_bits(),
+                (ColKind::Fill(v), 0) => lane.write(&self.b8, i, v),
+                (ColKind::Fill(v), 1) => lane.write(&self.b32, i, fill_u32(v)),
+                (ColKind::Fill(v), _) => lane.write(&self.b64, i, fill_f64(v)),
+                (ColKind::Copy, 0) => lane.write(&self.b8, i, copied() as u8),
+                (ColKind::Copy, 1) => lane.write(&self.b32, i, copied() as u32),
+                (ColKind::Copy, _) => lane.write(&self.b64, i, f64::from_bits(copied())),
+            }
+        }
+    }
+
+    /// The sweep description of `cols`.
+    fn sweep(&self, lanes: usize, cols: &[PlacedCol]) -> Sweep<'_> {
+        let mut sweep = Sweep::new(lanes);
+        let mut reads8 = Vec::new();
+        let mut reads32 = Vec::new();
+        let mut reads64 = Vec::new();
+        for (c, col) in cols.iter().enumerate() {
+            let i = col.base;
+            match (col.kind, col.buf) {
+                (ColKind::Read, 0) => reads8.push((c, sweep.read(&self.b8, i))),
+                (ColKind::Read, 1) => reads32.push((c, sweep.read(&self.b32, i))),
+                (ColKind::Read, _) => reads64.push((c, sweep.read(&self.b64, i))),
+                (ColKind::Fill(v), 0) => sweep.fill(&self.b8, i, v),
+                (ColKind::Fill(v), 1) => sweep.fill(&self.b32, i, fill_u32(v)),
+                (ColKind::Fill(v), _) => sweep.fill(&self.b64, i, fill_f64(v)),
+                (ColKind::Copy, 0) => sweep.copy(&self.b8, i, read_col(&reads8, col.src)),
+                (ColKind::Copy, 1) => sweep.copy(&self.b32, i, read_col(&reads32, col.src)),
+                (ColKind::Copy, _) => sweep.copy(&self.b64, i, read_col(&reads64, col.src)),
+            }
+        }
+        sweep
+    }
+}
+
+/// The read column of `reads` that sweep column `src` made.
+fn read_col<'a, T: Copy>(reads: &[(usize, Col<'a, T>)], src: usize) -> Col<'a, T> {
+    reads.iter().find(|&&(c, _)| c == src).unwrap().1
+}
+
+fn fill_u32(v: u8) -> u32 {
+    u32::from(v) * 0x0101_0101
+}
+
+fn fill_f64(v: u8) -> f64 {
+    f64::from(v) + 0.25
+}
+
+/// Runs `program` as one block on [`wide_device`] under `run`, with every
+/// other instrument pinned off. `lane_loop` runs each sweep step as a
+/// `parallel_for` whose closure also makes the uniform lanes' accesses,
+/// the reference a sweep must reproduce.
+fn run_program(program: &[Step], run: Run, lane_loop: bool) -> Outcome {
     let mut gpu = Gpu::new(wide_device());
     let ins = gpu.instruments_mut();
     ins.host_threads = 1;
     ins.racecheck = false;
     ins.telemetry = false;
-    ins.profiling = instrumented;
-    ins.memsim = instrumented;
-    let b8 = gpu.alloc::<u8>(LENS[0], 0);
-    let b32 = gpu.alloc::<u32>(LENS[1], 0);
-    let b64 = gpu.alloc::<f64>(LENS[2], 0.0);
-    let report = gpu.launch(1, |block: &mut BlockCtx, _| {
+    ins.profiling = matches!(run, Run::Instrumented);
+    ins.memsim = matches!(run, Run::Instrumented);
+    // An L1 and L2 far smaller than the script buffers: hits, misses and
+    // evictions then depend on the order of the L1 requests, not just on
+    // which segments were requested.
+    ins.cache = CacheConfig {
+        l1_kb: 1,
+        l1_ways: 2,
+        l1_line: 32,
+        l2_kb: 1,
+        l2_ways: 2,
+    };
+    let bufs = Bufs {
+        b8: gpu.alloc::<u8>(LENS[0], 0).named("b8"),
+        b32: gpu.alloc::<u32>(LENS[1], 0).named("b32"),
+        b64: gpu.alloc::<f64>(LENS[2], 0.0).named("b64"),
+    };
+    let (b8, b32, b64) = (&bufs.b8, &bufs.b32, &bufs.b64);
+    let kernel = |block: &mut BlockCtx, _| {
         for step in program {
             match *step {
-                Step::ParallelFor { lanes, ref ops } => block.parallel_for(lanes, |lane, l| {
-                    for op in ops.iter().filter(|op| l % op.every == 0) {
-                        let i = op.index(l);
-                        match (op.kind, op.buf) {
-                            (OpKind::Compute(units), _) => lane.compute(units),
-                            (OpKind::Read, 0) => drop(lane.read(&b8, i)),
-                            (OpKind::Read, 1) => drop(lane.read(&b32, i)),
-                            (OpKind::Read, _) => drop(lane.read(&b64, i)),
-                            (OpKind::Write, 0) => lane.write(&b8, i, l as u8),
-                            (OpKind::Write, 1) => lane.write(&b32, i, l as u32),
-                            (OpKind::Write, _) => lane.write(&b64, i, l as f64),
-                            (OpKind::Atomic, 0) => drop(lane.atomic_cas_u8(&b8, i, 0, 1)),
-                            (OpKind::Atomic, 1) => drop(lane.atomic_add_u32(&b32, i, 1)),
-                            (OpKind::Atomic, _) => drop(lane.atomic_add_f64(&b64, i, 0.5)),
-                        }
+                Step::ParallelFor { lanes, ref ops } => {
+                    block.parallel_for(lanes, |lane, l| bufs.lane_ops(lane, l, ops));
+                }
+                Step::Sweep {
+                    lanes,
+                    ref cols,
+                    every,
+                    phase,
+                    ref ops,
+                } => {
+                    let cols = sweep_columns(lanes, cols);
+                    let diverges = |l: usize| l % every == phase;
+                    if lane_loop {
+                        block.parallel_for(lanes, |lane, l| {
+                            if diverges(l) {
+                                bufs.lane_ops(lane, l, ops);
+                            } else {
+                                bufs.uniform_lane(lane, l, &cols);
+                            }
+                        });
+                    } else {
+                        let sweep = bufs.sweep(lanes, &cols);
+                        block.sweep(&sweep, diverges, |lane, l| bufs.lane_ops(lane, l, ops));
                     }
-                }),
+                }
                 Step::Scalar { buf, index, write } => match (buf, write) {
-                    (0, false) => drop(block.read_scalar(&b8, index)),
-                    (1, false) => drop(block.read_scalar(&b32, index)),
-                    (_, false) => drop(block.read_scalar(&b64, index)),
-                    (0, true) => block.write_scalar(&b8, index, 9),
-                    (1, true) => block.write_scalar(&b32, index, 9),
-                    (_, true) => block.write_scalar(&b64, index, 9.0),
+                    (0, false) => drop(block.read_scalar(b8, index)),
+                    (1, false) => drop(block.read_scalar(b32, index)),
+                    (_, false) => drop(block.read_scalar(b64, index)),
+                    (0, true) => block.write_scalar(b8, index, 9),
+                    (1, true) => block.write_scalar(b32, index, 9),
+                    (_, true) => block.write_scalar(b64, index, 9.0),
                 },
                 Step::Barrier => block.barrier(),
             }
         }
-    });
+    };
+    let (report, check) = match run {
+        Run::Checked => {
+            let (report, check) = gpu.launch_checked("program", 1, kernel);
+            (report, check.to_string())
+        }
+        Run::Plain | Run::Instrumented => (gpu.launch(1, kernel), String::new()),
+    };
     let f64_bits = b64.to_vec().into_iter().map(f64::to_bits).collect();
-    (report, (b8.to_vec(), b32.to_vec(), f64_bits))
+    Outcome {
+        report,
+        buffers: (b8.to_vec(), b32.to_vec(), f64_bits),
+        profile: gpu.take_profile_report(),
+        check,
+    }
 }
 
 /// The cost model's accumulators, replayed without the interpreter in
@@ -219,6 +470,38 @@ impl Charge {
     }
 }
 
+/// The `(buffer, 32-byte segment)` key of element `i` of script buffer
+/// `buf` (buffers are disjoint and 256-byte aligned, so these keys are
+/// exactly the distinct segments).
+fn seg(buf: usize, i: usize) -> (usize, usize) {
+    (buf, (i * WIDTHS[buf]) >> 5)
+}
+
+/// Adds lane `l`'s script segments and atomic targets to its warp's;
+/// returns the lane's event count.
+fn lane_charge(
+    ops: &[LaneOp],
+    l: usize,
+    segs: &mut BTreeSet<(usize, usize)>,
+    atomics: &mut Vec<(usize, usize)>,
+) -> u32 {
+    let mut events = 0u32;
+    for op in ops.iter().filter(|op| l.is_multiple_of(op.every)) {
+        let i = op.index(l);
+        match op.kind {
+            OpKind::Compute(units) => events += units,
+            kind => {
+                events += 1;
+                segs.insert(seg(op.buf, i));
+                if matches!(kind, OpKind::Atomic) {
+                    atomics.push((op.buf, i));
+                }
+            }
+        }
+    }
+    events
+}
+
 /// What the cost model charges for `program` on `dev`, computed without
 /// the interpreter: per warp, a `BTreeSet` of `(buffer, 32-byte segment)`
 /// keys (buffers are disjoint and 256-byte aligned, so these are exactly
@@ -226,27 +509,38 @@ impl Charge {
 /// launch's makespan is its block's committed cycles.
 fn oracle(dev: &DeviceConfig, program: &[Step]) -> Charge {
     let mut charge = Charge::default();
-    let seg = |buf: usize, i: usize| (buf, (i * WIDTHS[buf]) >> 5);
     for step in program {
         match step {
             Step::ParallelFor { lanes, ops } => {
                 for first in (0..*lanes).step_by(dev.warp_size) {
                     let (mut segs, mut atomics, mut max) = (BTreeSet::new(), Vec::new(), 0u32);
                     for l in first..(first + dev.warp_size).min(*lanes) {
-                        let mut events = 0u32;
-                        for op in ops.iter().filter(|op| l % op.every == 0) {
-                            let i = op.index(l);
-                            match op.kind {
-                                OpKind::Compute(units) => events += units,
-                                kind => {
-                                    events += 1;
-                                    segs.insert(seg(op.buf, i));
-                                    if matches!(kind, OpKind::Atomic) {
-                                        atomics.push((op.buf, i));
-                                    }
-                                }
+                        let events = lane_charge(ops, l, &mut segs, &mut atomics);
+                        charge.lane_events += u64::from(events);
+                        max = max.max(events);
+                    }
+                    charge.warp(dev, &segs, &mut atomics, max);
+                }
+            }
+            Step::Sweep {
+                lanes,
+                cols,
+                every,
+                phase,
+                ops,
+            } => {
+                let cols = sweep_columns(*lanes, cols);
+                for first in (0..*lanes).step_by(dev.warp_size) {
+                    let (mut segs, mut atomics, mut max) = (BTreeSet::new(), Vec::new(), 0u32);
+                    for l in first..(first + dev.warp_size).min(*lanes) {
+                        let events = if l % every == *phase {
+                            lane_charge(ops, l, &mut segs, &mut atomics)
+                        } else {
+                            for col in &cols {
+                                segs.insert(seg(col.buf, col.base + l));
                             }
-                        }
+                            cols.len() as u32
+                        };
                         charge.lane_events += u64::from(events);
                         max = max.max(events);
                     }
@@ -277,20 +571,37 @@ proptest! {
     fn charges_match_the_btreeset_oracle_with_instruments_on_and_off(program in arb_program()) {
         let dev = wide_device();
         let want = oracle(&dev, &program);
-        let (plain, plain_buffers) = run_program(&program, false);
-        prop_assert_eq!(plain.stats.lane_events, want.lane_events);
-        prop_assert_eq!(plain.stats.mem_segments, want.segments, "per-warp distinct-segment count");
-        prop_assert_eq!(plain.stats.atomic_conflicts, want.conflicts);
-        prop_assert_eq!(plain.makespan_cycles.to_bits(), want.committed.to_bits());
-        // The instrumented run charges through the set on every access;
-        // it must charge, and compute, exactly what the memo path did.
-        let (instrumented, instrumented_buffers) = run_program(&program, true);
-        prop_assert_eq!(instrumented.stats, plain.stats);
+        let plain = run_program(&program, Run::Plain, false);
+        prop_assert_eq!(plain.report.stats.lane_events, want.lane_events);
         prop_assert_eq!(
-            instrumented.makespan_cycles.to_bits(),
-            plain.makespan_cycles.to_bits()
+            plain.report.stats.mem_segments,
+            want.segments,
+            "per-warp distinct-segment count"
         );
-        prop_assert_eq!(instrumented_buffers, plain_buffers);
+        prop_assert_eq!(plain.report.stats.atomic_conflicts, want.conflicts);
+        prop_assert_eq!(plain.report.makespan_cycles.to_bits(), want.committed.to_bits());
+        // The instrumented run charges through the set on every access,
+        // and the checked run records every access; both must charge, and
+        // compute, exactly what the plain run did. Each must also match a
+        // run with every sweep unrolled into a lane loop: same profile
+        // (memsim's L1 requests in lane-major order included) and the same
+        // racecheck report.
+        for run in [Run::Plain, Run::Instrumented, Run::Checked] {
+            let swept = run_program(&program, run, false);
+            let looped = run_program(&program, run, true);
+            for got in [&swept, &looped] {
+                prop_assert_eq!(got.report.stats, plain.report.stats, "{:?}", run);
+                prop_assert_eq!(
+                    got.report.makespan_cycles.to_bits(),
+                    plain.report.makespan_cycles.to_bits(),
+                    "{:?}",
+                    run
+                );
+                prop_assert_eq!(&got.buffers, &plain.buffers, "{:?}", run);
+            }
+            prop_assert_eq!(&swept.profile, &looped.profile, "{:?}", run);
+            prop_assert_eq!(&swept.check, &looped.check, "{:?}", run);
+        }
     }
 
     #[test]

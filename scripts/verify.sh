@@ -105,6 +105,13 @@ echo "== interpreter golden counters: DYNBC_PROFILE=1 DYNBC_MEMSIM=1 =="
 DYNBC_PROFILE=1 DYNBC_MEMSIM=1 cargo test -q --test model_invariants \
     interpreter_counters_match_golden_values
 
+echo "== interpreter golden counters: DYNBC_RACECHECK=1 =="
+# Checked execution records every lane access, the uniform lanes of the
+# init and commit sweeps included; it too must charge the pinned counters
+# and simulated seconds.
+DYNBC_RACECHECK=1 cargo test -q --test model_invariants \
+    interpreter_counters_match_golden_values
+
 echo "== gpu-sim instrument switches: DYNBC_MEMSIM=1 DYNBC_PROFILE=1 =="
 # The simulator's own tests must pin every switch they depend on, so an
 # instrumentation variable set in the environment cannot flip them.
