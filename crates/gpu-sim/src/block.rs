@@ -20,15 +20,36 @@
 //! `max(compute, memory) + atomics` — warps overlap, so the slower
 //! pipeline bounds progress while atomics serialize on the L2.
 //!
-//! Every access is charged by `touch`. It dedups the access's segment in a
-//! per-warp set (`SegSet`), behind a memo of the segment the previous
-//! lane's touch #k hit (k counts the lane's events so far). A lane whose
-//! touch #k hits that same segment stops at the memo, which is exact: the
-//! memo only holds segments already in this warp's set, so a hit is never
-//! the warp's first touch of its segment. The charged segments and cycles,
+//! Every access is charged by `touch`, which looks the access's segment up
+//! in the warp's segment set, a `SegTable`. The set is exact: a bitmap with
+//! one bit per 32-byte segment of the device's address space. A device
+//! hands out addresses compactly from its first base up, so the bitmap is
+//! 1/256 of the bytes it has ever allocated (buffers are never freed in
+//! place; a graph relayout re-uploads at fresh addresses). On paper-insert
+//! that is 103 KB at the start and 171 KB after a 60-second run.
+//! Each new segment is also pushed onto a list, and the next warp clears
+//! exactly the bits on it, so a warp costs no more to clear than it cost
+//! to fill, and nothing hashes, probes, grows or wraps. A segment past the
+//! bitmap can only come from an out-of-bounds index under checked
+//! execution (which charges the access, then suppresses it); it goes to a
+//! short per-warp list. The `Gpu` keeps one table per host worker, grown
+//! before each launch to cover every buffer allocated so far, and lends
+//! it to that worker's blocks in turn; a table a panicking kernel takes
+//! with it is rebuilt at the next launch. Every set bit is on the list
+//! before it is set, so no bit outlives its warp either way.
+//!
+//! In front of the set sits a memo of the segment the previous lane's
+//! touch #k hit (k counts the lane's events so far). A lane whose touch #k
+//! hits that same segment stops at the memo, which is exact: the memo only
+//! holds segments already in this warp's set, so a hit is never the
+//! warp's first touch of its segment. The charged segments and cycles,
 //! and memsim's L1 requests (one per first touch), are the same as when
 //! every touch takes the set, which it does while the profiler is on,
-//! because the profiler records every access.
+//! because the profiler records every access. The memo costs a hub-row
+//! scan (whose lanes rarely repeat each other) one compare per touch, and
+//! spares the coalesced lanes of the edge-parallel kernels the bitmap:
+//! without it, paper-insert's traced `sim_edge_inserts_per_s` fell by
+//! about a quarter (CHANGES.md).
 //!
 //! [`BlockCtx::sweep`] is a `parallel_for` over `n` items in which most
 //! lanes are *uniform*: lane `v` makes the same ordered column accesses
@@ -70,123 +91,121 @@
 //! [`Gpu::launch`](crate::Gpu::launch)); cross-block traffic must then
 //! follow the sharing contract documented in [`crate::mem`].
 
-use crate::cache::{BlockCache, BlockCacheOut, CacheConfig};
+use crate::cache::{BlockCache, CacheConfig};
 use crate::checker::{
     AccessKind, AccessRecord, AtomicKind, DivergenceRecord, OobRecord, Recorder, SCALAR_LANE,
 };
 use crate::device::DeviceConfig;
-use crate::mem::{DeviceValue, GpuBuffer, ADDR_LIMIT};
-use crate::profile::{BlockBuckets, BlockProfile};
+use crate::grid::BlockOut;
+use crate::mem::{DeviceValue, GpuBuffer};
+use crate::profile::BlockProfile;
 use crate::stats::KernelStats;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
-
-/// Bits of a [`SegSet`] word that hold the segment id; the generation
-/// takes the rest. Segment ids are byte addresses `>> 5`, so this covers
-/// every address a device allocates (below `ADDR_LIMIT`).
-const KEY_BITS: u32 = ADDR_LIMIT.trailing_zeros() - 5;
-const KEY_MASK: u64 = (1 << KEY_BITS) - 1;
 
 /// Touch ordinals the per-warp memo covers; a lane's later touches always
 /// take the set.
 const MEMO_ORDINALS: usize = 1024;
 
-/// Open-addressed set of the 32-byte segment ids one warp has touched,
-/// cleared per warp via a generation counter (no rehash/zeroing in the
-/// hot path), plus the warp's previous-lane memo. Each slot packs
-/// `generation << KEY_BITS | segment` into one word; a slot stamped with
-/// an older generation is empty.
-#[derive(Debug)]
-struct SegSet {
-    slots: Vec<u64>,
-    /// Per touch ordinal `k`: the stamped segment that touch #k of the
-    /// most recent lane reaching `k` in this warp hit. Every entry
-    /// stamped with the current generation is in `slots`.
+/// A memo entry no touch has written this warp. Segment ids are byte
+/// addresses `>> 5`, so none equals it.
+const NO_SEG: u64 = u64::MAX;
+
+/// The exact set of 32-byte segment ids one warp has touched, plus the
+/// warp's previous-lane memo. The set is a bitmap with one bit per
+/// segment of the device's address space, which [`Gpu`](crate::Gpu)
+/// allocates compactly from its first base up; a launch
+/// [`cover`](Self::cover)s everything allocated before it. Every set bit
+/// is also listed in `set`, so the next warp clears exactly those bits.
+/// An id past the bitmap (only an out-of-bounds index under checked
+/// execution reaches one) goes to the short `outside` list instead.
+///
+/// A device keeps one table per host worker and lends it to the worker's
+/// blocks in turn (see `grid`), so blocks and launches reuse its memory.
+#[derive(Default)]
+pub(crate) struct SegTable {
+    /// Bit `s % 64` of word `s / 64` is set iff segment `s` is in the set.
+    bits: Vec<u64>,
+    /// The segments whose bits are set.
+    set: Vec<u64>,
+    /// The segments of this warp past the end of `bits`.
+    outside: Vec<u64>,
+    /// Per touch ordinal `k`: the segment touch #k of the most recent lane
+    /// reaching `k` in this warp hit, or [`NO_SEG`]. Every entry is in the
+    /// set; cleared per warp with it.
     memo: Vec<u64>,
-    gen: u64,
-    live: usize,
 }
 
-impl SegSet {
-    fn new() -> Self {
-        Self {
-            slots: vec![0; 256],
-            memo: Vec::new(),
-            gen: 0,
-            live: 0,
+impl std::fmt::Debug for SegTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SegTable")
+            .field("segments", &(self.bits.len() * 64))
+            .field("set", &(self.set.len() + self.outside.len()))
+            .finish_non_exhaustive()
+    }
+}
+
+impl SegTable {
+    /// Grows the bitmap to cover every segment below address `end`.
+    pub(crate) fn cover(&mut self, end: u64) {
+        let words = (end >> 5).div_ceil(64) as usize;
+        if words > self.bits.len() {
+            self.bits.resize(words, 0);
         }
     }
 
-    fn next_generation(&mut self) {
-        self.gen += 1;
-        self.live = 0;
-        if self.gen == 1 << (64 - KEY_BITS) {
-            // Generation counter wrapped: hard-clear to avoid stale hits.
-            self.slots.fill(0);
-            self.memo.fill(0);
-            self.gen = 1;
+    /// Empties the set and the memo for the next warp.
+    fn clear(&mut self) {
+        for &seg in &self.set {
+            self.bits[(seg >> 6) as usize] &= !(1 << (seg & 63));
         }
-    }
-
-    /// Packs `seg` with the current generation. Only an out-of-bounds
-    /// index (suppressed under checking) can address past `ADDR_LIMIT`;
-    /// its high bits are dropped rather than spill into the generation.
-    #[inline]
-    fn stamp(&self, seg: u64) -> u64 {
-        self.gen << KEY_BITS | (seg & KEY_MASK)
+        self.set.clear();
+        self.outside.clear();
+        self.memo.clear();
     }
 
     /// `true` when touch #`ordinal` of the previous lane hit `seg` in this
     /// warp, so `seg` is already in the set.
     #[inline]
     fn memo_hit(&self, ordinal: usize, seg: u64) -> bool {
-        self.memo.get(ordinal) == Some(&self.stamp(seg))
+        self.memo.get(ordinal) == Some(&seg)
     }
 
     /// Inserts `seg` as touch #`ordinal` of the current lane; returns
-    /// `true` if it was not present this generation.
-    fn insert(&mut self, ordinal: usize, seg: u64) -> bool {
-        let word = self.stamp(seg);
+    /// `true` if the warp had not touched it.
+    fn insert_touch(&mut self, ordinal: usize, seg: u64) -> bool {
         if ordinal < MEMO_ORDINALS {
             if ordinal >= self.memo.len() {
-                self.memo.resize(ordinal + 1, 0);
+                self.memo.resize(ordinal + 1, NO_SEG);
             }
-            self.memo[ordinal] = word;
+            self.memo[ordinal] = seg;
         }
-        self.insert_word(word)
+        self.insert(seg)
     }
 
-    fn insert_word(&mut self, word: u64) -> bool {
-        if self.live * 4 >= self.slots.len() * 3 {
-            self.grow();
+    /// Inserts `seg`; returns `true` if the warp had not touched it.
+    #[inline]
+    fn insert(&mut self, seg: u64) -> bool {
+        let Some(word) = self.bits.get_mut((seg >> 6) as usize) else {
+            return self.insert_outside(seg);
+        };
+        let bit = 1 << (seg & 63);
+        if *word & bit != 0 {
+            return false;
         }
-        let mask = self.slots.len() - 1;
-        let key = word & KEY_MASK;
-        // Multiplicative hash; segments are sequential-ish so mixing matters.
-        let mut idx = (key.wrapping_mul(0x9E3779B97F4A7C15) >> 40) as usize & mask;
-        loop {
-            let slot = self.slots[idx];
-            if slot >> KEY_BITS != self.gen {
-                self.slots[idx] = word;
-                self.live += 1;
-                return true;
-            }
-            if slot == word {
-                return false;
-            }
-            idx = (idx + 1) & mask;
-        }
+        // Listed before it is set, so no set bit ever goes unlisted.
+        self.set.push(seg);
+        *word |= bit;
+        true
     }
 
-    fn grow(&mut self) {
-        let old = std::mem::take(&mut self.slots);
-        self.slots = vec![0; old.len() * 2];
-        self.live = 0;
-        for word in old {
-            if word >> KEY_BITS == self.gen {
-                self.insert_word(word);
-            }
+    #[cold]
+    fn insert_outside(&mut self, seg: u64) -> bool {
+        let new = !self.outside.contains(&seg);
+        if new {
+            self.outside.push(seg);
         }
+        new
     }
 }
 
@@ -201,7 +220,7 @@ pub struct BlockCtx {
     atomic_cycles: f64,
     committed_cycles: f64,
     // Current-warp state.
-    seg_set: SegSet,
+    segs: SegTable,
     atomic_addrs: Vec<u64>,
     lane_events: u32,
     max_lane_events: u32,
@@ -238,6 +257,7 @@ impl BlockCtx {
         record: bool,
         profile: bool,
         cache: Option<CacheConfig>,
+        segs: SegTable,
     ) -> Self {
         Self {
             dev,
@@ -246,7 +266,7 @@ impl BlockCtx {
             mem_cycles: 0.0,
             atomic_cycles: 0.0,
             committed_cycles: 0.0,
-            seg_set: SegSet::new(),
+            segs,
             atomic_addrs: Vec::with_capacity(64),
             lane_events: 0,
             max_lane_events: 0,
@@ -410,7 +430,7 @@ impl BlockCtx {
                 let first = col.addr(lanes.start) >> 5;
                 let last = col.addr(lanes.end - 1) >> 5;
                 for seg in first..=last {
-                    if fresh || self.seg_set.insert_word(self.seg_set.stamp(seg)) {
+                    if fresh || self.segs.insert(seg) {
                         segs += 1;
                         mem += self.dev.seg_cycles;
                     }
@@ -460,7 +480,7 @@ impl BlockCtx {
                 if next[c] == v {
                     let addr = col.addr(v);
                     let seg = addr >> 5;
-                    if fresh || self.seg_set.insert_word(self.seg_set.stamp(seg)) {
+                    if fresh || self.segs.insert(seg) {
                         self.charge_segment(addr, col.buffer);
                     }
                     // Cells are `width`-aligned and `width` divides 32, so
@@ -612,7 +632,7 @@ impl BlockCtx {
     }
 
     fn begin_warp(&mut self) {
-        self.seg_set.next_generation();
+        self.segs.clear();
         self.atomic_addrs.clear();
         self.max_lane_events = 0;
         if let Some(p) = &mut self.prof {
@@ -657,7 +677,7 @@ impl BlockCtx {
     fn touch(&mut self, addr: u64, buffer: &'static str) {
         let ordinal = self.lane_events as usize;
         self.lane_events += 1;
-        if self.prof.is_none() && self.seg_set.memo_hit(ordinal, addr >> 5) {
+        if self.prof.is_none() && self.segs.memo_hit(ordinal, addr >> 5) {
             return;
         }
         self.touch_set(ordinal, addr, buffer);
@@ -667,7 +687,7 @@ impl BlockCtx {
     /// new to this warp.
     #[inline(never)]
     fn touch_set(&mut self, ordinal: usize, addr: u64, buffer: &'static str) {
-        if self.seg_set.insert(ordinal, addr >> 5) {
+        if self.segs.insert_touch(ordinal, addr >> 5) {
             self.charge_segment(addr, buffer);
         }
         if let Some(p) = &mut self.prof {
@@ -699,31 +719,25 @@ impl BlockCtx {
     /// [`Self::finish_full`]).
     #[cfg(test)]
     pub(crate) fn finish(self) -> (f64, KernelStats) {
-        let (cycles, stats, _, _, _) = self.finish_full();
+        let ((cycles, stats, _, _, _), _) = self.finish_full();
         (cycles, stats)
     }
 
     /// Finalization that also surrenders the shadow logs (checked mode's
-    /// access records, profiling's counter buckets, memsim's cache state).
-    pub(crate) fn finish_full(
-        mut self,
-    ) -> (
-        f64,
-        KernelStats,
-        Option<Box<Recorder>>,
-        Option<BlockBuckets>,
-        Option<BlockCacheOut>,
-    ) {
+    /// access records, profiling's counter buckets, memsim's cache state)
+    /// and hands back the segment table for the worker's next block.
+    pub(crate) fn finish_full(mut self) -> (BlockOut, SegTable) {
         self.commit_interval();
         let buckets = self.prof.take().map(|p| p.into_buckets());
         let cache = self.cache.take().map(|c| c.finish());
-        (
+        let out = (
             self.committed_cycles,
             self.stats,
             self.recorder.take(),
             buckets,
             cache,
-        )
+        );
+        (out, self.segs)
     }
 
     /// Cycles committed so far (testing/diagnostics; excludes the open
@@ -1180,8 +1194,16 @@ mod tests {
         crate::Gpu::new(DeviceConfig::test_tiny()).alloc(len, init)
     }
 
+    /// A segment table covering the first MiB of a device's addresses,
+    /// where every buffer of these tests lies.
+    fn segs() -> SegTable {
+        let mut segs = SegTable::default();
+        segs.cover(1 << 20);
+        segs
+    }
+
     fn ctx() -> BlockCtx {
-        BlockCtx::new(DeviceConfig::test_tiny(), 0, false, false, None)
+        BlockCtx::new(DeviceConfig::test_tiny(), 0, false, false, None, segs())
     }
 
     #[test]
@@ -1224,14 +1246,14 @@ mod tests {
     fn lockstep_charges_longest_lane() {
         let dev = DeviceConfig::test_tiny();
         // Warp A: every lane does 1 event. Warp B: one lane does 4 events.
-        let mut a = BlockCtx::new(dev, 0, false, false, None);
+        let mut a = BlockCtx::new(dev, 0, false, false, None, segs());
         let buf = alloc::<u32>(64, 0);
         a.parallel_for(4, |lane, i| {
             lane.read(&buf, i);
         });
         let (cycles_a, _) = a.finish();
 
-        let mut b = BlockCtx::new(dev, 0, false, false, None);
+        let mut b = BlockCtx::new(dev, 0, false, false, None, segs());
         b.parallel_for(4, |lane, i| {
             if i == 0 {
                 for j in 0..4 {
@@ -1298,7 +1320,7 @@ mod tests {
     #[test]
     fn barrier_commits_max_of_compute_and_memory() {
         let dev = DeviceConfig::test_tiny();
-        let mut b = BlockCtx::new(dev, 0, false, false, None);
+        let mut b = BlockCtx::new(dev, 0, false, false, None, segs());
         let buf = alloc::<u32>(256, 0);
         // One warp, 4 lanes, one scattered read each: compute = base 1 +
         // 1 event * 1 = 2; mem = 4 segments * 2 = 8. Interval = max = 8.
@@ -1324,18 +1346,89 @@ mod tests {
         assert_eq!(b.stats().mem_segments, 2);
     }
 
+    fn gpu() -> crate::Gpu {
+        crate::Gpu::new(DeviceConfig::test_tiny())
+    }
+
     #[test]
-    fn seg_set_survives_growth() {
-        let mut b = ctx();
-        let buf = alloc::<u32>(100_000, 0);
-        // One warp where a single lane touches 3000 distinct segments —
-        // forces SegSet growth mid-warp.
-        b.parallel_for(1, |lane, _| {
-            for j in 0..3000 {
-                lane.read(&buf, j * 8);
+    fn next_warp_charges_every_segment_again() {
+        let mut g = gpu();
+        let buf = g.alloc::<u32>(3000 * 8, 0);
+        // Two warps of 4 lanes; the first lane of each touches the same
+        // 3000 distinct segments (the second in reverse), which no bit
+        // left over from the first warp may hide.
+        let kernel = |block: &mut BlockCtx, _| {
+            block.parallel_for(8, |lane, i| {
+                if i % 4 == 0 {
+                    for j in 0..3000 {
+                        let j = if i == 0 { j } else { 2999 - j };
+                        lane.read(&buf, j * 8);
+                    }
+                }
+            });
+        };
+        assert_eq!(g.launch(1, kernel).stats.mem_segments, 6000);
+        // The next launch reuses the table and charges them all again.
+        assert_eq!(g.launch(1, kernel).stats.mem_segments, 6000);
+    }
+
+    #[test]
+    fn a_buffer_allocated_between_launches_is_charged_like_one_allocated_first() {
+        // Reads both buffers: element `i` of each, and one scattered cell
+        // per lane, so warps hit shared and distinct segments.
+        fn kernel<'a>(
+            old: &'a GpuBuffer<u32>,
+            new: &'a GpuBuffer<f64>,
+        ) -> impl Fn(&mut BlockCtx, usize) + Sync + 'a {
+            move |block, b| {
+                block.parallel_for(64, |lane, i| {
+                    lane.read(old, i);
+                    lane.read(new, (i * 37 + b) % new.len());
+                    lane.read(new, i / 2);
+                });
             }
+        }
+        let mut late = gpu();
+        let old = late.alloc::<u32>(64, 0);
+        late.launch(2, |block, _| {
+            block.parallel_for(64, |lane, i| {
+                lane.read(&old, i);
+            });
         });
-        assert_eq!(b.stats().mem_segments, 3000);
+        // Lies wholly above the address the first launch covered.
+        let new = late.alloc::<f64>(4096, 0.0);
+        let got = late.launch(2, kernel(&old, &new));
+
+        let mut early = gpu();
+        let old = early.alloc::<u32>(64, 0);
+        let new = early.alloc::<f64>(4096, 0.0);
+        let want = early.launch(2, kernel(&old, &new));
+        assert_eq!(got.stats, want.stats);
+        assert_eq!(got.block_cycles, want.block_cycles);
+    }
+
+    #[test]
+    fn out_of_bounds_reads_are_charged_their_segments() {
+        let mut g = gpu();
+        let buf = g.alloc::<u32>(8, 0);
+        let (report, check) = g.launch_checked("oob", 1, |block, _| {
+            block.parallel_for(8, |lane, i| {
+                lane.read(&buf, i);
+                // Far past the device's allocations: two segments a warp,
+                // each read by two of its lanes.
+                lane.read(&buf, (1 << 32) + (i % 2) * 8);
+                // Past the end, but inside the buffer's 256-byte padding.
+                lane.read(&buf, 9);
+            });
+        });
+        assert_eq!(
+            check.errors().count(),
+            16,
+            "every out-of-bounds read reported"
+        );
+        // Per warp: one segment in bounds, two far past the allocations
+        // and one in the padding.
+        assert_eq!(report.stats.mem_segments, 8);
     }
 
     #[test]

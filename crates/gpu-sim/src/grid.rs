@@ -30,7 +30,7 @@
 //! the paper puts it), so extra blocks only rebalance — they cannot add
 //! bandwidth.
 
-use crate::block::BlockCtx;
+use crate::block::{BlockCtx, SegTable};
 use crate::cache::{self, BlockCacheOut, CacheConfig, L2Cache};
 use crate::checker::{self, CheckReport, Recorder};
 use crate::device::DeviceConfig;
@@ -76,7 +76,7 @@ pub struct LaunchSpan {
 
 /// What one finished block hands back to the launch reducer: cycles,
 /// work counters, and the optional checked-mode / profiling shadow logs.
-type BlockOut = (
+pub(crate) type BlockOut = (
     f64,
     KernelStats,
     Option<Box<Recorder>>,
@@ -110,6 +110,9 @@ pub struct Gpu {
     l2: Option<Box<L2Cache>>,
     /// Next free synthetic address of this device's address space.
     next_base: u64,
+    /// One per-warp segment table per host worker, lent to the worker's
+    /// blocks in turn and kept across launches.
+    seg_tables: Vec<SegTable>,
 }
 
 impl Gpu {
@@ -129,6 +132,7 @@ impl Gpu {
             launch_spans: Vec::new(),
             l2: None,
             next_base: FIRST_BASE,
+            seg_tables: Vec::new(),
         }
     }
 
@@ -293,18 +297,19 @@ impl Gpu {
         // with no clock syscalls.
         // dynbc-lint: allow(no-wall-clock) — wall_s feeds the profile/span sinks only; simulated seconds come from the cost model
         let wall_t = (profiled || span_log).then(std::time::Instant::now);
+        let run = BlockRun {
+            dev: self.dev,
+            record,
+            profiled,
+            cache: cache_cfg,
+        };
         let per_block: Vec<BlockOut> = if threads <= 1 || num_blocks < PARALLEL_MIN_BLOCKS {
             // Legacy sequential path: also the fallback that documents the
             // reduction order the parallel path must reproduce.
-            (0..num_blocks)
-                .map(|b| {
-                    let mut ctx = BlockCtx::new(self.dev, b, record, profiled, cache_cfg);
-                    f(&mut ctx, b);
-                    ctx.finish_full()
-                })
-                .collect()
+            let segs = &mut self.seg_tables(1)[0];
+            (0..num_blocks).map(|b| run.block(f, b, segs)).collect()
         } else {
-            self.run_blocks_parallel(num_blocks, threads, record, profiled, cache_cfg, f)
+            self.run_blocks_parallel(num_blocks, threads, run, f)
         };
 
         let mut block_cycles = Vec::with_capacity(num_blocks);
@@ -387,7 +392,22 @@ impl Gpu {
         )
     }
 
-    /// Fans `num_blocks` block interpreters over `threads` host threads.
+    /// The segment tables of the first `workers` host workers, each
+    /// covering every address allocated so far. A table missing or lost
+    /// to a panicking kernel is rebuilt here.
+    fn seg_tables(&mut self, workers: usize) -> &mut [SegTable] {
+        if self.seg_tables.len() < workers {
+            self.seg_tables.resize_with(workers, SegTable::default);
+        }
+        let tables = &mut self.seg_tables[..workers];
+        for segs in tables.iter_mut() {
+            segs.cover(self.next_base);
+        }
+        tables
+    }
+
+    /// Fans `num_blocks` block interpreters over `threads` host threads,
+    /// each with its own segment table.
     /// The calling thread is worker 0 and only `threads - 1` scoped
     /// threads are spawned, so the minimum useful setting (2 threads) pays
     /// for a single spawn instead of two spawns plus an idle caller.
@@ -395,12 +415,10 @@ impl Gpu {
     /// (self-scheduling, so stragglers rebalance) and return `(block_id,
     /// result)` pairs; the caller reassembles them into block-index order.
     fn run_blocks_parallel<F>(
-        &self,
+        &mut self,
         num_blocks: usize,
         threads: usize,
-        record: bool,
-        profiled: bool,
-        cache_cfg: Option<CacheConfig>,
+        run: BlockRun,
         f: &F,
     ) -> Vec<BlockOut>
     where
@@ -411,8 +429,7 @@ impl Gpu {
         // counter into a hotspot on huge grids.
         let chunk = (num_blocks / (threads * 4)).max(1);
         let next = AtomicUsize::new(0);
-        let dev = self.dev;
-        let worker = || {
+        let worker = |segs: &mut SegTable| {
             let mut out: Vec<(usize, BlockOut)> = Vec::new();
             loop {
                 let start = next.fetch_add(chunk, Ordering::Relaxed);
@@ -420,21 +437,27 @@ impl Gpu {
                     break;
                 }
                 for b in start..(start + chunk).min(num_blocks) {
-                    let mut ctx = BlockCtx::new(dev, b, record, profiled, cache_cfg);
-                    f(&mut ctx, b);
-                    out.push((b, ctx.finish_full()));
+                    out.push((b, run.block(f, b, segs)));
                 }
             }
             out
         };
+        let worker = &worker;
         let mut slots: Vec<Option<BlockOut>> = Vec::with_capacity(num_blocks);
         slots.resize_with(num_blocks, || None);
+        let (own, others) = self
+            .seg_tables(threads)
+            .split_first_mut()
+            .expect("at least one worker");
 
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let handles: Vec<_> = others
+                .iter_mut()
+                .map(|segs| scope.spawn(move || worker(segs)))
+                .collect();
             // The caller works too; if its share panics, leaving the scope
             // joins the spawned workers before the panic propagates.
-            for (b, result) in worker() {
+            for (b, result) in worker(own) {
                 slots[b] = Some(result);
             }
             for handle in handles {
@@ -475,6 +498,29 @@ impl Gpu {
     /// Number of kernel launches performed.
     pub fn launches(&self) -> u64 {
         self.launches
+    }
+}
+
+/// What every block of one launch runs under.
+#[derive(Clone, Copy)]
+struct BlockRun {
+    dev: DeviceConfig,
+    record: bool,
+    profiled: bool,
+    cache: Option<CacheConfig>,
+}
+
+impl BlockRun {
+    /// Runs block `b` of kernel `f` on a worker's segment table, which the
+    /// block borrows for its warps and hands back for the worker's next
+    /// block. A kernel that panics takes the table with it.
+    fn block<F: Fn(&mut BlockCtx, usize)>(self, f: &F, b: usize, segs: &mut SegTable) -> BlockOut {
+        let table = std::mem::take(segs);
+        let mut ctx = BlockCtx::new(self.dev, b, self.record, self.profiled, self.cache, table);
+        f(&mut ctx, b);
+        let (out, table) = ctx.finish_full();
+        *segs = table;
+        out
     }
 }
 
@@ -667,33 +713,61 @@ mod tests {
         // `launch` clamps its worker count to the host's cores, so on a
         // small CI machine the tests above may never leave the inline
         // path. Drive the fan-out directly to keep it covered everywhere.
+        // Each of the 4 workers runs several blocks on one segment table,
+        // and the blocks read overlapping segments of `shared`, so a table
+        // left dirty by an earlier block would drop some of them.
         const BLOCKS: usize = 16;
         fn kernel<'a>(
             buf: &'a GpuBuffer<u32>,
             hist: &'a GpuBuffer<u32>,
+            shared: &'a GpuBuffer<u32>,
+            first: usize,
         ) -> impl Fn(&mut BlockCtx, usize) + Sync + 'a {
             move |block, b| {
+                let b = first + b;
                 let work = 5 + (b * 3) % 11;
                 block.parallel_for(work, |lane, i| {
                     lane.write(buf, b * 32 + i, (b * 100 + i) as u32);
+                    lane.read(shared, (b * 5 + i * 9) % shared.len());
                     lane.atomic_add_u32(hist, i % 8, 1);
                 });
             }
         }
+        let buffers = |g: &mut Gpu| {
+            (
+                g.alloc::<u32>(BLOCKS * 32, 0),
+                g.alloc::<u32>(8, 0),
+                g.alloc::<u32>(96, 0),
+            )
+        };
         let mut seq_gpu = gpu_on(1);
-        let seq_buf = seq_gpu.alloc::<u32>(BLOCKS * 32, 0);
-        let seq_hist = seq_gpu.alloc::<u32>(8, 0);
-        let seq = seq_gpu.launch(BLOCKS, kernel(&seq_buf, &seq_hist));
+        let (seq_buf, seq_hist, seq_shared) = buffers(&mut seq_gpu);
+        let seq = seq_gpu.launch(BLOCKS, kernel(&seq_buf, &seq_hist, &seq_shared, 0));
 
         let mut par_gpu = gpu();
-        let par_buf = par_gpu.alloc::<u32>(BLOCKS * 32, 0);
-        let par_hist = par_gpu.alloc::<u32>(8, 0);
-        let f = kernel(&par_buf, &par_hist);
-        let per_block = par_gpu.run_blocks_parallel(BLOCKS, 4, false, false, None, &f);
+        let (par_buf, par_hist, par_shared) = buffers(&mut par_gpu);
+        let f = kernel(&par_buf, &par_hist, &par_shared, 0);
+        let run = BlockRun {
+            dev: par_gpu.dev,
+            record: false,
+            profiled: false,
+            cache: None,
+        };
+        let per_block = par_gpu.run_blocks_parallel(BLOCKS, 4, run, &f);
         let cycles: Vec<f64> = per_block.iter().map(|(c, _, _, _, _)| *c).collect();
+        let stats: Vec<KernelStats> = per_block.iter().map(|(_, s, _, _, _)| *s).collect();
         assert_eq!(seq.block_cycles, cycles, "per-block cycles");
         assert_eq!(seq_buf.to_vec(), par_buf.to_vec(), "row buffer");
         assert_eq!(seq_hist.to_vec(), par_hist.to_vec(), "histogram");
+
+        // Each block alone on a fresh device: its stats owe nothing to
+        // the blocks a table served before it.
+        for (b, got) in stats.iter().enumerate() {
+            let mut solo_gpu = gpu_on(1);
+            let (buf, hist, shared) = buffers(&mut solo_gpu);
+            let solo = solo_gpu.launch(1, kernel(&buf, &hist, &shared, b));
+            assert_eq!(solo.stats, *got, "block {b} stats");
+        }
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl DeviceValue for bool {
 /// First synthetic address of every device's address space.
 pub(crate) const FIRST_BASE: u64 = 0x1000;
 
-/// Upper end of every device's address space. The per-warp segment set
-/// packs a segment id (`addr >> 5`) and a generation into one word, so
-/// allocation stops here (512 TiB of synthetic addresses).
-pub(crate) const ADDR_LIMIT: u64 = 1 << 49;
-
 /// Interior-mutable element storage shareable across block threads.
 ///
 /// `repr(transparent)` guarantees the same layout as `T`, so an atomic view
@@ -156,7 +151,6 @@ impl<T: Copy> GpuBuffer<T> {
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let base = *next_base;
         *next_base += (bytes + 256).next_multiple_of(256);
-        assert!(*next_base <= ADDR_LIMIT, "device address space exhausted");
         // Reuse the allocation instead of copying element by element: a
         // copy writes every page of a zero-filled buffer that the kernels
         // may never touch.

@@ -112,6 +112,13 @@ echo "== interpreter golden counters: DYNBC_RACECHECK=1 =="
 DYNBC_RACECHECK=1 cargo test -q --test model_invariants \
     interpreter_counters_match_golden_values
 
+echo "== interpreter golden counters: DYNBC_HOST_THREADS=1 =="
+# One host worker runs every block of a launch on one segment table,
+# where the default run fans blocks out over one table per worker; both
+# must charge the pinned counters and simulated seconds.
+DYNBC_HOST_THREADS=1 cargo test -q --test model_invariants \
+    interpreter_counters_match_golden_values
+
 echo "== gpu-sim instrument switches: DYNBC_MEMSIM=1 DYNBC_PROFILE=1 =="
 # The simulator's own tests must pin every switch they depend on, so an
 # instrumentation variable set in the environment cannot flip them.
