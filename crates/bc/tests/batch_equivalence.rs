@@ -5,7 +5,7 @@
 //! regardless of how many host threads execute the simulated blocks.
 
 use dynbc_bc::dynamic::CpuDynamicBc;
-use dynbc_bc::gpu::{Backend, GpuDynamicBc, MultiGpuDynamicBc, Parallelism};
+use dynbc_bc::gpu::{Backend, GpuDynamicBc, Parallelism};
 use dynbc_bc::CaseCounts;
 use dynbc_gpusim::DeviceConfig;
 use dynbc_graph::{gen, Csr, EdgeList, EdgeOp};
@@ -147,32 +147,6 @@ proptest! {
                 eng.apply_batch(&ops);
                 prop_assert_eq!(eng.graph().to_csr(), probe.clone(), "{:?} {}: store", par, backend);
             }
-        }
-    }
-
-    #[test]
-    fn multi_gpu_batch_is_bit_identical_to_sequential(el in arb_graph(), seed in 0u64..1_000, len in 2usize..6) {
-        let (ops, probe) = op_stream(&el, seed, len);
-        if ops.is_empty() { return Ok(()); }
-        let sources = sources_for(&el);
-        let device = DeviceConfig::test_tiny();
-        let mut seq = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2);
-        seq.set_host_threads(1);
-        let mut seq_cases = Vec::new();
-        for &op in &ops {
-            seq_cases.push(seq.apply_batch(&[op]).per_op[0].cases);
-        }
-        let seq_bits = bits(&seq.bc());
-
-        for threads in [1usize, 2, 8] {
-            let mut eng = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2);
-            eng.set_host_threads(threads);
-            let br = eng.apply_batch(&ops);
-            for (i, op) in br.per_op.iter().enumerate() {
-                prop_assert_eq!(op.cases, seq_cases[i], "t{}: op {} case tallies", threads, i);
-            }
-            prop_assert_eq!(bits(&eng.bc()), seq_bits.clone(), "t{}: batched BC bits", threads);
-            prop_assert_eq!(eng.graph().to_csr(), probe.clone(), "t{}: store", threads);
         }
     }
 }

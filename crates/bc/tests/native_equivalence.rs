@@ -3,7 +3,7 @@
 //! out over host threads, must be *bit*-identical to the SIMT
 //! simulator — same BC score bits, same per-op case tallies, same
 //! per-source touched statistics — on mixed insert/delete streams, for
-//! any host-thread count, on both the single- and multi-GPU engines.
+//! any host-thread count.
 //!
 //! The simulator is the oracle: it interprets every kernel lane against
 //! the machine model, so agreement here certifies the plain-loop
@@ -11,7 +11,7 @@
 
 use dynbc_bc::brandes::brandes_state;
 use dynbc_bc::dynamic::{OpOutcome, SourceOutcome};
-use dynbc_bc::gpu::{Backend, GpuDynamicBc, MultiGpuDynamicBc, Parallelism};
+use dynbc_bc::gpu::{Backend, GpuDynamicBc, Parallelism};
 use dynbc_gpusim::DeviceConfig;
 use dynbc_graph::{gen, Csr, EdgeList, EdgeOp};
 use proptest::prelude::*;
@@ -112,40 +112,6 @@ proptest! {
             }
             prop_assert_eq!(
                 got_bits, oracle_bits.clone(),
-                "native t{}: BC bits vs simulator", threads
-            );
-        }
-    }
-
-    #[test]
-    fn multi_gpu_native_is_bit_identical_to_simulator(el in arb_graph(), seed in 0u64..1_000, len in 2usize..6) {
-        let ops = op_stream(&el, seed, len);
-        if ops.is_empty() { return Ok(()); }
-        let sources = sources_for(&el);
-        let device = DeviceConfig::test_tiny();
-        let mut oracle = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2);
-        oracle.set_backend(Backend::Simulator);
-        oracle.set_host_threads(1);
-        let oracle_br = oracle.apply_batch(&ops);
-        let oracle_bits = bits(&oracle.bc());
-
-        for threads in [1usize, 2, 8] {
-            let mut eng = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2);
-            eng.set_backend(Backend::Native);
-            eng.set_host_threads(threads);
-            let br = eng.apply_batch(&ops);
-            for (i, (got, want)) in br.per_op.iter().zip(&oracle_br.per_op).enumerate() {
-                prop_assert_eq!(
-                    got.cases, want.cases,
-                    "native t{}: op {} case tallies", threads, i
-                );
-                prop_assert_eq!(
-                    &got.per_source, &want.per_source,
-                    "native t{}: op {} per-source outcomes", threads, i
-                );
-            }
-            prop_assert_eq!(
-                bits(&eng.bc()), oracle_bits.clone(),
                 "native t{}: BC bits vs simulator", threads
             );
         }

@@ -10,10 +10,16 @@
 //! static in Case 2. Forcing Case 2 insertions through the general
 //! (relocation-capable, pull-based) Case 3 machinery is still correct;
 //! this measures what the specialization buys.
+//!
+//! **C. Multi-GPU strong scaling** — the paper's future-work sketch:
+//! D single-device engines over round-robin source partitions
+//! ([`dynbc_bench::scaling::partitioned_engines`]), each insertion
+//! charged the slowest device's simulated time.
 
 use dynbc_bc::brandes::brandes_state;
 use dynbc_bc::gpu::engine::DedupStrategy;
 use dynbc_bc::gpu::{GpuDynamicBc, Parallelism};
+use dynbc_bench::scaling::partitioned_engines;
 use dynbc_bench::table::{fmt_seconds, Table};
 use dynbc_bench::{build_setup, Config, Setup};
 use dynbc_gpusim::DeviceConfig;
@@ -142,16 +148,14 @@ fn main() {
     for short in ["caida", "small"] {
         let setup = build_setup(entry_by_short(short).unwrap(), &scaling_cfg);
         let time_with = |d: usize| {
-            let mut eng = dynbc_bc::gpu::MultiGpuDynamicBc::new(
-                &setup.start,
-                &setup.sources,
-                device,
-                Parallelism::Node,
-                d,
-            );
+            let mut engines =
+                partitioned_engines(&setup.start, &setup.sources, device, Parallelism::Node, d);
             let mut total = 0.0;
             for &(u, v) in &setup.insertions {
-                total += eng.insert_edge(u, v).model_seconds;
+                total += engines
+                    .iter_mut()
+                    .map(|eng| eng.insert_edge(u, v).model_seconds)
+                    .fold(0.0, f64::max);
             }
             total
         };

@@ -12,7 +12,7 @@
 //! | `table2_cpu_vs_gpu` | Table II | node ≫ edge ≥ CPU for dynamic updates |
 //! | `table3_update_vs_recompute` | Table III | even the slowest update beats recomputation |
 //! | `fig4_touched` | Figure 4 | updates touch a tiny fraction of the graph |
-//! | `ablation` | (ours) | design choices: dedup strategy, incremental-vs-pull Case 2 |
+//! | `ablation` | (ours) | design choices: dedup strategy, incremental-vs-pull Case 2; multi-GPU strong scaling ([`scaling`]) |
 //! | `fig_futile_work` | (ours) | profiler counters: node-parallel futile-edge ratio < edge-parallel on every graph |
 //! | `fig1_touched_fraction` | Figure 1 (ours, via telemetry) | median per-insertion touched fraction < 10% of |V| on every graph |
 //! | `cache_model` | (ours, via memsim) | node-parallel L1 hit rate > edge-parallel on every graph; degree-sorted CSR lifts the small-L2 hit rate (asserted here) |
@@ -32,6 +32,7 @@ pub mod config;
 pub mod driver;
 pub mod paper;
 pub mod report;
+pub mod scaling;
 pub mod stream;
 pub mod table;
 

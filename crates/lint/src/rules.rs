@@ -236,7 +236,6 @@ fn unused_allows(file: &SourceFile, allows: &[Allow], findings: &mut Vec<Finding
 fn ordered_iteration_scope(path: &str) -> bool {
     path == "crates/bc/src/gpu/exec.rs"
         || path == "crates/bc/src/gpu/engine.rs"
-        || path == "crates/bc/src/gpu/multi.rs"
         || path.starts_with("crates/bc/src/native/")
         || path.starts_with("crates/prof/src/")
         || path.starts_with("crates/telemetry/src/")
@@ -635,7 +634,6 @@ fn statement_has_named(lines: &[Line], i: usize) -> bool {
 fn hot_path_rebuild_scope(path: &str) -> bool {
     path == "crates/bc/src/gpu/exec.rs"
         || path == "crates/bc/src/gpu/engine.rs"
-        || path == "crates/bc/src/gpu/multi.rs"
         || path.starts_with("crates/bc/src/native/")
 }
 

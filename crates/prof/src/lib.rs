@@ -382,12 +382,6 @@ impl ProfileReport {
         Self::default()
     }
 
-    /// Appends another report's launches (multi-GPU merge: callers pass
-    /// devices in device-index order, keeping the result deterministic).
-    pub fn merge(&mut self, other: &ProfileReport) {
-        self.launches.extend(other.launches.iter().cloned());
-    }
-
     /// Total counters over all launches.
     pub fn total(&self) -> Counters {
         let mut t = Counters::default();
@@ -727,16 +721,5 @@ mod tests {
         let mut dst = vec![("a".to_string(), 1u64)];
         merge_buffer_misses(&mut dst, &[("b".to_string(), 2), ("a".to_string(), 4)]);
         assert_eq!(dst, vec![("a".to_string(), 5), ("b".to_string(), 2)]);
-    }
-
-    #[test]
-    fn merge_concatenates_reports() {
-        let mut a = ProfileReport::new();
-        a.launches.push(launch("sp", 0, bucket(1, 1, 0)));
-        let mut b = ProfileReport::new();
-        b.launches.push(launch("dep", 0, bucket(2, 0, 0)));
-        a.merge(&b);
-        assert_eq!(a.launches.len(), 2);
-        assert_eq!(a.total().edges_scanned, 3);
     }
 }

@@ -41,8 +41,7 @@ pub(crate) fn json_number(x: f64) -> String {
 ///
 /// Track layout (Perfetto shows one process group per pid):
 ///
-/// * pid 0 "host pipeline" — lifecycle spans; tid = [`crate::Span::track`]
-///   (0 = main pipeline, the multi-GPU engine adds one track per device).
+/// * pid 0 "host pipeline" — lifecycle spans, all on tid 0.
 ///   On-clock spans are complete (`"X"`) events; off-clock phases are
 ///   instant (`"i"`) events with their wall cost in `args`.
 /// * pid 1+d — one process per entry of `devices`, named by its label:
@@ -85,9 +84,8 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
             let _ = write!(
                 out,
                 "{{\"name\": {}, \"cat\": \"pipeline\", \"ph\": \"X\", \"pid\": 0, \
-                 \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{{args}}}}}",
+                 \"tid\": 0, \"ts\": {}, \"dur\": {}, \"args\": {{{args}}}}}",
                 json_string(&s.name),
-                s.track,
                 json_number(s.start_s * 1e6),
                 json_number(s.dur_s * 1e6),
             );
@@ -95,9 +93,8 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
             let _ = write!(
                 out,
                 "{{\"name\": {}, \"cat\": \"pipeline\", \"ph\": \"i\", \"s\": \"t\", \
-                 \"pid\": 0, \"tid\": {}, \"ts\": {}, \"args\": {{{args}}}}}",
+                 \"pid\": 0, \"tid\": 0, \"ts\": {}, \"args\": {{{args}}}}}",
                 json_string(&s.name),
-                s.track,
                 json_number(s.start_s * 1e6),
             );
         }

@@ -67,9 +67,6 @@ pub const BATCH_SIZE_OPS: &str = "dynbc_batch_size_ops";
 /// source scenario (histogram) — the paper's "typical scenarios touch a
 /// tiny fraction of the graph" observation.
 pub const TOUCHED_FRACTION: &str = "dynbc_touched_fraction";
-/// Family: per-device share of the batch makespan, labelled `device="N"`
-/// (gauge; populated by the multi-GPU engine).
-pub const DEVICE_UTILIZATION: &str = "dynbc_device_utilization_ratio";
 /// Family: modeled L1 requests, labelled `outcome="hit|miss"` (counter;
 /// requires `DYNBC_MEMSIM=1` on a GPU engine). Defined lazily on the
 /// first observation carrying cache counters, so exposition output
@@ -176,11 +173,6 @@ impl Telemetry {
         r.define_histogram(
             TOUCHED_FRACTION,
             "Fraction of vertices touched per work-requiring source scenario.",
-            Clock::Model,
-        );
-        r.define_gauge(
-            DEVICE_UTILIZATION,
-            "Per-device share of the batch makespan on the model clock.",
             Clock::Model,
         );
         Telemetry {
@@ -324,15 +316,6 @@ impl Telemetry {
         }
     }
 
-    /// Set the utilization gauge for one device.
-    pub fn set_device_utilization(&mut self, device: usize, ratio: f64) {
-        self.registry.set_gauge(
-            DEVICE_UTILIZATION,
-            &[("device", &device.to_string())],
-            ratio,
-        );
-    }
-
     /// Append a lifecycle span.
     pub fn push_span(&mut self, span: Span) {
         self.trace.push(span);
@@ -386,8 +369,9 @@ impl Telemetry {
         unified_chrome_trace(&self.trace, devices)
     }
 
-    /// Fold another collector's metrics and events into this one, keeping
-    /// deterministic ordering when called in device-index order.
+    /// Fold another collector's metrics, spans and events into this one,
+    /// after its own. A serving shard folds each batch's engine report
+    /// into its running total this way, in commit order.
     pub fn merge_from(&mut self, other: &Telemetry) {
         self.registry.merge(other.registry());
         self.trace.extend_from(other.trace());
@@ -492,7 +476,6 @@ mod tests {
             },
             ..obs()
         });
-        t.set_device_utilization(0, 1.0);
         let text = t.prometheus();
         for fam in [
             BATCHES_TOTAL,
@@ -504,7 +487,6 @@ mod tests {
             UPDATE_LATENCY_WALL,
             BATCH_SIZE_OPS,
             TOUCHED_FRACTION,
-            DEVICE_UTILIZATION,
             MEMSIM_L1_TOTAL,
             MEMSIM_L2_TOTAL,
             MEMSIM_EVICTIONS_TOTAL,
@@ -522,7 +504,6 @@ mod tests {
                 "family {fam} in:\n{text}"
             );
         }
-        assert!(text.contains(&format!("{DEVICE_UTILIZATION}{{device=\"0\"}} 1")));
     }
 
     #[test]

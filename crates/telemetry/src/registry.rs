@@ -215,7 +215,8 @@ impl Registry {
     /// by name (definitions must agree); counters add, histograms merge,
     /// gauges take the other registry's value. `other`'s series order is
     /// preserved for series new to `self`, keeping output deterministic
-    /// when merging per-device registries in device-index order.
+    /// when registries are merged in a fixed order (a serving shard merges
+    /// each batch's engine report in commit order).
     pub fn merge(&mut self, other: &Registry) {
         for of in &other.families {
             let fam = match self.families.iter_mut().find(|f| f.name == of.name) {

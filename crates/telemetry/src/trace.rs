@@ -12,9 +12,6 @@
 pub struct Span {
     /// Phase name, e.g. `update`, `validate`, `stage#0`, `batch::fused::node#0`.
     pub name: String,
-    /// Track within the host-pipeline process (`0` = main pipeline; the
-    /// multi-GPU engine places per-device rows on tracks `1 + device`).
-    pub track: u32,
     /// Nesting depth (0 = `update`, 1 = lifecycle phase, 2 = per-stage
     /// detail). Informational: Chrome/Perfetto nest by containment.
     pub depth: u32,
@@ -34,7 +31,6 @@ impl Span {
     pub fn new(name: impl Into<String>, depth: u32, start_s: f64, dur_s: f64) -> Self {
         Span {
             name: name.into(),
-            track: 0,
             depth,
             start_s,
             dur_s,
@@ -47,7 +43,6 @@ impl Span {
     pub fn instant(name: impl Into<String>, depth: u32, at_s: f64, wall_s: f64) -> Self {
         Span {
             name: name.into(),
-            track: 0,
             depth,
             start_s: at_s,
             dur_s: 0.0,
@@ -59,12 +54,6 @@ impl Span {
     /// Attach the wall-clock cost.
     pub fn wall(mut self, wall_s: f64) -> Self {
         self.wall_s = wall_s;
-        self
-    }
-
-    /// Place the span on a specific host track.
-    pub fn on_track(mut self, track: u32) -> Self {
-        self.track = track;
         self
     }
 
@@ -97,7 +86,8 @@ impl Trace {
         &self.spans
     }
 
-    /// Append all spans from another trace (multi-GPU device-order merge).
+    /// Append all spans from another trace, in its emission order (see
+    /// [`crate::Telemetry::merge_from`]).
     pub fn extend_from(&mut self, other: &Trace) {
         self.spans.extend_from_slice(&other.spans);
     }
@@ -196,12 +186,9 @@ mod tests {
 
     #[test]
     fn span_builders_set_fields() {
-        let s = Span::new("stage#0", 1, 2.0, 0.5)
-            .wall(0.01)
-            .on_track(3)
-            .arg("ops", 4.0);
+        let s = Span::new("stage#0", 1, 2.0, 0.5).wall(0.01).arg("ops", 4.0);
         assert_eq!(s.name, "stage#0");
-        assert_eq!(s.track, 3);
+        assert_eq!(s.wall_s, 0.01);
         assert_eq!(s.dur_s, 0.5);
         assert_eq!(s.args, vec![("ops", 4.0)]);
         let i = Span::instant("validate", 1, 2.0, 0.001);

@@ -93,9 +93,9 @@ rm -rf "$PROF_DIR"
 echo "== memsim tier: DYNBC_MEMSIM=1 observability-only contract =="
 # The cache-hierarchy model must fill every report sink while changing
 # no BC bit and no simulated second relative to a memsim-off run;
-# tests/memsim.rs drives suite-family graphs through both the single-
-# and multi-GPU engines and checks exactly that, plus report
-# bit-determinism across host-thread counts.
+# tests/memsim.rs drives mixed streams through the GPU engine and
+# checks exactly that, plus report bit-determinism across host-thread
+# counts.
 DYNBC_MEMSIM=1 cargo test -q --test memsim
 
 echo "== interpreter golden counters: DYNBC_PROFILE=1 DYNBC_MEMSIM=1 =="

@@ -66,8 +66,8 @@ pub mod prelude {
         BatchResult, CpuDynamicBc, OpOutcome, SourceOutcome, UpdateResult,
     };
     pub use dynbc_bc::gpu::{
-        backend_from_env, static_bc_gpu, static_bc_gpu_on, Backend, GpuDynamicBc,
-        MultiGpuDynamicBc, Parallelism, StaticBcReport,
+        backend_from_env, static_bc_gpu, static_bc_gpu_on, Backend, GpuDynamicBc, Parallelism,
+        StaticBcReport,
     };
     pub use dynbc_bc::state::BcState;
     pub use dynbc_gpusim::{CpuConfig, DeviceConfig};

@@ -1,8 +1,8 @@
 //! End-to-end tests of the profiling subsystem through the dynamic-BC
 //! engines: per-stage attribution, the paper's futile-work contrast
-//! between decompositions, the `DYNBC_PROFILE` environment knob, the
-//! multi-GPU merge, and determinism of full-engine profiles under
-//! host-parallel block execution.
+//! between decompositions, the `DYNBC_PROFILE` environment knob, and
+//! determinism of full-engine profiles under host-parallel block
+//! execution.
 
 use dynbc::gpusim::{DeviceConfig, ProfileReport, PROFILE_ENV};
 use dynbc::prelude::*;
@@ -94,28 +94,6 @@ fn engine_profile_is_bit_identical_across_host_threads() {
         baseline.to_json(),
         profiled_stream(Parallelism::Node, 8).to_json()
     );
-}
-
-#[test]
-fn multi_gpu_merges_device_profiles_in_device_order() {
-    let mut rng = StdRng::seed_from_u64(3);
-    let el = dynbc::graph::gen::ba(&mut rng, 100, 3);
-    let sources = sample_sources(&mut rng, 100, 9);
-    let mut multi = MultiGpuDynamicBc::new(
-        &el,
-        &sources,
-        DeviceConfig::test_tiny(),
-        Parallelism::Node,
-        3,
-    );
-    multi.set_profiling(true);
-    multi.insert_edge(0, 99);
-    multi.insert_edge(17, 61);
-    let merged = multi.profile_report();
-    // Every device ran the same per-op launch sequence (classify + fused
-    // grid per op), so the merge holds one entry per device per launch.
-    assert_eq!(merged.launches.len() % 3, 0);
-    assert!(merged.total().edges_scanned > 0);
 }
 
 #[test]

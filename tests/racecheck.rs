@@ -379,17 +379,13 @@ fn racecheck_clean_force_general_stream() {
 
 #[test]
 fn racecheck_clean_multi_sm_path() {
+    // `test_tiny` has two SMs, so every fused grid spreads its blocks over
+    // both; a mixed stream exercises the cross-SM paths of every kernel.
     let mut rng = StdRng::seed_from_u64(5150);
     let el = dynbc::graph::gen::er(&mut rng, 24, 50);
     let sources = sample_sources(&mut rng, 24, 8);
-    let mut multi = dynbc::bc::gpu::MultiGpuDynamicBc::new(
-        &el,
-        &sources,
-        DeviceConfig::test_tiny(),
-        Parallelism::Node,
-        3,
-    );
-    multi.set_racecheck(true);
+    let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node);
+    eng.set_racecheck(true);
     let mut rng = StdRng::seed_from_u64(31);
     let mut done = 0;
     while done < 12 {
@@ -398,14 +394,14 @@ fn racecheck_clean_multi_sm_path() {
         if a == b {
             continue;
         }
-        if multi.graph().has_edge(a, b) {
-            multi.remove_edge(a, b);
+        if eng.graph().has_edge(a, b) {
+            eng.remove_edge(a, b);
         } else {
-            multi.insert_edge(a, b);
+            eng.insert_edge(a, b);
         }
         done += 1;
     }
-    assert_eq!(multi.racecheck_warnings(), 0, "multi-SM stream warnings");
+    assert_eq!(eng.racecheck_warnings(), 0, "multi-SM stream warnings");
 }
 
 #[test]

@@ -60,28 +60,6 @@ fn gpu_telemetry(par: Parallelism, threads: usize) -> Telemetry {
     eng.take_telemetry_report().expect("telemetry enabled")
 }
 
-/// Runs the stream through a telemetry-enabled multi-GPU engine.
-fn multi_telemetry(threads: usize) -> Telemetry {
-    let (el, sources) = workload();
-    let mut eng = MultiGpuDynamicBc::new(
-        &el,
-        &sources,
-        DeviceConfig::test_tiny(),
-        Parallelism::Node,
-        3,
-    );
-    eng.set_telemetry(true);
-    eng.set_host_threads(threads);
-    drive(|a, b| {
-        if eng.graph().has_edge(a, b) {
-            eng.remove_edge(a, b);
-        } else {
-            eng.insert_edge(a, b);
-        }
-    });
-    eng.take_telemetry_report().expect("telemetry enabled")
-}
-
 #[test]
 fn gpu_metrics_are_bit_identical_across_host_threads() {
     for par in [Parallelism::Node, Parallelism::Edge] {
@@ -110,22 +88,6 @@ fn gpu_metrics_are_bit_identical_across_host_threads() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn multi_gpu_metrics_are_bit_identical_across_host_threads() {
-    let baseline = multi_telemetry(1).prometheus_deterministic();
-    assert!(
-        baseline.contains("dynbc_device_utilization_ratio"),
-        "{baseline}"
-    );
-    for threads in [2usize, 8] {
-        assert_eq!(
-            baseline,
-            multi_telemetry(threads).prometheus_deterministic(),
-            "multi-GPU deterministic exposition differs at {threads} host threads"
-        );
     }
 }
 
