@@ -79,7 +79,7 @@ fn main() {
             fig.annotate("occupancy", c.occupancy());
             fig.annotate("coalesced_fraction", c.coalesced_fraction());
             fig.annotate("divergent_warps", c.divergent_warps as f64);
-            fig.annotate("atomic_conflicts", c.atomic_conflicts as f64);
+            fig.annotate("atomic_conflicts", c.stats.atomic_conflicts as f64);
             fig.annotate("queue_pushes", c.queue_pushes as f64);
             fig.annotate("dedup_ops", c.dedup_ops as f64);
             for (kernel, kc) in profile.kernel_totals() {
@@ -95,7 +95,7 @@ fn main() {
                 kernels.annotate("occupancy", kc.occupancy());
                 kernels.annotate("coalesced_fraction", kc.coalesced_fraction());
                 kernels.annotate("divergence_stalls", kc.divergence_stalls as f64);
-                kernels.annotate("atomic_conflicts", kc.atomic_conflicts as f64);
+                kernels.annotate("atomic_conflicts", kc.stats.atomic_conflicts as f64);
                 kernels.annotate("max_contention_depth", kc.max_contention_depth as f64);
             }
             totals.push(c);

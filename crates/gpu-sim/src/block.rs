@@ -91,7 +91,7 @@
 //! [`Gpu::launch`](crate::Gpu::launch)); cross-block traffic must then
 //! follow the sharing contract documented in [`crate::mem`].
 
-use crate::cache::{BlockCache, CacheConfig};
+use crate::cache::CacheConfig;
 use crate::checker::{
     AccessKind, AccessRecord, AtomicKind, DivergenceRecord, OobRecord, Recorder, SCALAR_LANE,
 };
@@ -228,10 +228,9 @@ pub struct BlockCtx {
     // Checked-execution shadow state (None ⇒ negligible overhead: one
     // branch per access).
     recorder: Option<Box<Recorder>>,
-    // Profile collector (None ⇒ same no-op guarantee as `recorder`).
+    // Profile collector, with the memsim L1 under memsim (None ⇒ same
+    // no-op guarantee as `recorder`).
     prof: Option<Box<BlockProfile>>,
-    // Memsim cache collector (None ⇒ same no-op guarantee; see `cache`).
-    cache: Option<Box<BlockCache>>,
     label: &'static str,
     /// Ordered program region: bumped at `parallel_for` boundaries and
     /// block barriers. Accesses in different regions never race.
@@ -272,8 +271,7 @@ impl BlockCtx {
             max_lane_events: 0,
             stats: KernelStats::default(),
             recorder: record.then(|| Box::new(Recorder::new(block_id))),
-            prof: profile.then(|| Box::new(BlockProfile::new())),
-            cache: cache.map(|cfg| Box::new(BlockCache::new(&cfg))),
+            prof: profile.then(|| Box::new(BlockProfile::new(cache.as_ref()))),
             label: "",
             region: 0,
             epoch: 0,
@@ -295,10 +293,7 @@ impl BlockCtx {
     pub fn label(&mut self, label: &'static str) {
         self.label = label;
         if let Some(p) = &mut self.prof {
-            p.set_label(label);
-        }
-        if let Some(c) = &mut self.cache {
-            c.set_label(label);
+            p.set_label(label, &self.stats);
         }
     }
 
@@ -419,7 +414,7 @@ impl BlockCtx {
         } else {
             self.expected_phase = Some(0);
         }
-        if self.cache.is_some() {
+        if self.prof.as_ref().is_some_and(|p| p.memsim()) {
             self.charge_lane_major(sweep, lanes.clone(), fresh);
         } else {
             // Without memsim only which segments are new matters, not the
@@ -500,9 +495,6 @@ impl BlockCtx {
             self.commit_interval();
             self.committed_cycles += self.pf_max_phase as f64 * self.dev.barrier_cycles;
             self.stats.barriers += u64::from(self.pf_max_phase);
-            if let Some(p) = &mut self.prof {
-                p.cur_mut().barriers += u64::from(self.pf_max_phase);
-            }
         }
         self.region += 1;
     }
@@ -548,9 +540,6 @@ impl BlockCtx {
         self.commit_interval();
         self.committed_cycles += self.dev.barrier_cycles;
         self.stats.barriers += 1;
-        if let Some(p) = &mut self.prof {
-            p.cur_mut().barriers += 1;
-        }
         self.epoch += 1;
         self.region += 1;
     }
@@ -702,8 +691,8 @@ impl BlockCtx {
         self.mem_cycles += self.dev.seg_cycles;
         // Memsim sees exactly the transactions the cost model charges:
         // one L1 request per distinct 32-byte segment per warp.
-        if let Some(c) = &mut self.cache {
-            c.access(addr, buffer);
+        if let Some(p) = &mut self.prof {
+            p.l1_request(addr, buffer);
         }
     }
 
@@ -719,23 +708,22 @@ impl BlockCtx {
     /// [`Self::finish_full`]).
     #[cfg(test)]
     pub(crate) fn finish(self) -> (f64, KernelStats) {
-        let ((cycles, stats, _, _, _), _) = self.finish_full();
+        let ((cycles, stats, _, _), _) = self.finish_full();
         (cycles, stats)
     }
 
     /// Finalization that also surrenders the shadow logs (checked mode's
-    /// access records, profiling's counter buckets, memsim's cache state)
-    /// and hands back the segment table for the worker's next block.
+    /// access records, profiling's counter buckets and memsim's L1-miss
+    /// stream) and hands back the segment table for the worker's next
+    /// block.
     pub(crate) fn finish_full(mut self) -> (BlockOut, SegTable) {
         self.commit_interval();
-        let buckets = self.prof.take().map(|p| p.into_buckets());
-        let cache = self.cache.take().map(|c| c.finish());
+        let buckets = self.prof.take().map(|p| p.finish(&self.stats));
         let out = (
             self.committed_cycles,
             self.stats,
             self.recorder.take(),
             buckets,
-            cache,
         );
         (out, self.segs)
     }

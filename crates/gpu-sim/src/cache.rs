@@ -1,11 +1,11 @@
 //! dynbc-memsim: the cache-hierarchy observability model (`DYNBC_MEMSIM=1`).
 //!
-//! Mirrors the shadow-collector design of the profiler and the
-//! racechecker: each block optionally carries a boxed `BlockCache`
-//! (`None` ⇒ one predictable branch per memory hook), fed
-//! from the same `BlockCtx::touch` point the cost model and profiler
-//! already share. The model is GPGPU-Sim/Accel-Sim-flavoured but
-//! deliberately simple:
+//! Memsim implies profiling and rides in the profiler's per-block
+//! collector (see [`crate::profile`]): the collector owns the block's L1
+//! (`BlockCache`), fed from the same `BlockCtx::touch` point the cost
+//! model and profiler already share, and the L1's counts and per-buffer
+//! misses go into the collector's per-label buckets. The model is
+//! GPGPU-Sim/Accel-Sim-flavoured but deliberately simple:
 //!
 //! * **Address decoding** — `GpuBuffer` allocations carry disjoint
 //!   256-byte-aligned synthetic base addresses (see `mem.rs`), so
@@ -15,9 +15,9 @@
 //! * **L1** — one private set-associative LRU tag array per *block*. The
 //!   paper's kernels run one block per SM, so per-block equals the
 //!   hardware's per-SM L1; it also keeps collection thread-free. One L1
-//!   request is one 32-byte memory transaction — the same population
-//!   `Counters::mem_transactions` counts, so `l1_hits + l1_misses` equals
-//!   `mem_transactions` when both collectors run.
+//!   request is one 32-byte memory transaction — the population the cost
+//!   model's `mem_segments` counts, so `l1_hits + l1_misses` equals
+//!   `stats.mem_segments` in every profile bucket.
 //! * **L2** — one shared, sectored tag array per device: 128-byte lines
 //!   with four 32-byte sectors and a per-line validity mask. A request
 //!   whose line is resident but whose sector is not counts as a
@@ -29,9 +29,9 @@
 //! interleaving produces the same per-block result. The shared L2 is
 //! *not* probed during parallel execution: each block records its L1-miss
 //! stream in execution order, and the launch reduction replays every
-//! stream through the device's single L2 **in block-index order** — the
-//! same merge order `profile::reduce_blocks` and the engines' `bc_delta`
-//! slabs use. Reports are therefore bit-identical for any
+//! stream through the device's single L2 **in block-index order**, as
+//! part of the profile's block-index-ordered reduction — the same merge
+//! order the engines' `bc_delta` slabs use. Reports are therefore bit-identical for any
 //! `DYNBC_HOST_THREADS` value.
 //!
 //! The model is observability-only: it never feeds the cycle cost model,
@@ -40,7 +40,7 @@
 //! traffic (stores allocate like loads; no dirty state), inter-block L1
 //! coherence (real GPU L1s are not coherent either), and TLBs.
 
-use dynbc_prof::{CacheCounters, Counters, StageProfile};
+use crate::profile::CacheCounters;
 
 /// L2 line size in bytes (four 32-byte sectors, Fermi-style).
 pub const L2_LINE_BYTES: u64 = 128;
@@ -221,27 +221,16 @@ impl L2Cache {
     }
 }
 
-/// One per-label collection bucket: `(label, L1 counters, per-buffer L1
-/// misses)`, kept in first-touch order, mirroring `BlockProfile`.
-type Bucket = (&'static str, CacheCounters, Vec<(&'static str, u64)>);
-
-/// Per-block shadow cache collector (lives behind `Option<Box<...>>` in
-/// `BlockCtx`; absent ⇒ the memory hook costs one predictable branch).
+/// A block's private L1 (memsim) and the stream of its misses, for the
+/// launch's L2 replay. Its counts go into the profiler's active bucket
+/// (see [`crate::profile`]), which lends it the bucket's index for the
+/// stream.
 #[derive(Debug)]
 pub(crate) struct BlockCache {
     l1_line: u64,
     l1: TagArray,
-    buckets: Vec<Bucket>,
-    cur: usize,
     /// L1-miss stream in execution order: `(l1 line id, bucket index)`.
     /// Replayed through the shared L2 at reduction, in block-index order.
-    misses: Vec<(u64, u32)>,
-}
-
-/// What a finished block hands back for the launch's L2 replay.
-#[derive(Debug)]
-pub(crate) struct BlockCacheOut {
-    buckets: Vec<Bucket>,
     misses: Vec<(u64, u32)>,
 }
 
@@ -250,131 +239,59 @@ impl BlockCache {
         Self {
             l1_line: u64::from(cfg.l1_line),
             l1: TagArray::new(cfg.l1_sets(), cfg.l1_ways),
-            buckets: vec![("", CacheCounters::default(), Vec::new())],
-            cur: 0,
             misses: Vec::new(),
         }
     }
 
-    /// Switches the active bucket (kernel-phase label changed).
-    pub(crate) fn set_label(&mut self, label: &'static str) {
-        if self.buckets[self.cur].0 == label {
-            return;
-        }
-        self.cur = match self.buckets.iter().position(|(l, _, _)| *l == label) {
-            Some(i) => i,
-            None => {
-                self.buckets
-                    .push((label, CacheCounters::default(), Vec::new()));
-                self.buckets.len() - 1
-            }
-        };
-    }
-
-    /// One 32-byte memory transaction against the named buffer. Called
-    /// from `BlockCtx::touch` exactly when the cost model charges a new
-    /// segment, so L1 requests equal `Counters::mem_transactions`.
+    /// One 32-byte memory transaction at `addr`, made while profile
+    /// bucket `bucket` is active and counted into its `counts`. Called
+    /// exactly when the cost model charges a new segment, so L1 requests
+    /// equal `stats.mem_segments`. Returns `true` on an L1 miss.
     #[inline]
-    pub(crate) fn access(&mut self, addr: u64, buffer: &'static str) {
+    pub(crate) fn access(&mut self, addr: u64, bucket: u32, counts: &mut CacheCounters) -> bool {
         let line = addr / self.l1_line;
-        let bucket = &mut self.buckets[self.cur];
         match self.l1.access(line).0 {
-            Probe::Hit => bucket.1.l1_hits += 1,
+            Probe::Hit => {
+                counts.l1_hits += 1;
+                false
+            }
             Probe::Miss(evicted) => {
-                bucket.1.l1_misses += 1;
+                counts.l1_misses += 1;
                 if evicted {
-                    bucket.1.l1_evictions += 1;
+                    counts.l1_evictions += 1;
                 }
-                match bucket.2.iter_mut().find(|(n, _)| *n == buffer) {
-                    Some((_, m)) => *m += 1,
-                    None => bucket.2.push((buffer, 1)),
-                }
-                self.misses.push((line, self.cur as u32));
+                self.misses.push((line, bucket));
+                true
             }
         }
     }
 
-    /// Surrenders the per-label buckets and the L1-miss stream, dropping
-    /// untouched buckets (mirrors `BlockProfile::into_buckets`). Bucket
-    /// indices in the miss stream are remapped to the retained buckets.
-    pub(crate) fn finish(self) -> BlockCacheOut {
-        let mut remap = vec![u32::MAX; self.buckets.len()];
-        let mut buckets = Vec::with_capacity(self.buckets.len());
-        for (i, b) in self.buckets.into_iter().enumerate() {
-            if !b.1.is_empty() {
-                remap[i] = buckets.len() as u32;
-                buckets.push(b);
-            }
-        }
-        let misses = self
-            .misses
-            .into_iter()
-            .map(|(line, b)| (line, remap[b as usize]))
-            .collect();
-        BlockCacheOut { buckets, misses }
+    /// Surrenders the L1-miss stream.
+    pub(crate) fn into_misses(self) -> Vec<(u64, u32)> {
+        self.misses
     }
 }
 
-/// Folds per-block cache results into the launch's stage profiles and
-/// total, replaying every block's L1-miss stream through the device's
-/// shared L2 **in block-index order** (the determinism contract).
-///
-/// Stages are matched by label (the cache collector follows the same
-/// `BlockCtx::label` stream as the profiler); a label the profiler never
-/// saw gets a counters-empty stage appended.
-pub(crate) fn fold_into_stages(
-    blocks: Vec<BlockCacheOut>,
-    cfg: &CacheConfig,
-    l2: &mut L2Cache,
-    stages: &mut Vec<StageProfile>,
-    total: &mut Counters,
-) {
-    let sectors_per_l1_line = (u64::from(cfg.l1_line) / L2_SECTOR_BYTES).max(1);
-    for block in blocks {
-        // L1 counters and per-buffer misses merge like profile buckets.
-        for (label, c, buffers) in &block.buckets {
-            total.cache.merge(c);
-            let stage = stage_mut(stages, label);
-            stage.counters.cache.merge(c);
-            for (name, m) in buffers {
-                match stage.buffer_misses.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, dst)) => *dst += m,
-                    None => stage.buffer_misses.push((name.to_string(), *m)),
-                }
-            }
-        }
-        // L2 replay: each missed L1 line requests its 32-byte sectors.
-        for (line, bucket) in block.misses {
-            let label = block.buckets[bucket as usize].0;
-            let mut c = CacheCounters::default();
-            for s in 0..sectors_per_l1_line {
-                match l2.access_sector(line * sectors_per_l1_line + s) {
-                    L2Outcome::Hit => c.l2_hits += 1,
-                    L2Outcome::SectorFill => c.l2_sector_fills += 1,
-                    L2Outcome::Miss { evicted } => {
-                        c.l2_misses += 1;
-                        if evicted {
-                            c.l2_evictions += 1;
-                        }
+impl L2Cache {
+    /// Replays one L1 miss of line `line` (an `l1_line`-byte line id):
+    /// each of its 32-byte sectors is one L2 request.
+    pub(crate) fn replay_miss(&mut self, line: u64) -> CacheCounters {
+        let sectors = (u64::from(self.cfg.l1_line) / L2_SECTOR_BYTES).max(1);
+        let mut c = CacheCounters::default();
+        for s in 0..sectors {
+            match self.access_sector(line * sectors + s) {
+                L2Outcome::Hit => c.l2_hits += 1,
+                L2Outcome::SectorFill => c.l2_sector_fills += 1,
+                L2Outcome::Miss { evicted } => {
+                    c.l2_misses += 1;
+                    if evicted {
+                        c.l2_evictions += 1;
                     }
                 }
             }
-            total.cache.merge(&c);
-            stage_mut(stages, label).counters.cache.merge(&c);
         }
+        c
     }
-}
-
-fn stage_mut<'a>(stages: &'a mut Vec<StageProfile>, label: &'static str) -> &'a mut StageProfile {
-    if let Some(i) = stages.iter().position(|s| s.label == label) {
-        return &mut stages[i];
-    }
-    stages.push(StageProfile {
-        label: label.to_string(),
-        counters: Counters::default(),
-        buffer_misses: Vec::new(),
-    });
-    stages.last_mut().unwrap()
 }
 
 #[cfg(test)]
@@ -461,50 +378,27 @@ mod tests {
     }
 
     #[test]
-    fn block_cache_buckets_and_miss_stream_follow_labels() {
-        let cfg = tiny();
-        let mut b = BlockCache::new(&cfg);
-        b.set_label("sp");
-        b.access(0, "adj");
-        b.access(0, "adj"); // same line: L1 hit, no new miss record
-        b.set_label("dep");
-        b.access(64, "delta");
-        let out = b.finish();
-        assert_eq!(out.buckets.len(), 2);
-        assert_eq!(out.buckets[0].0, "sp");
-        assert_eq!(out.buckets[0].1.l1_hits, 1);
-        assert_eq!(out.buckets[0].1.l1_misses, 1);
-        assert_eq!(out.buckets[0].2, vec![("adj", 1)]);
-        assert_eq!(out.buckets[1].2, vec![("delta", 1)]);
-        assert_eq!(out.misses, vec![(0, 0), (2, 1)]);
+    fn block_cache_counts_requests_and_streams_misses() {
+        let mut b = BlockCache::new(&tiny());
+        let mut c = CacheCounters::default();
+        assert!(b.access(0, 1, &mut c));
+        assert!(!b.access(0, 1, &mut c), "same line: an L1 hit");
+        assert!(b.access(64, 2, &mut c));
+        assert_eq!((c.l1_hits, c.l1_misses), (1, 2));
+        assert_eq!(b.into_misses(), vec![(0, 1), (2, 2)]);
     }
 
     #[test]
-    fn fold_replays_l2_in_block_index_order() {
-        let cfg = tiny();
-        let mut l2 = L2Cache::new(&cfg);
-        let mk = |line: u64| {
-            let mut b = BlockCache::new(&cfg);
-            b.set_label("sp");
-            b.access(line * 32, "adj");
-            b.finish()
-        };
-        // Block 0 misses sector 0; block 1 misses sector 1 (same L2 line):
-        // replayed in block order, block 1's request is a sector fill.
-        let mut stages = Vec::new();
-        let mut total = Counters::default();
-        fold_into_stages(vec![mk(0), mk(1)], &cfg, &mut l2, &mut stages, &mut total);
-        assert_eq!(total.cache.l1_misses, 2);
-        assert_eq!(total.cache.l2_misses, 1);
-        assert_eq!(total.cache.l2_sector_fills, 1);
-        assert_eq!(stages.len(), 1);
-        assert_eq!(stages[0].label, "sp");
-        assert_eq!(stages[0].buffer_misses, vec![("adj".to_string(), 2)]);
-        assert_eq!(
-            total.cache.l2_requests(),
-            total.cache.l1_misses,
-            "every L1 miss is exactly one L2 request at 32 B lines"
-        );
+    fn replayed_miss_requests_every_sector_of_a_wide_l1_line() {
+        // 128-byte L1 lines: one miss is four 32-byte L2 requests, the
+        // first a line miss and the rest sector fills.
+        let mut l2 = L2Cache::new(&CacheConfig {
+            l1_line: 128,
+            ..tiny()
+        });
+        let c = l2.replay_miss(1);
+        assert_eq!((c.l2_misses, c.l2_sector_fills, c.l2_hits), (1, 3, 0));
+        assert_eq!(l2.replay_miss(1).l2_hits, 4);
     }
 
     #[test]

@@ -31,14 +31,13 @@
 //! bandwidth.
 
 use crate::block::{BlockCtx, SegTable};
-use crate::cache::{self, BlockCacheOut, CacheConfig, L2Cache};
+use crate::cache::{CacheConfig, L2Cache};
 use crate::checker::{self, CheckReport, Recorder};
 use crate::device::DeviceConfig;
 use crate::instruments::{host_cores, Instruments};
 use crate::mem::{GpuBuffer, FIRST_BASE};
-use crate::profile::{self, BlockBuckets};
+use crate::profile::{self, BlockBuckets, LaunchProfile, ProfileReport};
 use crate::stats::KernelStats;
-use dynbc_prof::{LaunchProfile, ProfileReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Outcome of one kernel launch.
@@ -81,7 +80,6 @@ pub(crate) type BlockOut = (
     KernelStats,
     Option<Box<Recorder>>,
     Option<BlockBuckets>,
-    Option<BlockCacheOut>,
 );
 
 /// Grids smaller than this run inline on the calling thread even when more
@@ -316,8 +314,7 @@ impl Gpu {
         let mut stats = KernelStats::default();
         let mut recorders = Vec::new();
         let mut block_buckets: Vec<BlockBuckets> = Vec::new();
-        let mut block_caches: Vec<BlockCacheOut> = Vec::new();
-        for (cycles, block_stats, recorder, buckets, cache_out) in per_block {
+        for (cycles, block_stats, recorder, buckets) in per_block {
             block_cycles.push(cycles);
             stats.add(&block_stats);
             if let Some(r) = recorder {
@@ -325,9 +322,6 @@ impl Gpu {
             }
             if let Some(bk) = buckets {
                 block_buckets.push(bk);
-            }
-            if let Some(c) = cache_out {
-                block_caches.push(c);
             }
         }
         let makespan_cycles = schedule_makespan(&block_cycles, self.dev.num_sms);
@@ -344,22 +338,20 @@ impl Gpu {
             });
         }
         if profiled {
-            // Per-block buckets arrive (and merge) in block-index order —
-            // the same contract that makes `bc_delta` reduction exact —
-            // so this profile is bit-identical for any host-thread count.
-            let (mut stages, mut total) = profile::reduce_blocks(block_buckets);
-            if cached {
-                // Memsim's shared-L2 replay: single-threaded, block-index
-                // order, against the device's persistent L2 — deterministic
-                // for any host-thread count, like every reduction here.
-                // A geometry change since the last memsim launch starts a
-                // cold L2 of the new shape.
-                let l2 = match &mut self.l2 {
-                    Some(l2) if l2.cfg == cfg => l2,
-                    slot => slot.insert(Box::new(L2Cache::new(&cfg))),
-                };
-                cache::fold_into_stages(block_caches, &cfg, l2, &mut stages, &mut total);
-            }
+            // Memsim's shared-L2 replay runs inside the reduction:
+            // single-threaded, against the device's persistent L2. A
+            // geometry change since the last memsim launch starts a cold
+            // L2 of the new shape.
+            let l2 = match &mut self.l2 {
+                _ if !cached => None,
+                Some(l2) if l2.cfg == cfg => Some(&mut **l2),
+                slot => Some(&mut **slot.insert(Box::new(L2Cache::new(&cfg)))),
+            };
+            // Per-block buckets arrive (and merge, and replay their L1
+            // misses) in block-index order — the same contract that makes
+            // `bc_delta` reduction exact — so this profile is
+            // bit-identical for any host-thread count.
+            let (stages, total) = profile::reduce_blocks(block_buckets, l2);
             let blocks = profile::block_spans(
                 &block_cycles,
                 self.dev.num_sms,
@@ -754,8 +746,8 @@ mod tests {
             cache: None,
         };
         let per_block = par_gpu.run_blocks_parallel(BLOCKS, 4, run, &f);
-        let cycles: Vec<f64> = per_block.iter().map(|(c, _, _, _, _)| *c).collect();
-        let stats: Vec<KernelStats> = per_block.iter().map(|(_, s, _, _, _)| *s).collect();
+        let cycles: Vec<f64> = per_block.iter().map(|(c, _, _, _)| *c).collect();
+        let stats: Vec<KernelStats> = per_block.iter().map(|(_, s, _, _)| *s).collect();
         assert_eq!(seq.block_cycles, cycles, "per-block cycles");
         assert_eq!(seq_buf.to_vec(), par_buf.to_vec(), "row buffer");
         assert_eq!(seq_hist.to_vec(), par_hist.to_vec(), "histogram");

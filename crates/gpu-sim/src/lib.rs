@@ -24,12 +24,15 @@
 //!   per-cell shadow state and report data races, sharing-contract
 //!   violations, barrier divergence, and out-of-bounds indexing with
 //!   kernel/buffer/lane context;
-//! * `dynbc-prof` integration — profiled launches
-//!   ([`Instruments::profiling`], `DYNBC_PROFILE=1`) collect
-//!   hardware-counter-style per-kernel/per-stage [`ProfileReport`]s
-//!   (futile vs useful edge work, divergence, occupancy, coalescing,
-//!   atomic contention, queue/dedup ops) with the same bit-determinism
-//!   and no-op-when-off guarantees as the checker;
+//! * [`profile`] — profiled launches ([`Instruments::profiling`],
+//!   `DYNBC_PROFILE=1`) collect hardware-counter-style
+//!   per-kernel/per-stage [`ProfileReport`]s (futile vs useful edge work,
+//!   divergence, occupancy, coalescing, atomic contention, queue/dedup
+//!   ops) with the same bit-determinism and no-op-when-off guarantees as
+//!   the checker. A profile bucket's [`Counters`] embed the cost model's
+//!   [`KernelStats`], so each quantity has one tally;
+//! * [`cache`] — memsim ([`Instruments::memsim`], `DYNBC_MEMSIM=1`), an
+//!   L1/L2 tag-array model whose counts ride in the profile's buckets;
 //! * [`OpCounter`] / [`CpuConfig`] — the matching cost model for the
 //!   sequential CPU baseline, so every reported ratio compares modelled
 //!   seconds to modelled seconds.
@@ -57,7 +60,7 @@ pub mod grid;
 mod instruments;
 pub mod knob;
 pub mod mem;
-mod profile;
+pub mod profile;
 pub mod stats;
 
 pub use block::{BlockCtx, Col, Lane, Sweep};
@@ -69,10 +72,5 @@ pub use grid::{Gpu, LaunchReport, LaunchSpan};
 pub use instruments::Instruments;
 pub use knob::{HOST_THREADS_ENV, MEMSIM_ENV, PROFILE_ENV, RACECHECK_ENV, TELEMETRY_ENV};
 pub use mem::{DeviceValue, GpuBuffer};
+pub use profile::{BlockSpan, CacheCounters, Counters, LaunchProfile, ProfileReport, StageProfile};
 pub use stats::KernelStats;
-
-// The profile data model lives in the dependency-free `dynbc-prof` crate;
-// re-exported here so engines and harnesses need only one dependency.
-pub use dynbc_prof::{
-    BlockSpan, CacheCounters, Counters, LaunchProfile, ProfileReport, StageProfile,
-};

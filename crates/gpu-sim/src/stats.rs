@@ -32,6 +32,19 @@ impl KernelStats {
         self.barriers += other.barriers;
     }
 
+    /// What the counters gained since `earlier`, a snapshot of the same
+    /// accumulating counters.
+    pub(crate) fn since(&self, earlier: &KernelStats) -> KernelStats {
+        KernelStats {
+            warp_execs: self.warp_execs - earlier.warp_execs,
+            lane_events: self.lane_events - earlier.lane_events,
+            mem_segments: self.mem_segments - earlier.mem_segments,
+            atomics: self.atomics - earlier.atomics,
+            atomic_conflicts: self.atomic_conflicts - earlier.atomic_conflicts,
+            barriers: self.barriers - earlier.barriers,
+        }
+    }
+
     /// Bytes of DRAM traffic implied by the segment count.
     pub fn traffic_bytes(&self) -> u64 {
         self.mem_segments * 32

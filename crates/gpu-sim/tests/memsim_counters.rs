@@ -25,10 +25,10 @@ fn l1_requests_equal_mem_transactions() {
         block.barrier();
     });
     let c = gpu.profile_report().launches.last().unwrap().total;
-    assert!(c.mem_transactions > 0);
+    assert!(c.stats.mem_segments > 0);
     assert_eq!(
         c.cache.l1_requests(),
-        c.mem_transactions,
+        c.stats.mem_segments,
         "one L1 request per 32-byte transaction the cost model charges"
     );
     // Every L1 miss requests exactly one 32 B L2 sector at the default

@@ -29,9 +29,9 @@ fn coalesced_warp_is_one_coalesced_transaction() {
         block.barrier();
     });
     let c = report.total();
-    assert_eq!(c.mem_transactions, 1);
+    assert_eq!(c.stats.mem_segments, 1);
     assert_eq!(c.coalesced_transactions, 1);
-    assert_eq!(c.uncoalesced_transactions, 0);
+    assert_eq!(c.uncoalesced_transactions(), 0);
     assert!((c.coalesced_fraction() - 1.0).abs() < 1e-12);
 }
 
@@ -45,9 +45,9 @@ fn scattered_warp_is_all_uncoalesced_transactions() {
         block.barrier();
     });
     let c = report.total();
-    assert_eq!(c.mem_transactions, 4);
+    assert_eq!(c.stats.mem_segments, 4);
     assert_eq!(c.coalesced_transactions, 0);
-    assert_eq!(c.uncoalesced_transactions, 4);
+    assert_eq!(c.uncoalesced_transactions(), 4);
     assert_eq!(c.coalesced_fraction(), 0.0);
 }
 
@@ -68,7 +68,7 @@ fn imbalanced_warp_counts_divergence_and_stalls() {
         block.barrier();
     });
     let c = report.total();
-    assert_eq!(c.warp_execs, 1);
+    assert_eq!(c.stats.warp_execs, 1);
     assert_eq!(c.active_lanes, 4);
     assert_eq!(c.lane_slots, 4);
     assert_eq!(c.divergent_warps, 1);
@@ -88,7 +88,7 @@ fn uniform_warp_has_no_divergence_and_partial_warp_dilutes_occupancy() {
         block.barrier();
     });
     let c = report.total();
-    assert_eq!(c.warp_execs, 2);
+    assert_eq!(c.stats.warp_execs, 2);
     assert_eq!(c.active_lanes, 6);
     assert_eq!(c.lane_slots, 8);
     assert_eq!(c.divergent_warps, 0);
@@ -107,8 +107,8 @@ fn same_address_atomics_count_conflicts_and_contention_depth() {
         block.barrier();
     });
     let c = report.total();
-    assert_eq!(c.atomic_ops, 4);
-    assert_eq!(c.atomic_conflicts, 3);
+    assert_eq!(c.stats.atomics, 4);
+    assert_eq!(c.stats.atomic_conflicts, 3);
     assert_eq!(c.max_contention_depth, 4);
 }
 
@@ -121,8 +121,8 @@ fn distinct_address_atomics_do_not_conflict() {
         block.barrier();
     });
     let c = report.total();
-    assert_eq!(c.atomic_ops, 4);
-    assert_eq!(c.atomic_conflicts, 0);
+    assert_eq!(c.stats.atomics, 4);
+    assert_eq!(c.stats.atomic_conflicts, 0);
     assert_eq!(c.max_contention_depth, 1);
 }
 
@@ -173,7 +173,7 @@ fn stage_labels_partition_counters_in_first_touch_order() {
     // The launch total is the sum over stages.
     let t = report.total();
     assert_eq!(t.active_lanes, 12);
-    assert_eq!(t.barriers, 2);
+    assert_eq!(t.stats.barriers, 2);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use dynbc_gpusim::{BlockCtx, CacheConfig, Col, DeviceConfig, Gpu, Lane, ProfileReport, Sweep};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// An arbitrary access script: per lane-item, a list of buffer indices.
 fn arb_pattern() -> impl Strategy<Value = Vec<Vec<usize>>> {
@@ -433,6 +433,12 @@ struct Charge {
     lane_events: u64,
     segments: u64,
     conflicts: u64,
+    /// Segments that two or more of a warp's lane accesses touched,
+    /// summed over warps (the profiler's coalesced transactions).
+    coalesced: u64,
+    /// Longest same-address atomic run in any one warp (the profiler's
+    /// contention depth).
+    depth: u64,
     compute: f64,
     mem: f64,
     atomic: f64,
@@ -440,23 +446,33 @@ struct Charge {
 }
 
 impl Charge {
-    /// Charges one warp: its distinct segments, atomic targets and
-    /// busiest lane.
+    /// Charges one warp: its distinct segments (with the lane accesses
+    /// each serviced), atomic targets and busiest lane.
     fn warp(
         &mut self,
         dev: &DeviceConfig,
-        segs: &BTreeSet<(usize, usize)>,
+        segs: &Segments,
         atomics: &mut Vec<(usize, usize)>,
         max: u32,
     ) {
         self.compute += dev.warp_base_cycles + dev.event_instr_cycles * f64::from(max);
-        for _ in segs {
+        for _ in segs.keys() {
             self.mem += dev.seg_cycles;
         }
         self.segments += segs.len() as u64;
+        self.coalesced += segs.values().filter(|&&accesses| accesses >= 2).count() as u64;
         if !atomics.is_empty() {
             let n = atomics.len() as u64;
             atomics.sort_unstable();
+            let mut run = 0u64;
+            for (k, target) in atomics.iter().enumerate() {
+                run = if k > 0 && atomics[k - 1] == *target {
+                    run + 1
+                } else {
+                    1
+                };
+                self.depth = self.depth.max(run);
+            }
             atomics.dedup();
             let c = n - atomics.len() as u64;
             self.atomic += n as f64 * dev.atomic_cycles + c as f64 * dev.atomic_conflict_cycles;
@@ -468,6 +484,15 @@ impl Charge {
         self.committed += self.compute.max(self.mem) + self.atomic;
         (self.compute, self.mem, self.atomic) = (0.0, 0.0, 0.0);
     }
+}
+
+/// A warp's touched `(buffer, 32-byte segment)` keys, each with the number
+/// of lane accesses that touched it.
+type Segments = BTreeMap<(usize, usize), u64>;
+
+/// Notes one lane access to element `i` of script buffer `buf`.
+fn touch(segs: &mut Segments, buf: usize, i: usize) {
+    *segs.entry(seg(buf, i)).or_default() += 1;
 }
 
 /// The `(buffer, 32-byte segment)` key of element `i` of script buffer
@@ -482,7 +507,7 @@ fn seg(buf: usize, i: usize) -> (usize, usize) {
 fn lane_charge(
     ops: &[LaneOp],
     l: usize,
-    segs: &mut BTreeSet<(usize, usize)>,
+    segs: &mut Segments,
     atomics: &mut Vec<(usize, usize)>,
 ) -> u32 {
     let mut events = 0u32;
@@ -492,7 +517,7 @@ fn lane_charge(
             OpKind::Compute(units) => events += units,
             kind => {
                 events += 1;
-                segs.insert(seg(op.buf, i));
+                touch(segs, op.buf, i);
                 if matches!(kind, OpKind::Atomic) {
                     atomics.push((op.buf, i));
                 }
@@ -503,9 +528,10 @@ fn lane_charge(
 }
 
 /// What the cost model charges for `program` on `dev`, computed without
-/// the interpreter: per warp, a `BTreeSet` of `(buffer, 32-byte segment)`
+/// the interpreter: per warp, a `BTreeMap` from `(buffer, 32-byte segment)`
 /// keys (buffers are disjoint and 256-byte aligned, so these are exactly
-/// the distinct segments) and the sorted atomic targets. A one-block
+/// the distinct segments) to the lane accesses that touched them, and the
+/// sorted atomic targets. A one-block
 /// launch's makespan is its block's committed cycles.
 fn oracle(dev: &DeviceConfig, program: &[Step]) -> Charge {
     let mut charge = Charge::default();
@@ -513,7 +539,7 @@ fn oracle(dev: &DeviceConfig, program: &[Step]) -> Charge {
         match step {
             Step::ParallelFor { lanes, ops } => {
                 for first in (0..*lanes).step_by(dev.warp_size) {
-                    let (mut segs, mut atomics, mut max) = (BTreeSet::new(), Vec::new(), 0u32);
+                    let (mut segs, mut atomics, mut max) = (Segments::new(), Vec::new(), 0u32);
                     for l in first..(first + dev.warp_size).min(*lanes) {
                         let events = lane_charge(ops, l, &mut segs, &mut atomics);
                         charge.lane_events += u64::from(events);
@@ -531,13 +557,13 @@ fn oracle(dev: &DeviceConfig, program: &[Step]) -> Charge {
             } => {
                 let cols = sweep_columns(*lanes, cols);
                 for first in (0..*lanes).step_by(dev.warp_size) {
-                    let (mut segs, mut atomics, mut max) = (BTreeSet::new(), Vec::new(), 0u32);
+                    let (mut segs, mut atomics, mut max) = (Segments::new(), Vec::new(), 0u32);
                     for l in first..(first + dev.warp_size).min(*lanes) {
                         let events = if l % every == *phase {
                             lane_charge(ops, l, &mut segs, &mut atomics)
                         } else {
                             for col in &cols {
-                                segs.insert(seg(col.buf, col.base + l));
+                                touch(&mut segs, col.buf, col.base + l);
                             }
                             cols.len() as u32
                         };
@@ -551,7 +577,7 @@ fn oracle(dev: &DeviceConfig, program: &[Step]) -> Charge {
                 charge.lane_events += 1;
                 charge.warp(
                     dev,
-                    &BTreeSet::from([seg(*buf, *index)]),
+                    &Segments::from([(seg(*buf, *index), 1)]),
                     &mut Vec::new(),
                     1,
                 );
@@ -600,6 +626,13 @@ proptest! {
                 prop_assert_eq!(&got.buffers, &plain.buffers, "{:?}", run);
             }
             prop_assert_eq!(&swept.profile, &looped.profile, "{:?}", run);
+            if matches!(run, Run::Instrumented) {
+                // The profile's own tallies: coalesced transactions and
+                // the deepest same-address atomic run.
+                let total = swept.profile.total();
+                prop_assert_eq!(total.coalesced_transactions, want.coalesced);
+                prop_assert_eq!(total.max_contention_depth, want.depth);
+            }
             prop_assert_eq!(&swept.check, &looped.check, "{:?}", run);
         }
     }

@@ -23,8 +23,8 @@
 //! workspace; the binary exits non-zero on any unsuppressed finding.
 //! `scripts/verify.sh` runs it before the expensive build steps.
 //!
-//! Like `dynbc-prof` and `dynbc-telemetry`, the crate is
-//! dependency-free: the build environment has no crates.io access, so
+//! The crate is dependency-free: the build environment has no crates.io
+//! access, so
 //! the Rust line-lexer, the rule engine, and the JSON emitter are all
 //! hand-rolled here.
 

@@ -101,7 +101,7 @@ impl Report {
     }
 }
 
-/// Minimal JSON string escaping (the same subset `dynbc-prof` emits).
+/// Minimal JSON string escaping (the same subset `dynbc_gpusim::profile` emits).
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -230,14 +230,16 @@ fn unused_allows(file: &SourceFile, allows: &[Allow], findings: &mut Vec<Finding
 
 /// Paths whose iteration order feeds committed scores or exported
 /// reports: the batch commit/exec layer, the native kernels, the
-/// prof/telemetry aggregation + exporters, and the serve layer (whose
+/// simulator's profile and memsim reductions, the telemetry aggregation
+/// and exporters, and the serve layer (whose
 /// tenant iteration order feeds the Prometheus exposition and shutdown
 /// snapshot maps).
 fn ordered_iteration_scope(path: &str) -> bool {
     path == "crates/bc/src/gpu/exec.rs"
         || path == "crates/bc/src/gpu/engine.rs"
         || path.starts_with("crates/bc/src/native/")
-        || path.starts_with("crates/prof/src/")
+        || path == "crates/gpu-sim/src/profile.rs"
+        || path == "crates/gpu-sim/src/cache.rs"
         || path.starts_with("crates/telemetry/src/")
         || path.starts_with("crates/serve/src/")
 }

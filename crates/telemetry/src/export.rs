@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use dynbc_prof::ProfileReport;
+use dynbc_gpusim::ProfileReport;
 
 use crate::trace::Trace;
 
@@ -131,7 +131,7 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
                 json_number(l.total.occupancy()),
             );
             useful += l.total.edges_passed;
-            futile += l.total.edges_scanned - l.total.edges_passed.min(l.total.edges_scanned);
+            futile += l.total.futile_edges();
             sep(&mut out);
             let _ = write!(
                 out,
@@ -179,7 +179,7 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
 mod tests {
     use super::*;
     use crate::trace::Span;
-    use dynbc_prof::{BlockSpan, CacheCounters, Counters, LaunchProfile};
+    use dynbc_gpusim::{BlockSpan, CacheCounters, Counters, LaunchProfile};
 
     fn report(cache: CacheCounters) -> ProfileReport {
         let mut report = ProfileReport::default();

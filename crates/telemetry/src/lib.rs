@@ -11,9 +11,9 @@
 //!   with deterministic p50/p90/p99 queries;
 //! * [`Span`]-based tracing of the update lifecycle
 //!   (`update → validate → plan → stage[i] → launch → commit`) on the
-//!   simulated clock, unified with `dynbc-prof` kernel profiles by
-//!   [`unified_chrome_trace`] so host stages and device kernels share one
-//!   Perfetto timeline;
+//!   simulated clock, unified with the simulator's kernel profiles
+//!   (`dynbc_gpusim::profile`) by [`unified_chrome_trace`] so host stages
+//!   and device kernels share one Perfetto timeline;
 //! * exporters: Prometheus text exposition ([`Telemetry::prometheus`]),
 //!   a bounded JSON Lines [`EventLog`], and the Chrome trace.
 //!
@@ -40,7 +40,7 @@ mod trace;
 
 use std::fmt::Write as _;
 
-pub use dynbc_prof::{CacheCounters, ProfileReport};
+pub use dynbc_gpusim::{CacheCounters, ProfileReport};
 pub use export::unified_chrome_trace;
 pub use hist::Histogram;
 pub use registry::{Clock, Registry};

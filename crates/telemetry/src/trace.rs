@@ -2,7 +2,7 @@
 //! event log.
 //!
 //! Spans run on the *model* clock (the same simulated clock
-//! `dynbc_prof::LaunchProfile`s use), so host pipeline stages and device
+//! `dynbc_gpusim::LaunchProfile`s use), so host pipeline stages and device
 //! kernel spans line up on one timeline. Host phases that do no model work
 //! (validate, plan, commit) carry a zero model duration and export as
 //! instant events, with their wall-clock cost attached as an argument.

@@ -82,7 +82,7 @@ fn main() {
          peak contention depth {}",
         total.occupancy(),
         total.coalesced_fraction(),
-        total.atomic_conflicts,
+        total.stats.atomic_conflicts,
         total.max_contention_depth
     );
     println!(

@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 echo "== formatting gate (first-party crates; vendor/ is exempt) =="
 cargo fmt --check \
     -p dynbc -p dynbc-bc -p dynbc-bench -p dynbc-graph \
-    -p dynbc-gpusim -p dynbc-lint -p dynbc-prof -p dynbc-serve \
+    -p dynbc-gpusim -p dynbc-lint -p dynbc-serve \
     -p dynbc-telemetry
 
 echo "== static analysis gate: dynbc-lint =="
@@ -119,6 +119,13 @@ echo "== interpreter golden counters: DYNBC_HOST_THREADS=1 =="
 DYNBC_HOST_THREADS=1 cargo test -q --test model_invariants \
     interpreter_counters_match_golden_values
 
+echo "== profile golden report: DYNBC_HOST_THREADS=1 =="
+# The golden stream's profile, with the profiler and the memsim cache
+# model on, on one host worker: its total and the hash of its JSON
+# report are pinned (the default run above fans blocks out).
+DYNBC_HOST_THREADS=1 cargo test -q --test model_invariants \
+    profile_report_matches_golden_values
+
 echo "== gpu-sim instrument switches: DYNBC_MEMSIM=1 DYNBC_PROFILE=1 =="
 # The simulator's own tests must pin every switch they depend on, so an
 # instrumentation variable set in the environment cannot flip them.
@@ -141,7 +148,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustdoc-warning-clean first-party crates =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
     -p dynbc -p dynbc-bc -p dynbc-bench -p dynbc-graph \
-    -p dynbc-gpusim -p dynbc-lint -p dynbc-prof -p dynbc-serve \
+    -p dynbc-gpusim -p dynbc-lint -p dynbc-serve \
     -p dynbc-telemetry
 
 echo "verify.sh: all gates passed"

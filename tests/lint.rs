@@ -49,6 +49,13 @@ fn ordered_iteration_fixture() {
         "ordered_iteration.rs",
         &[("ordered-iteration", 9)],
     );
+    // The simulator's profile and memsim reductions are in scope: their
+    // stage and buffer order is the report's.
+    expect(
+        "crates/gpu-sim/src/profile.rs",
+        "ordered_iteration.rs",
+        &[("ordered-iteration", 9)],
+    );
     // Maps arriving as typed fn parameters are tracked too, not just
     // let bindings.
     let param = "pub fn f(m: &std::collections::HashMap<u32, u32>) -> u32 {\n    \

@@ -55,7 +55,7 @@ fn memsim_changes_no_bc_bit_and_no_simulated_second() {
     for (a, b) in on_report.launches.iter().zip(&off_report.launches) {
         assert_eq!(a.kernel, b.kernel);
         assert_eq!(a.seconds, b.seconds);
-        assert_eq!(a.total.mem_transactions, b.total.mem_transactions);
+        assert_eq!(a.total.stats.mem_segments, b.total.stats.mem_segments);
         assert_eq!(a.total.edges_scanned, b.total.edges_scanned);
     }
     // And memsim-off serialization carries no cache keys at all.
@@ -70,7 +70,7 @@ fn engine_memsim_attributes_misses_to_named_buffers_and_stages() {
     let total = report.total().cache;
     assert_eq!(
         total.l1_requests(),
-        report.total().mem_transactions,
+        report.total().stats.mem_segments,
         "L1 sees exactly the charged transactions"
     );
     let buffers = report.buffer_totals();

@@ -3,7 +3,7 @@
 //! knobs in the direction the paper's argument requires.
 
 use dynbc::bc::gpu::static_bc_gpu;
-use dynbc::gpusim::KernelStats;
+use dynbc::gpusim::{CacheConfig, KernelStats};
 use dynbc::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -209,10 +209,18 @@ fn case1_updates_cost_orders_of_magnitude_less_than_worked_ones() {
 /// mixed batch) returning the device's cumulative work counters and its
 /// simulated clock.
 fn golden_stream(par: Parallelism) -> (KernelStats, u64) {
+    let engine = golden_engine(par, |_| {});
+    (*engine.total_stats(), engine.elapsed_seconds().to_bits())
+}
+
+/// The engine after the golden stream's ops, with `configure` applied
+/// before the first op.
+fn golden_engine(par: Parallelism, configure: impl FnOnce(&mut GpuDynamicBc)) -> GpuDynamicBc {
     let el = test_graph(160, 24);
     let mut rng = StdRng::seed_from_u64(2024);
     let sources = sample_sources(&mut rng, 160, 6);
     let mut engine = GpuDynamicBc::new(&el, &sources, DeviceConfig::tesla_c2075(), par);
+    configure(&mut engine);
     for (u, v) in [(0u32, 80u32), (7, 133), (41, 112)] {
         assert!(!engine.graph().has_edge(u, v));
         engine.insert_edge(u, v);
@@ -236,7 +244,7 @@ fn golden_stream(par: Parallelism) -> (KernelStats, u64) {
         EdgeOp::Insert(60, 150),
         EdgeOp::Insert(61, 149),
     ]);
-    (*engine.total_stats(), engine.elapsed_seconds().to_bits())
+    engine
 }
 
 /// Pins the interpreter's charged quantities to values captured before
@@ -282,6 +290,76 @@ fn interpreter_counters_match_golden_values() {
             "{par:?}: simulated seconds moved ({} vs {})",
             f64::from_bits(got_bits),
             f64::from_bits(seconds_bits)
+        );
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `total()` of the golden stream's profile, as the report renders it.
+const NODE_TOTAL: &str = concat!(
+    r#"{"warp_execs": 3439, "active_lanes": 26900, "#,
+    r#""lane_slots": 110048, "divergent_warps": 891, "#,
+    r#""divergence_stalls": 211200, "mem_transactions": 35582, "#,
+    r#""coalesced_transactions": 25961, "#,
+    r#""uncoalesced_transactions": 9621, "atomic_ops": 5479, "#,
+    r#""atomic_conflicts": 2219, "max_contention_depth": 32, "#,
+    r#""barriers": 1005, "edges_scanned": 17292, "edges_passed": 4323, "#,
+    r#""queue_pushes": 2806, "dedup_ops": 913, "#,
+    r#""cache": {"l1_hits": 24768, "l1_misses": 10814, "#,
+    r#""l1_evictions": 19, "l2_hits": 9067, "l2_misses": 473, "#,
+    r#""l2_sector_fills": 1274, "l2_evictions": 0}}"#,
+);
+
+/// The edge-parallel counterpart of [`NODE_TOTAL`].
+const EDGE_TOTAL: &str = concat!(
+    r#"{"warp_execs": 18254, "active_lanes": 566132, "#,
+    r#""lane_slots": 584128, "divergent_warps": 17607, "#,
+    r#""divergence_stalls": 933826, "mem_transactions": 268401, "#,
+    r#""coalesced_transactions": 257297, "#,
+    r#""uncoalesced_transactions": 11104, "atomic_ops": 13779, "#,
+    r#""atomic_conflicts": 3438, "max_contention_depth": 10, "#,
+    r#""barriers": 579, "edges_scanned": 544401, "edges_passed": 5658, "#,
+    r#""queue_pushes": 12, "dedup_ops": 0, "#,
+    r#""cache": {"l1_hits": 236641, "l1_misses": 31760, "#,
+    r#""l1_evictions": 2, "l2_hits": 29661, "l2_misses": 543, "#,
+    r#""l2_sector_fills": 1556, "l2_evictions": 0}}"#,
+);
+
+/// Pins the profile of the golden stream, run with the profiler and the
+/// memsim cache model on: the report's `total()` counters (as the report
+/// renders them, so the pin does not depend on how `Counters` lays out
+/// its fields) and a hash of the whole JSON report, which covers every
+/// kernel, stage, launch and per-buffer miss list. Any change to how the
+/// simulator collects its counters must leave both where they are.
+#[test]
+fn profile_report_matches_golden_values() {
+    let golden = [
+        (Parallelism::Node, NODE_TOTAL, 0x44c1_2cee_3382_e097_u64),
+        (Parallelism::Edge, EDGE_TOTAL, 0x81a2_aa0f_e9ba_2a1a_u64),
+    ];
+    for (par, total, hash) in golden {
+        let mut engine = golden_engine(par, |engine| {
+            engine.set_backend(Backend::Simulator);
+            engine.set_profiling(true);
+            engine.set_memsim(true);
+            engine.set_cache_config(CacheConfig::prefer_l1());
+        });
+        let json = engine.take_profile_report().to_json();
+        let got_total = json
+            .strip_prefix("{\"total\": ")
+            .and_then(|rest| rest.split_once(", \"kernels\": "))
+            .map(|(total, _)| total);
+        assert_eq!(got_total, Some(total), "{par:?}: profile total moved");
+        assert_eq!(
+            fnv1a(json.as_bytes()),
+            hash,
+            "{par:?}: profile report moved"
         );
     }
 }
