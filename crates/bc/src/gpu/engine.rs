@@ -34,12 +34,12 @@
 //! (`DYNBC_HOST_THREADS`; see `dynbc-gpusim`). Every cross-block effect is
 //! made order-independent: the Algorithm 8 commit stages `BC` increments
 //! in per-*(op, block)* `bc_delta` slab rows that are reduced serially in
-//! row order after the launch, and the touched statistics land in
-//! per-block slots keyed by `(op, row)` — so simulated seconds, stats,
+//! row order after the launch, and each work item's touched statistic
+//! lands in its own slot, keyed by `(op, row)` — so simulated seconds, stats,
 //! and every `f64` of state are bit-identical for any thread count.
 
 use super::buffers::{ScratchBuffers, SlackGraphBuffers, StateBuffers};
-use super::exec::{self, Backend, ExecConfig};
+use super::exec::{self, Backend, ExecConfig, StageBufs};
 use crate::brandes::brandes_state;
 use crate::dynamic::result::{BatchResult, OpOutcome, SourceOutcome, UpdateResult};
 use crate::obs::batch_observation;
@@ -98,15 +98,6 @@ pub struct GpuDynamicBc {
     dedup: DedupStrategy,
     force_general: bool,
     backend: Backend,
-    /// True when a simulator-executed stage may have left non-untouched
-    /// `t` flags behind. The native kernels run *sparsely* — they assume
-    /// every `t` row is all-[`T_UNTOUCHED`] on entry and restore that
-    /// invariant on exit — while the simulator's full-row init kernel
-    /// neither needs nor maintains it, so switching backends mid-stream
-    /// requires one clearing pass.
-    ///
-    /// [`T_UNTOUCHED`]: crate::gpu::buffers::T_UNTOUCHED
-    scratch_t_dirty: bool,
     /// The engine's one host graph, and the host side of the
     /// device-resident dynamic adjacency: batches are validated and
     /// classified against it, and each committed op splices an
@@ -174,7 +165,6 @@ impl GpuDynamicBc {
             } else {
                 Backend::Simulator
             },
-            scratch_t_dirty: false,
             slack,
             store,
             telemetry,
@@ -193,10 +183,21 @@ impl GpuDynamicBc {
 
     /// Selects the execution backend. Edge-parallel engines keep the
     /// simulator regardless.
+    ///
+    /// The native kernels run *sparsely*: they rely on every `t` row
+    /// being all-[`T_UNTOUCHED`] on entry and restore that on exit, while
+    /// the simulator's full-row init neither needs nor keeps it. So
+    /// switching a simulator engine to native clears the `t` rows once.
+    ///
+    /// [`T_UNTOUCHED`]: crate::gpu::buffers::T_UNTOUCHED
     pub fn set_backend(&mut self, backend: Backend) {
-        if self.par == Parallelism::Node {
-            self.backend = backend;
+        if self.par != Parallelism::Node {
+            return;
         }
+        if self.backend == Backend::Simulator && backend == Backend::Native {
+            self.scr.t.fill(crate::gpu::buffers::T_UNTOUCHED);
+        }
+        self.backend = backend;
     }
 
     /// The execution backend batches run on.
@@ -416,120 +417,42 @@ impl GpuDynamicBc {
         let mut next = 0;
         let mut stage_idx = 0usize;
         while next < batch.len() {
-            // Plan one stage (host side, off the simulated clock): commit
-            // each op to the slack store and classify it against the
-            // stage-start distances — valid because only the stage's last
-            // op may change any distance. Each op splices an O(degree)
-            // versioned delta into the store; its classification and its
-            // work items read the store at that version, so the fused
-            // launch sees exactly the adjacency the sequential path would.
             // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
             let plan_t = tel_on.then(std::time::Instant::now);
-            // Stage-start distance rows, borrowed straight from the
-            // device buffer (classification only reads; nothing writes
-            // `d` until the stage executes). The borrow is a field-level
-            // split from `self.slack` / `self.scr`, so no k×n copy.
-            let d_flat = self.st.d.host();
-            let n = self.st.n;
-            let d_rows: Vec<&[u32]> = (0..self.st.k)
-                .map(|i| &d_flat[i * n..(i + 1) * n])
-                .collect();
             let stage_base = next;
-            let mut stage: Vec<PlannedOp> = Vec::new();
-            while next < batch.len() {
-                // Commit the op to the slack store at stage version
-                // `slot + 1`: an O(degree) epoch splice instead of the
-                // O(V + E) snapshot clone per op the CSR path cost. Even
-                // Case-1-only ops (which launch nothing) apply their
-                // delta — later ops of the stage read versions above them.
-                let ver = stage.len() as u32 + 1;
-                match batch[next] {
-                    EdgeOp::Insert(u, v) => self.slack.insert_edge_versioned(u, v, ver),
-                    EdgeOp::Remove(u, v) => self.slack.remove_edge_versioned(u, v, ver),
-                }
-                let planned =
-                    plan::plan_op(&d_rows, batch[next], |v| self.slack.neighbors_at(v, ver));
-                next += 1;
-                let cut = planned.cuts_stage();
-                stage.push(planned);
-                if cut {
-                    break;
-                }
-            }
-            // Replay the stage's deltas onto the device mirror before any
-            // kernel reads it (off the simulated clock, like all staging).
-            self.store.sync(&mut self.gpu, &mut self.slack);
+            let stage = self.plan_stage(batch, &mut next);
 
-            // Scratch sized by batch width: queue rows for the widest
-            // snapshot, one BC-delta slab row per (op, block) pair.
             let plan_wall = plan_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
             let stage_clock0 = self.gpu.elapsed_seconds();
             // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
             let exec_t = tel_on.then(std::time::Instant::now);
 
+            // Scratch sized by batch width: queue rows for the widest
+            // snapshot, one BC-delta slab row per (op, block) pair.
             self.scr
                 .ensure_arc_capacity(&mut self.gpu, self.store.capacity + 4096);
             self.scr
                 .ensure_bc_rows(&mut self.gpu, stage.len() * self.num_blocks);
 
-            let cfg = ExecConfig {
-                par: self.par,
-                dedup: self.dedup,
-                force_general: self.force_general,
-                num_blocks: self.num_blocks,
+            let cfg = self.exec_config();
+            // One stage runner for both backends: the simulator charges
+            // the cost model and feeds the profiler; the native backend
+            // trades both for wall clock.
+            let bufs = StageBufs {
+                st: &self.st,
+                scr: &self.scr,
+                store: &self.store,
+                case_buf: &self.case_buf,
             };
-            // Backend dispatch. The simulator charges the cost model and
-            // feeds the profiler; the native backend trades both for wall
-            // clock.
-            //
-            // The native kernels run sparsely: they rely on every `t` row
-            // being all-untouched on entry (and restore that on exit).
-            // The simulator's full-row init doesn't maintain it, so one
-            // clearing pass is owed after any simulator-executed stage.
-            if self.backend != Backend::Simulator && self.scratch_t_dirty {
-                self.scr.t.fill(crate::gpu::buffers::T_UNTOUCHED);
-                self.scratch_t_dirty = false;
-            }
-            // Per-kind item counts for the stage span (telemetry only).
-            let kind_items = tel_on.then(|| exec::kind_counts(&exec::stage_items(&stage)));
-            // Per-kind native wall seconds, when the native backend ran.
-            let mut kind_wall: Option<[f64; 3]> = None;
-            let touched = match self.backend {
-                Backend::Simulator => {
-                    exec::charge_classification(
-                        &mut self.gpu,
-                        &self.st,
-                        &self.case_buf,
-                        &stage,
-                        &self.store,
-                        stage_idx,
-                    );
-                    let touched = exec::run_stage(
-                        &mut self.gpu,
-                        cfg,
-                        &self.st,
-                        &self.scr,
-                        &stage,
-                        &self.store,
-                        stage_idx,
-                    );
-                    self.scratch_t_dirty = true;
-                    touched
-                }
-                Backend::Native => {
-                    let (touched, wall) = crate::native::run_stage(
-                        cfg,
-                        &self.st,
-                        &self.scr,
-                        &stage,
-                        &self.store,
-                        self.gpu.host_workers(),
-                        tel_on,
-                    );
-                    kind_wall = Some(wall);
-                    touched
-                }
-            };
+            let run = exec::run_stage(
+                &mut self.gpu,
+                self.backend,
+                cfg,
+                bufs,
+                &stage,
+                stage_idx,
+                tel_on,
+            );
             // Stage epilogue: normalize the stage's epochs to settled
             // live/tombstone form — compacting deterministically when the
             // tombstone share crosses the threshold — and replay the
@@ -556,14 +479,14 @@ impl GpuDynamicBc {
                         .collect(),
                 });
             }
-            for (op_slot, row, t) in touched {
+            for (op_slot, row, t) in run.touched {
                 per_op[stage_base + op_slot].per_source[row].touched = t;
             }
 
             if tel_on {
                 let launches = self.gpu.take_launch_spans();
                 let commit_wall = commit_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-                let [ins, d2, d3] = kind_items.unwrap_or_default();
+                let [ins, d2, d3] = run.kinds;
                 let mut span = Span::new(
                     format!("stage#{stage_idx}"),
                     1,
@@ -575,7 +498,7 @@ impl GpuDynamicBc {
                 .arg("items_insert", ins as f64)
                 .arg("items_d2", d2 as f64)
                 .arg("items_d3", d3 as f64);
-                if let Some([ins, d2, d3]) = kind_wall {
+                if let Some([ins, d2, d3]) = run.kind_wall {
                     span = span
                         .arg("wall_insert_s", ins)
                         .arg("wall_d2_s", d2)
@@ -639,6 +562,62 @@ impl GpuDynamicBc {
             model_seconds,
             wall_seconds,
         }
+    }
+
+    /// The dispatch knobs every stage of this engine runs under.
+    fn exec_config(&self) -> ExecConfig {
+        ExecConfig {
+            par: self.par,
+            dedup: self.dedup,
+            force_general: self.force_general,
+            num_blocks: self.num_blocks,
+        }
+    }
+
+    /// Plans the stage of `batch` that starts at op `*next` (host side,
+    /// off the simulated clock) and advances `*next` past it. Each op is
+    /// committed to the slack store and classified against the
+    /// stage-start distances — valid because only the stage's last op
+    /// may change any distance. Each op splices an O(degree) versioned
+    /// delta into the store; its classification and its work items read
+    /// the store at that version, so the fused stage sees exactly the
+    /// adjacency the sequential path would. The stage's deltas are
+    /// replayed onto the device mirror before it returns.
+    fn plan_stage(&mut self, batch: &[EdgeOp], next: &mut usize) -> Vec<PlannedOp> {
+        // Stage-start distance rows, borrowed straight from the device
+        // buffer (classification only reads; nothing writes `d` until
+        // the stage executes). The borrow is a field-level split from
+        // `self.slack`, so no k×n copy.
+        let d_flat = self.st.d.host();
+        let n = self.st.n;
+        let d_rows: Vec<&[u32]> = (0..self.st.k)
+            .map(|i| &d_flat[i * n..(i + 1) * n])
+            .collect();
+        let mut stage: Vec<PlannedOp> = Vec::new();
+        while *next < batch.len() {
+            // Commit the op to the slack store at stage version
+            // `slot + 1`: an O(degree) epoch splice instead of the
+            // O(V + E) snapshot clone per op the CSR path cost. Even
+            // Case-1-only ops (which launch nothing) apply their delta —
+            // later ops of the stage read versions above them.
+            let op = batch[*next];
+            let ver = stage.len() as u32 + 1;
+            match op {
+                EdgeOp::Insert(u, v) => self.slack.insert_edge_versioned(u, v, ver),
+                EdgeOp::Remove(u, v) => self.slack.remove_edge_versioned(u, v, ver),
+            }
+            let planned = plan::plan_op(&d_rows, op, |v| self.slack.neighbors_at(v, ver));
+            *next += 1;
+            let cut = planned.cuts_stage();
+            stage.push(planned);
+            if cut {
+                break;
+            }
+        }
+        // Replay the stage's deltas onto the device mirror before any
+        // kernel reads it (off the simulated clock, like all staging).
+        self.store.sync(&mut self.gpu, &mut self.slack);
+        stage
     }
 }
 
@@ -994,6 +973,129 @@ mod tests {
             br.model_seconds,
             seq_seconds
         );
+    }
+
+    #[test]
+    fn switching_backends_mid_stream_matches_a_simulator_run() {
+        // Simulator stages leave `t` rows dirty; the native kernels need
+        // them clean. sim → native → sim over a mixed stream must land on
+        // the simulator-only run's bits, cases and per-source outcomes.
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 80;
+        let el = gen::ws(&mut rng, n, 3, 0.1);
+        let sources = sample_sources(&mut rng, n, 12);
+        let mut probe = el.clone();
+        let mut ops = Vec::new();
+        while ops.len() < 24 {
+            let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if a == b {
+                continue;
+            }
+            let op = if probe.contains(a, b) {
+                EdgeOp::Remove(a, b)
+            } else {
+                EdgeOp::Insert(a, b)
+            };
+            assert!(probe.apply_op(op));
+            ops.push(op);
+        }
+        let run = |backends: [Backend; 3]| {
+            let mut eng = engine(&el, &sources, Parallelism::Node);
+            let mut per_op = Vec::new();
+            for (chunk, backend) in ops.chunks(8).zip(backends) {
+                eng.set_backend(backend);
+                per_op.extend(chunk.iter().flat_map(|&op| eng.apply_batch(&[op]).per_op));
+            }
+            let bc: Vec<u64> = eng.bc_scores().iter().map(|x| x.to_bits()).collect();
+            (bc, per_op)
+        };
+        let (sim_bc, sim_ops) = run([Backend::Simulator; 3]);
+        let (bc, per_op) = run([Backend::Simulator, Backend::Native, Backend::Simulator]);
+        assert!(
+            sim_ops[8..16]
+                .iter()
+                .any(|o| o.cases.adjacent + o.cases.distant > 0),
+            "the native leg must do work"
+        );
+        for (i, (got, want)) in per_op.iter().zip(&sim_ops).enumerate() {
+            assert_eq!(got.cases, want.cases, "op {i}: case tallies");
+            assert_eq!(
+                got.per_source, want.per_source,
+                "op {i}: per-source outcomes"
+            );
+        }
+        assert_eq!(bc, sim_bc, "BC bits");
+    }
+
+    #[test]
+    fn forced_native_fanout_matches_inline_stages() {
+        // `host_workers` clamps to the host's cores, so on a small machine
+        // native stages may never leave the inline path. Drive every stage
+        // of a mixed stream through the shared fan-out with 4 forced
+        // workers, and inline, on a 14-SM device (14 blocks to claim).
+        let mut rng = StdRng::seed_from_u64(31);
+        let n = 120;
+        let el = gen::ws(&mut rng, n, 3, 0.1);
+        let sources: Vec<u32> = (0..n as u32).step_by(3).collect();
+        let mut probe = el.clone();
+        let mut ops = Vec::new();
+        while ops.len() < 12 {
+            let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if a == b {
+                continue;
+            }
+            let op = if probe.contains(a, b) {
+                EdgeOp::Remove(a, b)
+            } else {
+                EdgeOp::Insert(a, b)
+            };
+            assert!(probe.apply_op(op));
+            ops.push(op);
+        }
+        let device = DeviceConfig::tesla_c2075();
+        let run = |workers: usize| {
+            let mut eng = GpuDynamicBc::new(&el, &sources, device, Parallelism::Node)
+                .with_backend(Backend::Native);
+            let mut touched = Vec::new();
+            let mut next = 0;
+            while next < ops.len() {
+                let stage = eng.plan_stage(&ops, &mut next);
+                eng.scr
+                    .ensure_arc_capacity(&mut eng.gpu, eng.store.capacity + 4096);
+                eng.scr
+                    .ensure_bc_rows(&mut eng.gpu, stage.len() * eng.num_blocks);
+                let cfg = eng.exec_config();
+                let bufs = StageBufs {
+                    st: &eng.st,
+                    scr: &eng.scr,
+                    store: &eng.store,
+                    case_buf: &eng.case_buf,
+                };
+                let (mut t, _) = exec::Stage::new(cfg, bufs, &stage).run_native(workers, false);
+                t.sort_unstable();
+                touched.push(t);
+                eng.slack.settle();
+                eng.store.sync(&mut eng.gpu, &mut eng.slack);
+            }
+            let bc: Vec<u64> = eng.bc_scores().iter().map(|x| x.to_bits()).collect();
+            (bc, eng.state_snapshot(), touched)
+        };
+        let inline = run(1);
+        assert!(
+            inline.2.iter().any(|t| t.len() >= 14),
+            "some stage must have an item per block"
+        );
+        let fanned = run(4);
+        assert_eq!(inline.0, fanned.0, "BC bits");
+        assert_eq!(inline.1, fanned.1, "state");
+        assert_eq!(inline.2, fanned.2, "touched statistics");
+        // The stages above are the engine's own: one `apply_batch` lands
+        // on the same bits.
+        let mut eng = GpuDynamicBc::new(&el, &sources, device, Parallelism::Node)
+            .with_backend(Backend::Native);
+        eng.apply_batch(&ops);
+        let bc: Vec<u64> = eng.bc_scores().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(inline.0, bc, "BC bits vs apply_batch");
     }
 
     #[test]

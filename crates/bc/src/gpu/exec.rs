@@ -34,9 +34,10 @@ use super::kernels::{
 };
 use super::static_bc::static_source_edge;
 use crate::cases::InsertionCase;
+use crate::native;
 use crate::plan::PlannedOp;
-use dynbc_gpusim::{BlockCtx, Gpu, GpuBuffer};
-use std::sync::Mutex;
+use dynbc_gpusim::{fan_out, BlockCtx, Gpu, GpuBuffer};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which engine executes a stage's fused work items.
 ///
@@ -138,7 +139,7 @@ pub(crate) enum ItemKind {
 }
 
 /// Work items per kind (`[insert, d2, d3]`).
-pub(crate) fn kind_counts(items: &[WorkItem]) -> [usize; 3] {
+fn kind_counts(items: &[WorkItem]) -> [usize; 3] {
     let mut counts = [0; 3];
     for item in items {
         counts[item.kind() as usize] += 1;
@@ -161,9 +162,29 @@ impl WorkItem {
     /// The versioned graph view this item must read: the shared device
     /// store as of its own op's commit (`version = op_slot + 1`). The
     /// single place the stage-versioning invariant lives — every backend
-    /// builds its kernel context through this accessor.
+    /// builds its kernel context through [`WorkItem::ctx`], which reads
+    /// through this accessor.
     pub(crate) fn view<'a>(&self, store: &'a SlackGraphBuffers) -> GraphView<'a> {
         op_view(store, self.op_slot)
+    }
+
+    /// The kernel context this item runs on, in any backend: its owning
+    /// block's scratch row (`row % num_blocks`), its *(op, block)* slab
+    /// row, its source row and its oriented edge, reading the graph
+    /// through [`WorkItem::view`].
+    pub(crate) fn ctx<'a>(&self, bufs: StageBufs<'a>, num_blocks: usize) -> Ctx<'a> {
+        let b = self.row % num_blocks;
+        Ctx {
+            g: self.view(bufs.store),
+            st: bufs.st,
+            scr: bufs.scr,
+            block_slot: b,
+            bc_slot: self.op_slot * num_blocks + b,
+            src_row: self.row,
+            s: bufs.st.sources[self.row],
+            u_high: self.u_high,
+            u_low: self.u_low,
+        }
     }
 }
 
@@ -178,7 +199,7 @@ pub(crate) fn op_view(store: &SlackGraphBuffers, op_slot: usize) -> GraphView<'_
 /// Flattens a stage into its non-trivial work items in op-major /
 /// row-minor order — the submission order every backend must preserve
 /// per source row.
-pub(crate) fn stage_items(stage: &[PlannedOp]) -> Vec<WorkItem> {
+fn stage_items(stage: &[PlannedOp]) -> Vec<WorkItem> {
     let mut items = Vec::new();
     for (op_slot, planned) in stage.iter().enumerate() {
         for (row, cls) in planned.items() {
@@ -205,14 +226,18 @@ pub(crate) fn stage_items(stage: &[PlannedOp]) -> Vec<WorkItem> {
 /// launch keeps the cost model honest about where they would have come
 /// from on a real device, while fusing what used to be one launch per op
 /// into one per stage.
-pub(super) fn charge_classification(
+fn charge_classification(
     gpu: &mut Gpu,
-    st: &StateBuffers,
-    case_buf: &GpuBuffer<u32>,
+    bufs: StageBufs<'_>,
     stage: &[PlannedOp],
-    store: &SlackGraphBuffers,
     stage_idx: usize,
 ) {
+    let StageBufs {
+        st,
+        store,
+        case_buf,
+        ..
+    } = bufs;
     let n = st.n;
     let k = st.k;
     // The stage ordinal lands in the launch name so profiles attribute
@@ -252,73 +277,202 @@ pub(super) fn charge_classification(
     });
 }
 
-/// Executes every non-trivial `(source, op)` work item of the stage in
-/// one fused grid, then drains the BC delta slab in sequential commit
-/// order. Returns the Figure-4 touched statistic as `(op_slot, row,
-/// touched)` triples (order unspecified; each pair appears once).
+/// The engine's device-resident buffers a stage reads and writes.
+#[derive(Clone, Copy)]
+pub(crate) struct StageBufs<'a> {
+    pub(crate) st: &'a StateBuffers,
+    pub(crate) scr: &'a ScratchBuffers,
+    pub(crate) store: &'a SlackGraphBuffers,
+    /// Classification codes (the simulator's classification charge).
+    pub(crate) case_buf: &'a GpuBuffer<u32>,
+}
+
+/// What executing one stage hands back to the engine.
+pub(crate) struct StageRun {
+    /// The Figure-4 touched statistic as `(op_slot, row, touched)`
+    /// triples (order unspecified; each pair appears once).
+    pub(crate) touched: Vec<(usize, usize, usize)>,
+    /// Work items per kind (`[insert, d2, d3]`).
+    pub(crate) kinds: [usize; 3],
+    /// On the native backend, each item's wall seconds summed per kind
+    /// (`[insert, d2, d3]`, added over blocks; all zero unless `timed`)
+    /// — telemetry only, never read by the kernels. `None` on the
+    /// simulator.
+    pub(crate) kind_wall: Option<[f64; 3]>,
+}
+
+/// Executes every non-trivial `(source, op)` work item of the stage on
+/// `backend`, then drains the BC delta slab in sequential commit order —
+/// the one stage runner for both backends.
+///
+/// Both share the preparation ([`Stage::new`]): op-major / row-minor
+/// items, bucketed once by owning block, each run on a [`Ctx`] from
+/// [`WorkItem::ctx`]. The simulator charges the classification launch,
+/// runs the fused grid and drains the whole slab; the native backend
+/// runs each block's items as plain loops — inline, or fanned out over
+/// [`fan_out`] when [`native::stage_workers`] finds enough work for more
+/// than one of the device's [`Gpu::host_workers`] — and drains only the
+/// slab cells its items dirtied. `timed` collects the native per-kind
+/// wall seconds.
 pub(super) fn run_stage(
     gpu: &mut Gpu,
+    backend: Backend,
     cfg: ExecConfig,
-    st: &StateBuffers,
-    scr: &ScratchBuffers,
+    bufs: StageBufs<'_>,
     stage: &[PlannedOp],
-    store: &SlackGraphBuffers,
     stage_idx: usize,
-) -> Vec<(usize, usize, usize)> {
-    let items = stage_items(stage);
-    if items.is_empty() {
-        return Vec::new();
+    timed: bool,
+) -> StageRun {
+    if backend == Backend::Simulator {
+        charge_classification(gpu, bufs, stage, stage_idx);
     }
-    let num_blocks = cfg.num_blocks;
-    assert!(
-        scr.bc_rows() >= stage.len() * num_blocks,
-        "BC delta slab not sized for this stage"
-    );
-    // Per-block slots for the touched statistic: blocks may run on
-    // different host threads, so each writes only its own slot.
-    let touched_slots: Vec<Mutex<Vec<(usize, usize, usize)>>> =
-        (0..num_blocks).map(|_| Mutex::new(Vec::new())).collect();
-    let items_ref = &items;
-    let fused_name = match cfg.par {
-        Parallelism::Node => format!("batch::fused::node#{stage_idx}"),
-        Parallelism::Edge => format!("batch::fused::edge#{stage_idx}"),
-    };
-    gpu.launch_named(&fused_name, num_blocks, |block, b| {
-        // Items arrive op-major / row-minor; the filter preserves that
-        // order, so two ops touching the same source row are applied in
-        // submission order by the row's owning block.
-        for item in items_ref.iter().filter(|it| it.row % num_blocks == b) {
-            let ctx = Ctx {
-                g: item.view(store),
-                st,
-                scr,
-                block_slot: b,
-                bc_slot: item.op_slot * num_blocks + b,
-                src_row: item.row,
-                s: st.sources[item.row],
-                u_high: item.u_high,
-                u_low: item.u_low,
-            };
-            let touched = match (item.kind(), cfg.par) {
-                (ItemKind::Insert, _) => insert_item(block, &ctx, cfg, item.case),
-                (ItemKind::D2, _) => delete_adjacent_item(block, &ctx, cfg),
-                (ItemKind::D3, Parallelism::Node) => delete_distant_item(block, &ctx),
-                (ItemKind::D3, Parallelism::Edge) => delete_fallback_item(block, &ctx),
-            };
-            touched_slots[b]
-                .lock()
-                .unwrap()
-                .push((item.op_slot, item.row, touched));
+    let work = Stage::new(cfg, bufs, stage);
+    let kinds = kind_counts(&work.items);
+    let (touched, kind_wall) = match backend {
+        Backend::Simulator => (work.simulate(gpu, stage_idx), None),
+        Backend::Native => {
+            let workers = native::stage_workers(&work.items, gpu.host_workers());
+            let (touched, wall) = work.run_native(workers, timed);
+            (touched, Some(wall))
         }
-    });
-    // Deterministic epilogue: apply the slab rows in op-major /
-    // block-minor order — the sequential commit order.
-    scr.drain_bc_delta_into(&st.bc, stage.len() * num_blocks);
-    let mut out = Vec::with_capacity(items.len());
-    for slot in &touched_slots {
-        out.extend(slot.lock().unwrap().drain(..));
+    };
+    StageRun {
+        touched,
+        kinds,
+        kind_wall,
     }
-    out
+}
+
+/// One stage's work items and the block that owns each: the preparation
+/// both backends execute from.
+pub(crate) struct Stage<'a> {
+    cfg: ExecConfig,
+    bufs: StageBufs<'a>,
+    /// Ops in the stage (its BC delta slab spans `ops * num_blocks` rows).
+    ops: usize,
+    items: Vec<WorkItem>,
+    /// Indices into `items` per owning block (`row % num_blocks`), in
+    /// item order: two ops touching the same source row are applied in
+    /// submission order by the row's owning block.
+    by_block: Vec<Vec<usize>>,
+}
+
+impl<'a> Stage<'a> {
+    /// Flattens `stage` into its work items and buckets them by block.
+    pub(crate) fn new(cfg: ExecConfig, bufs: StageBufs<'a>, stage: &[PlannedOp]) -> Self {
+        assert!(
+            bufs.scr.bc_rows() >= stage.len() * cfg.num_blocks,
+            "BC delta slab not sized for this stage"
+        );
+        let items = stage_items(stage);
+        let mut by_block = vec![Vec::new(); cfg.num_blocks];
+        for (i, item) in items.iter().enumerate() {
+            by_block[item.row % cfg.num_blocks].push(i);
+        }
+        Self {
+            cfg,
+            bufs,
+            ops: stage.len(),
+            items,
+            by_block,
+        }
+    }
+
+    /// Runs the items in one fused grid on the simulator, then drains the
+    /// full slab.
+    fn simulate(&self, gpu: &mut Gpu, stage_idx: usize) -> Vec<(usize, usize, usize)> {
+        if self.items.is_empty() {
+            return Vec::new();
+        }
+        let (cfg, bufs) = (self.cfg, self.bufs);
+        // One slot per item: blocks may run on different host threads,
+        // and each writes only its own items' slots. `Relaxed` suffices:
+        // the slots publish nothing else, and the launch joins its
+        // workers before they are read.
+        let touched: Vec<AtomicUsize> = self.items.iter().map(|_| AtomicUsize::new(0)).collect();
+        let fused_name = match cfg.par {
+            Parallelism::Node => format!("batch::fused::node#{stage_idx}"),
+            Parallelism::Edge => format!("batch::fused::edge#{stage_idx}"),
+        };
+        gpu.launch_named(&fused_name, cfg.num_blocks, |block, b| {
+            for &i in &self.by_block[b] {
+                let item = &self.items[i];
+                let ctx = item.ctx(bufs, cfg.num_blocks);
+                let t = match (item.kind(), cfg.par) {
+                    (ItemKind::Insert, _) => insert_item(block, &ctx, cfg, item.case),
+                    (ItemKind::D2, _) => delete_adjacent_item(block, &ctx, cfg),
+                    (ItemKind::D3, Parallelism::Node) => delete_distant_item(block, &ctx),
+                    (ItemKind::D3, Parallelism::Edge) => delete_fallback_item(block, &ctx),
+                };
+                touched[i].store(t, Ordering::Relaxed);
+            }
+        });
+        // Deterministic epilogue: apply the slab rows in op-major /
+        // block-minor order — the sequential commit order.
+        bufs.scr
+            .drain_bc_delta_into(&bufs.st.bc, self.ops * cfg.num_blocks);
+        self.items
+            .iter()
+            .zip(touched)
+            .map(|(item, t)| (item.op_slot, item.row, t.into_inner()))
+            .collect()
+    }
+
+    /// Runs each busy block's items as plain loops on `workers` host
+    /// workers ([`fan_out`]; one runs them inline), then drains the
+    /// dirtied slab cells. Returns the touched triples and the per-kind
+    /// wall seconds (zero unless `timed`).
+    pub(crate) fn run_native(
+        &self,
+        workers: usize,
+        timed: bool,
+    ) -> (Vec<(usize, usize, usize)>, [f64; 3]) {
+        assert_eq!(
+            self.cfg.par,
+            Parallelism::Node,
+            "native backend only implements the node-parallel kernels"
+        );
+        let (cfg, bufs) = (self.cfg, self.bufs);
+        let run_block = |b: usize| {
+            let owned = &self.by_block[b];
+            let mut touched = Vec::with_capacity(owned.len());
+            let mut dirty = Vec::with_capacity(owned.len());
+            let mut wall = [0.0; 3];
+            for &i in owned {
+                let item = &self.items[i];
+                let ctx = item.ctx(bufs, cfg.num_blocks);
+                // dynbc-lint: allow(no-wall-clock) — per-kind wall seconds are an observability-only telemetry tag; no model result reads them
+                let t0 = timed.then(std::time::Instant::now);
+                let (t, cells) = native::run_item(&ctx, cfg, item);
+                if let Some(t0) = t0 {
+                    wall[item.kind() as usize] += t0.elapsed().as_secs_f64();
+                }
+                touched.push((item.op_slot, item.row, t));
+                dirty.push((ctx.bc_slot, cells));
+            }
+            (touched, dirty, wall)
+        };
+        let busy: Vec<usize> = (0..cfg.num_blocks)
+            .filter(|&b| !self.by_block[b].is_empty())
+            .collect();
+        // Native workers keep no per-worker state (no segment tables).
+        let mut idle = vec![(); workers.clamp(1, busy.len().max(1))];
+        let per_block = fan_out(busy.len(), &mut idle, |_, j| run_block(busy[j]));
+        let mut touched = Vec::with_capacity(self.items.len());
+        let mut dirty_rows = Vec::with_capacity(self.items.len());
+        let mut kind_wall = [0.0; 3];
+        for (t, dirty, wall) in per_block {
+            touched.extend(t);
+            dirty_rows.extend(dirty);
+            for (total, w) in kind_wall.iter_mut().zip(wall) {
+                *total += w;
+            }
+        }
+        // Deterministic epilogue: apply the dirtied slab cells in op-major
+        // / block-minor row order — the sequential commit order.
+        native::drain_bc_dirty(bufs.scr, &bufs.st.bc, dirty_rows);
+        (touched, kind_wall)
+    }
 }
 
 /// Insertion item: init (Alg 3) → shortest-path recount (Alg 4/5) →

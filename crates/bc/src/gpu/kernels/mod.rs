@@ -26,7 +26,7 @@ use super::buffers::{
     ScratchBuffers, SlackGraphBuffers, StateBuffers, ADJ_BORN_SHIFT, ADJ_VERTEX_MASK,
     DEV_BORN_MASK, DEV_BORN_SHIFT, DEV_DIRTY_BIT, DEV_LEN_MASK, DEV_SKIPS_BIT, SKIP_WORDS,
 };
-use dynbc_gpusim::Lane;
+use dynbc_gpusim::{DeviceValue, GpuBuffer, Lane};
 use dynbc_graph::slack::epoch_visible;
 use dynbc_graph::VertexId;
 
@@ -40,7 +40,9 @@ use dynbc_graph::VertexId;
 /// pre-batch graph (the static path reads there).
 ///
 /// Row scans go through [`GraphView::row`], which grades each row once
-/// per header read ([`RowCheck`]):
+/// per header read ([`RowCheck`]); every word it and [`GraphView::slot`]
+/// read comes through a [`Load`], charged on the device and free on the
+/// host:
 ///
 /// * **packed** — the row is *soft* (no tombstones, staged deaths, or
 ///   overflowing borns) and either fully visible at this view
@@ -82,8 +84,8 @@ impl<'a> GraphView<'a> {
     /// view below the row's max staged born additionally loads the
     /// staged-skip words when the header offers them.
     #[inline]
-    pub fn row(&self, lane: &mut Lane<'_>, v: VertexId) -> (usize, usize, RowCheck) {
-        let header = lane.read(&self.store.row_pack, v as usize);
+    pub fn row<L: Load>(&self, ld: &mut L, v: VertexId) -> (usize, usize, RowCheck) {
+        let header = ld.load(&self.store.row_pack, v as usize);
         let start = header as u32 as usize;
         let meta = (header >> 32) as u32;
         let end = start + (meta & DEV_LEN_MASK) as usize;
@@ -95,7 +97,7 @@ impl<'a> GraphView<'a> {
         } else {
             let mut mask = [0u64; 4];
             for w in 0..SKIP_WORDS {
-                let word = lane.read(&self.store.staged_skips, SKIP_WORDS * v as usize + w);
+                let word = ld.load(&self.store.staged_skips, SKIP_WORDS * v as usize + w);
                 if !self.collect_skips(word, &mut mask) {
                     break;
                 }
@@ -130,26 +132,22 @@ impl<'a> GraphView<'a> {
     /// the epoch grade the epoch word is checked first and the
     /// adjacency word only read (and charged) for visible slots.
     #[inline]
-    pub fn slot(&self, lane: &mut Lane<'_>, check: &RowCheck, e: usize) -> Option<VertexId> {
+    pub fn slot<L: Load>(&self, ld: &mut L, check: &RowCheck, e: usize) -> Option<VertexId> {
         match check {
             RowCheck::Packed => {
-                let w = lane.read(&self.store.adj, e);
+                let w = ld.load(&self.store.adj, e);
                 (w >> ADJ_BORN_SHIFT <= self.ver).then_some(w & ADJ_VERTEX_MASK)
             }
             RowCheck::SkipAt { start, mask } => {
                 if skipped(*start, mask, e) {
                     None // invisible staged slot: stepped over, never read
                 } else {
-                    Some(lane.read(&self.store.adj, e) & ADJ_VERTEX_MASK)
+                    Some(ld.load(&self.store.adj, e) & ADJ_VERTEX_MASK)
                 }
             }
-            RowCheck::Epoch => {
-                if epoch_visible(lane.read(&self.store.epochs, e), self.ver) {
-                    Some(lane.read(&self.store.adj, e) & ADJ_VERTEX_MASK)
-                } else {
-                    None
-                }
-            }
+            RowCheck::Epoch => self
+                .live(ld, e)
+                .then(|| ld.load(&self.store.adj, e) & ADJ_VERTEX_MASK),
         }
     }
 
@@ -161,66 +159,37 @@ impl<'a> GraphView<'a> {
         lane.read(&self.store.adj, e) & ADJ_VERTEX_MASK
     }
 
-    /// Whether slot `e` is visible at this view's version, charging the
-    /// epoch read to `lane`. Gap and tombstone slots are never visible.
+    /// Whether slot `e` is visible at this view's version, loading its
+    /// epoch word through `ld`. Gap and tombstone slots are never visible.
     #[inline]
-    pub fn live(&self, lane: &mut Lane<'_>, e: usize) -> bool {
-        epoch_visible(lane.read(&self.store.epochs, e), self.ver)
+    pub fn live<L: Load>(&self, ld: &mut L, e: usize) -> bool {
+        epoch_visible(ld.load(&self.store.epochs, e), self.ver)
     }
+}
 
-    /// Host-side (uncharged) [`GraphView::row`] for the native backend.
+/// How a [`GraphView`] loads a store word: a device [`Lane`] read, which
+/// charges the cost model, or a [`Host`] read, which charges nothing (the
+/// native backend). The view decodes the packed, skip-at and epoch
+/// grades once, for either.
+pub trait Load {
+    /// Loads `buf[i]`.
+    fn load<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T;
+}
+
+impl Load for Lane<'_> {
     #[inline]
-    pub fn row_host(&self, v: VertexId) -> (usize, usize, RowCheck) {
-        let header = self.store.row_pack.host_get(v as usize);
-        let start = header as u32 as usize;
-        let meta = (header >> 32) as u32;
-        let end = start + (meta & DEV_LEN_MASK) as usize;
-        let check = if meta & DEV_DIRTY_BIT != 0 {
-            RowCheck::Epoch
-        } else if self.ver >= (meta >> DEV_BORN_SHIFT) & DEV_BORN_MASK || meta & DEV_SKIPS_BIT == 0
-        {
-            RowCheck::Packed
-        } else {
-            let mut mask = [0u64; 4];
-            for w in 0..SKIP_WORDS {
-                let word = self
-                    .store
-                    .staged_skips
-                    .host_get(SKIP_WORDS * v as usize + w);
-                if !self.collect_skips(word, &mut mask) {
-                    break;
-                }
-            }
-            RowCheck::SkipAt { start, mask }
-        };
-        (start, end, check)
+    fn load<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T {
+        self.read(buf, i)
     }
+}
 
-    /// Host-side (uncharged) [`GraphView::slot`] for the native backend.
-    #[inline]
-    pub fn slot_host(&self, check: &RowCheck, e: usize) -> Option<VertexId> {
-        match check {
-            RowCheck::Packed => {
-                let w = self.store.adj.host_get(e);
-                (w >> ADJ_BORN_SHIFT <= self.ver).then_some(w & ADJ_VERTEX_MASK)
-            }
-            RowCheck::SkipAt { start, mask } => {
-                if skipped(*start, mask, e) {
-                    None
-                } else {
-                    Some(self.store.adj.host_get(e) & ADJ_VERTEX_MASK)
-                }
-            }
-            RowCheck::Epoch => self
-                .live_host(e)
-                .then(|| self.store.adj.host_get(e) & ADJ_VERTEX_MASK),
-        }
-    }
+/// Uncharged host-side loads, for the native backend's plain loops.
+pub struct Host;
 
-    /// Host-side (uncharged) [`GraphView::live`] for the native backend.
+impl Load for Host {
     #[inline]
-    pub fn live_host(&self, e: usize) -> bool {
-        epoch_visible(self.store.epochs.host_get(e), self.ver)
+    fn load<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T {
+        buf.host_get(i)
     }
 }
 

@@ -46,7 +46,7 @@ use crate::gpu::buffers::{
 };
 use crate::gpu::engine::DedupStrategy;
 use crate::gpu::kernels::common::SeedMode;
-use crate::gpu::kernels::Ctx;
+use crate::gpu::kernels::{Ctx, Host};
 
 const INF: u32 = u32::MAX;
 
@@ -256,9 +256,9 @@ pub(crate) fn sp_node(ctx: &Ctx<'_>, dedup: DedupStrategy) -> u32 {
             let sig_hat_v = ctx.scr.sigma_hat.host_get(ctx.sn(v));
             let sig_v = ctx.st.sigma.host_get(ctx.kn(v));
             let push = sig_hat_v - sig_v;
-            let (start, end, check) = ctx.g.row_host(v);
+            let (start, end, check) = ctx.g.row(&mut Host, v);
             for e in start..end {
-                let Some(w) = ctx.g.slot_host(&check, e) else {
+                let Some(w) = ctx.g.slot(&mut Host, &check, e) else {
                     continue;
                 };
                 if ctx.st.d.host_get(ctx.kn(w)) == depth + 1 {
@@ -325,9 +325,9 @@ pub(crate) fn dep_node(ctx: &Ctx<'_>, deepest: u32) {
             let del_hat_w = ctx.scr.delta_hat.host_get(ctx.sn(w));
             let sig_w = ctx.st.sigma.host_get(ctx.kn(w));
             let del_w = ctx.st.delta.host_get(ctx.kn(w));
-            let (start, end, check) = ctx.g.row_host(w);
+            let (start, end, check) = ctx.g.row(&mut Host, w);
             for e in start..end {
-                let Some(v) = ctx.g.slot_host(&check, e) else {
+                let Some(v) = ctx.g.slot(&mut Host, &check, e) else {
                     continue;
                 };
                 if ctx.st.d.host_get(ctx.kn(v)) != depth - 1 {
@@ -385,10 +385,10 @@ pub(crate) fn phase1_node(ctx: &Ctx<'_>) -> u32 {
             if ctx.scr.d_hat.host_get(ctx.sn(v)) != level {
                 continue;
             }
-            let (start_e, end_e, check) = ctx.g.row_host(v);
+            let (start_e, end_e, check) = ctx.g.row(&mut Host, v);
             let mut sig = 0.0;
             for e in start_e..end_e {
-                let Some(x) = ctx.g.slot_host(&check, e) else {
+                let Some(x) = ctx.g.slot(&mut Host, &check, e) else {
                     continue;
                 };
                 if dhat(ctx, x) == level - 1 {
@@ -404,9 +404,9 @@ pub(crate) fn phase1_node(ctx: &Ctx<'_>) -> u32 {
             if ctx.scr.d_hat.host_get(ctx.sn(v)) != level {
                 continue;
             }
-            let (start_e, end_e, check) = ctx.g.row_host(v);
+            let (start_e, end_e, check) = ctx.g.row(&mut Host, v);
             for e in start_e..end_e {
-                let Some(w) = ctx.g.slot_host(&check, e) else {
+                let Some(w) = ctx.g.slot(&mut Host, &check, e) else {
                     continue;
                 };
                 let dw = dhat(ctx, w);
@@ -459,9 +459,9 @@ pub(crate) fn mark_node(ctx: &Ctx<'_>, deepest_down: u32) -> u32 {
             };
             let dw_new = ctx.scr.d_hat.host_get(ctx.sn(w));
             let dw_old = ctx.st.d.host_get(ctx.kn(w));
-            let (start_e, end_e, check) = ctx.g.row_host(w);
+            let (start_e, end_e, check) = ctx.g.row(&mut Host, w);
             for e in start_e..end_e {
-                let Some(x) = ctx.g.slot_host(&check, e) else {
+                let Some(x) = ctx.g.slot(&mut Host, &check, e) else {
                     continue;
                 };
                 if ctx.scr.t.host_get(ctx.sn(x)) != T_UNTOUCHED {
@@ -525,10 +525,10 @@ pub(crate) fn phase2_node(ctx: &Ctx<'_>, max_depth: u32) {
     loop {
         for &w in &buckets[depth as usize] {
             let sig_hat_w = ctx.scr.sigma_hat.host_get(ctx.sn(w));
-            let (start_e, end_e, check) = ctx.g.row_host(w);
+            let (start_e, end_e, check) = ctx.g.row(&mut Host, w);
             let mut acc = 0.0;
             for e in start_e..end_e {
-                let Some(x) = ctx.g.slot_host(&check, e) else {
+                let Some(x) = ctx.g.slot(&mut Host, &check, e) else {
                     continue;
                 };
                 if dhat(ctx, x) != depth + 1 {
@@ -603,9 +603,9 @@ pub(crate) fn d3_collect(ctx: &Ctx<'_>) {
     while !frontier.is_empty() {
         let mut claimed = Vec::new();
         for &v in &frontier {
-            let (start_e, end_e, check) = ctx.g.row_host(v);
+            let (start_e, end_e, check) = ctx.g.row(&mut Host, v);
             for e in start_e..end_e {
-                let Some(w) = ctx.g.slot_host(&check, e) else {
+                let Some(w) = ctx.g.slot(&mut Host, &check, e) else {
                     continue;
                 };
                 if ctx.st.d.host_get(ctx.kn(w)) == level + 1
@@ -619,8 +619,8 @@ pub(crate) fn d3_collect(ctx: &Ctx<'_>) {
         frontier.clear();
         for &w in &claimed {
             push_qq(ctx, w);
-            let (start_e, end_e, check) = ctx.g.row_host(w);
-            let lost = (start_e..end_e).all(|e| match ctx.g.slot_host(&check, e) {
+            let (start_e, end_e, check) = ctx.g.row(&mut Host, w);
+            let lost = (start_e..end_e).all(|e| match ctx.g.slot(&mut Host, &check, e) {
                 Some(x) if ctx.st.d.host_get(ctx.kn(x)) == level => {
                     ctx.scr.t.host_get(ctx.sn(x)) != T_UNTOUCHED
                         && ctx.scr.d_hat.host_get(ctx.sn(x)) == INF
@@ -653,9 +653,9 @@ pub(crate) fn d3_settle(ctx: &Ctx<'_>) {
     let pending = |v: u32| dhat(ctx, v) == INF;
     let mut seeds: Vec<(u32, u32)> = Vec::new();
     for &v in &lost {
-        let (start_e, end_e, check) = ctx.g.row_host(v);
+        let (start_e, end_e, check) = ctx.g.row(&mut Host, v);
         let seed = (start_e..end_e)
-            .filter_map(|e| ctx.g.slot_host(&check, e))
+            .filter_map(|e| ctx.g.slot(&mut Host, &check, e))
             .map(|x| dhat(ctx, x))
             .filter(|&dx| dx != INF)
             .min();
@@ -676,9 +676,9 @@ pub(crate) fn d3_settle(ctx: &Ctx<'_>) {
         }
         let mut settled = Vec::new();
         for &v in &frontier {
-            let (start_e, end_e, check) = ctx.g.row_host(v);
+            let (start_e, end_e, check) = ctx.g.row(&mut Host, v);
             for e in start_e..end_e {
-                let Some(y) = ctx.g.slot_host(&check, e) else {
+                let Some(y) = ctx.g.slot(&mut Host, &check, e) else {
                     continue;
                 };
                 if pending(y) {
@@ -736,10 +736,10 @@ pub(crate) fn d3_recount(ctx: &Ctx<'_>) -> u32 {
         let level = start + i as u32;
         let frontier = std::mem::take(&mut buckets[i]);
         for &v in &frontier {
-            let (start_e, end_e, check) = ctx.g.row_host(v);
+            let (start_e, end_e, check) = ctx.g.row(&mut Host, v);
             let mut sig = 0.0;
             for e in start_e..end_e {
-                let Some(x) = ctx.g.slot_host(&check, e) else {
+                let Some(x) = ctx.g.slot(&mut Host, &check, e) else {
                     continue;
                 };
                 if dhat(ctx, x) == level - 1 {
@@ -750,9 +750,9 @@ pub(crate) fn d3_recount(ctx: &Ctx<'_>) -> u32 {
             ctx.scr.sigma_hat.host_set(ctx.sn(v), sig);
         }
         for &v in &frontier {
-            let (start_e, end_e, check) = ctx.g.row_host(v);
+            let (start_e, end_e, check) = ctx.g.row(&mut Host, v);
             for e in start_e..end_e {
-                let Some(w) = ctx.g.slot_host(&check, e) else {
+                let Some(w) = ctx.g.slot(&mut Host, &check, e) else {
                     continue;
                 };
                 if ctx.scr.t.host_get(ctx.sn(w)) == T_UNTOUCHED

@@ -8,8 +8,13 @@
 //! ([`kernels`] holds sequential, sparse — O(touched) where the device
 //! kernels scan O(|V|) — translations of the node-parallel kernels,
 //! with a module-level argument for why sparseness preserves every bit)
-//! over the same [`ScratchBuffers`] / [`StateBuffers`] layout, fanning
-//! blocks over scoped host threads.
+//! over the same [`ScratchBuffers`] / [`StateBuffers`] layout.
+//!
+//! The stage itself runs in the one stage runner both backends share,
+//! `gpu::exec::run_stage`: same work items, same block ownership, same
+//! kernel contexts. This module supplies what differs on the native
+//! side — the per-item dispatcher ([`run_item`]), the fan-out rule
+//! ([`stage_workers`]) and the sparse slab drain ([`drain_bc_dirty`]).
 //!
 //! # Determinism contract
 //!
@@ -48,148 +53,15 @@
 pub(crate) mod kernels;
 
 use crate::cases::InsertionCase;
-use crate::gpu::buffers::{ScratchBuffers, SlackGraphBuffers, StateBuffers};
-use crate::gpu::engine::Parallelism;
-use crate::gpu::exec::{stage_items, ExecConfig, ItemKind, WorkItem};
+use crate::gpu::buffers::ScratchBuffers;
+use crate::gpu::exec::{ExecConfig, ItemKind, WorkItem};
 use crate::gpu::kernels::common::SeedMode;
 use crate::gpu::kernels::Ctx;
-use crate::plan::PlannedOp;
 use dynbc_gpusim::GpuBuffer;
 
 /// BC-delta slab cells one work item dirtied: its slab row and the
 /// vertices whose cells it added to.
-type DirtyRow = (usize, Vec<u32>);
-
-/// One block's results: `(op_slot, row, touched)` triples, dirtied slab
-/// cells, and per-kind wall seconds.
-type BlockRun = (Vec<(usize, usize, usize)>, Vec<DirtyRow>, [f64; 3]);
-
-/// Executes every non-trivial `(source, op)` work item of the stage with
-/// plain loops on up to `workers` scoped host threads (callers pass the
-/// device's [`Gpu::host_workers`](dynbc_gpusim::Gpu::host_workers), which
-/// is already clamped to the host's cores), then drains the BC delta
-/// slab in sequential commit order. Mirrors
-/// `gpu::exec::run_stage` exactly — same item order, same block
-/// ownership, same return shape: the Figure-4 touched statistic as
-/// `(op_slot, row, touched)` triples.
-///
-/// The stage runs inline on the calling thread, with no spawn at all,
-/// unless [`fan_out`] finds enough work in its items to give more than
-/// one worker its share.
-///
-/// With `timed`, each item's wall time is summed per [`ItemKind`] and
-/// returned alongside (`[insert, d2, d3]` seconds, added over blocks;
-/// all zero otherwise) — telemetry only, never read by the kernels.
-pub(crate) fn run_stage(
-    cfg: ExecConfig,
-    st: &StateBuffers,
-    scr: &ScratchBuffers,
-    stage: &[PlannedOp],
-    store: &SlackGraphBuffers,
-    workers: usize,
-    timed: bool,
-) -> (Vec<(usize, usize, usize)>, [f64; 3]) {
-    assert_eq!(
-        cfg.par,
-        Parallelism::Node,
-        "native backend only implements the node-parallel kernels"
-    );
-    let items = stage_items(stage);
-    let mut kind_wall = [0.0; 3];
-    if items.is_empty() {
-        return (Vec::new(), kind_wall);
-    }
-    let num_blocks = cfg.num_blocks;
-    assert!(
-        scr.bc_rows() >= stage.len() * num_blocks,
-        "BC delta slab not sized for this stage"
-    );
-    // Items arrive op-major / row-minor; bucketing by owning block
-    // preserves that order within each bucket, so two ops touching the
-    // same source row are applied in submission order.
-    let mut by_block: Vec<Vec<usize>> = vec![Vec::new(); num_blocks];
-    for (i, item) in items.iter().enumerate() {
-        by_block[item.row % num_blocks].push(i);
-    }
-    let busy: Vec<usize> = (0..num_blocks)
-        .filter(|&b| !by_block[b].is_empty())
-        .collect();
-    let run_block = |b: usize| -> BlockRun {
-        let mut out = Vec::with_capacity(by_block[b].len());
-        let mut dirty = Vec::with_capacity(by_block[b].len());
-        let mut wall = [0.0; 3];
-        for &i in &by_block[b] {
-            let item = &items[i];
-            let ctx = Ctx {
-                g: item.view(store),
-                st,
-                scr,
-                block_slot: b,
-                bc_slot: item.op_slot * num_blocks + b,
-                src_row: item.row,
-                s: st.sources[item.row],
-                u_high: item.u_high,
-                u_low: item.u_low,
-            };
-            // dynbc-lint: allow(no-wall-clock) — per-kind wall seconds are an observability-only telemetry tag; no model result reads them
-            let t0 = timed.then(std::time::Instant::now);
-            let (touched, cells) = run_item(&ctx, cfg, item);
-            if let Some(t0) = t0 {
-                wall[item.kind() as usize] += t0.elapsed().as_secs_f64();
-            }
-            out.push((item.op_slot, item.row, touched));
-            dirty.push((ctx.bc_slot, cells));
-        }
-        (out, dirty, wall)
-    };
-    let workers = fan_out(&items, workers).min(busy.len());
-    let mut per_block: Vec<Vec<(usize, usize, usize)>> = Vec::with_capacity(busy.len());
-    let mut dirty_rows: Vec<DirtyRow> = Vec::new();
-    if workers <= 1 {
-        for &b in &busy {
-            let (out, dirty, wall) = run_block(b);
-            per_block.push(out);
-            dirty_rows.extend(dirty);
-            add_wall(&mut kind_wall, wall);
-        }
-    } else {
-        // Worker w owns every workers-th busy block; per-block results
-        // come back with the worker and are reassembled in block order.
-        let run_block = &run_block;
-        let chunks = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let busy = &busy;
-                    scope.spawn(move || {
-                        busy[w..]
-                            .iter()
-                            .step_by(workers)
-                            .map(|&b| (b, run_block(b)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut slots: Vec<Option<Vec<(usize, usize, usize)>>> = vec![None; num_blocks];
-        for (b, (results, dirty, wall)) in chunks.into_iter().flatten() {
-            slots[b] = Some(results);
-            dirty_rows.extend(dirty);
-            add_wall(&mut kind_wall, wall);
-        }
-        per_block.extend(slots.into_iter().flatten());
-    }
-    // Deterministic epilogue: apply the dirtied slab cells in op-major /
-    // block-minor row order — the sequential commit order.
-    drain_bc_dirty(scr, &st.bc, dirty_rows);
-    (per_block.into_iter().flatten().collect(), kind_wall)
-}
+pub(crate) type DirtyRow = (usize, Vec<u32>);
 
 /// Fan-out weight of an item whose case is not `Adjacent` — a Case 3
 /// insertion or a Case D3 removal, both of which move distances — in
@@ -216,7 +88,7 @@ const ITEMS_PER_WORKER: usize = 24;
 /// [`ITEMS_PER_WORKER`] weighted items, at least one. Reads nothing but
 /// the items' cases; whatever it picks, every result bit is the same
 /// (see the module's determinism contract).
-fn fan_out(items: &[WorkItem], cap: usize) -> usize {
+pub(crate) fn stage_workers(items: &[WorkItem], cap: usize) -> usize {
     let work: usize = items
         .iter()
         .map(|item| {
@@ -230,12 +102,6 @@ fn fan_out(items: &[WorkItem], cap: usize) -> usize {
     (work / ITEMS_PER_WORKER).clamp(1, cap.max(1))
 }
 
-fn add_wall(total: &mut [f64; 3], wall: [f64; 3]) {
-    for (t, w) in total.iter_mut().zip(wall) {
-        *t += w;
-    }
-}
-
 /// Sparse equivalent of [`ScratchBuffers::drain_bc_delta_into`]: applies
 /// and re-zeroes only the slab cells the stage's items dirtied, in
 /// ascending row order — the full drain's row order. Bit-identical to
@@ -245,7 +111,7 @@ fn add_wall(total: &mut [f64; 3], wall: [f64; 3]) {
 /// logic, and later visits of the same cell (items sharing a row) see
 /// `+0.0` and no-op. Within one row every cell is distinct in `bc`, so visit order
 /// there cannot change any bit.
-fn drain_bc_dirty(scr: &ScratchBuffers, bc: &GpuBuffer<f64>, mut rows: Vec<DirtyRow>) {
+pub(crate) fn drain_bc_dirty(scr: &ScratchBuffers, bc: &GpuBuffer<f64>, mut rows: Vec<DirtyRow>) {
     assert!(bc.len() >= scr.n, "BC array shorter than vertex count");
     rows.sort_by_key(|r| r.0);
     for (slot, cells) in rows {
@@ -269,7 +135,7 @@ fn drain_bc_dirty(scr: &ScratchBuffers, bc: &GpuBuffer<f64>, mut rows: Vec<Dirty
 /// `delete_adjacent_item` / `delete_distant_item`, taking the touched
 /// count straight from the sparse commit (which resets the `t` row for
 /// the block's next item).
-fn run_item(ctx: &Ctx<'_>, cfg: ExecConfig, item: &WorkItem) -> (usize, Vec<u32>) {
+pub(crate) fn run_item(ctx: &Ctx<'_>, cfg: ExecConfig, item: &WorkItem) -> (usize, Vec<u32>) {
     match item.kind() {
         ItemKind::Insert => {
             let general = item.case == InsertionCase::Distant || cfg.force_general;

@@ -259,7 +259,7 @@ fn routing_graph(width: usize) -> EdgeList {
 }
 
 /// The native backend runs small stages inline and fans big ones out
-/// over host threads (`native::run_stage`'s fan-out rule). One stream
+/// over host threads (`native::stage_workers`' fan-out rule). One stream
 /// here has stages far on each side of that rule — one or two work items
 /// against well over a hundred, with every source row spread over both
 /// blocks — and must match the simulator bit for bit at every host-thread

@@ -12,6 +12,7 @@
 //! that treats each harness's value as an opaque balanced-brace span —
 //! enough to merge files this module itself wrote.
 
+use dynbc_gpusim::profile::{json_number, json_string};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -262,35 +263,6 @@ fn cpu_model() -> Option<String> {
     info.lines()
         .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
         .map(|(_, model)| model.trim().to_string())
-}
-
-/// JSON string literal with the escapes the names here can contain.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finite JSON number (JSON has no NaN/Inf; clamp to null).
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Splits a top-level JSON object into `(key, raw value text)` pairs by

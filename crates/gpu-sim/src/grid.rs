@@ -36,7 +36,7 @@ use crate::checker::{self, CheckReport, Recorder};
 use crate::device::DeviceConfig;
 use crate::instruments::{host_cores, Instruments};
 use crate::mem::{GpuBuffer, FIRST_BASE};
-use crate::profile::{self, BlockBuckets, LaunchProfile, ProfileReport};
+use crate::profile::{self, BlockBuckets, BlockSpan, LaunchProfile, ProfileReport};
 use crate::stats::KernelStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -289,7 +289,13 @@ impl Gpu {
         } = self.instruments;
         let profiled = profiling || cached;
         let cache_cfg = cached.then_some(cfg);
-        let threads = self.host_workers().min(num_blocks.max(1));
+        // Grids under `PARALLEL_MIN_BLOCKS` run inline on one worker: the
+        // sequential path that documents the reduction order.
+        let workers = if num_blocks < PARALLEL_MIN_BLOCKS {
+            1
+        } else {
+            self.host_workers().min(num_blocks)
+        };
         // Wall timing only when something records it (profiling or the
         // telemetry span log): the disabled path stays branch-predictable
         // with no clock syscalls.
@@ -301,14 +307,9 @@ impl Gpu {
             profiled,
             cache: cache_cfg,
         };
-        let per_block: Vec<BlockOut> = if threads <= 1 || num_blocks < PARALLEL_MIN_BLOCKS {
-            // Legacy sequential path: also the fallback that documents the
-            // reduction order the parallel path must reproduce.
-            let segs = &mut self.seg_tables(1)[0];
-            (0..num_blocks).map(|b| run.block(f, b, segs)).collect()
-        } else {
-            self.run_blocks_parallel(num_blocks, threads, run, f)
-        };
+        let per_block: Vec<BlockOut> = fan_out(num_blocks, self.seg_tables(workers), |segs, b| {
+            run.block(f, b, segs)
+        });
 
         let mut block_cycles = Vec::with_capacity(num_blocks);
         let mut stats = KernelStats::default();
@@ -324,7 +325,7 @@ impl Gpu {
                 block_buckets.push(bk);
             }
         }
-        let makespan_cycles = schedule_makespan(&block_cycles, self.dev.num_sms);
+        let (placement, makespan_cycles) = schedule(&block_cycles, self.dev.num_sms);
         let seconds = self.dev.cycles_to_seconds(makespan_cycles) + self.dev.launch_overhead_s;
         let wall_s = wall_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
         if span_log {
@@ -352,12 +353,20 @@ impl Gpu {
             // `bc_delta` reduction exact — so this profile is
             // bit-identical for any host-thread count.
             let (stages, total) = profile::reduce_blocks(block_buckets, l2);
-            let blocks = profile::block_spans(
-                &block_cycles,
-                self.dev.num_sms,
-                |c| self.dev.cycles_to_seconds(c),
-                self.elapsed_s + self.dev.launch_overhead_s,
-            );
+            // The scheduler's placement, on the timeline from the moment
+            // the grid starts executing.
+            let grid_start_s = self.elapsed_s + self.dev.launch_overhead_s;
+            let blocks = placement
+                .iter()
+                .zip(&block_cycles)
+                .enumerate()
+                .map(|(b, (&(sm, start), &c))| BlockSpan {
+                    block: b as u32,
+                    sm,
+                    start_s: grid_start_s + self.dev.cycles_to_seconds(start),
+                    dur_s: self.dev.cycles_to_seconds(c),
+                })
+                .collect();
             self.profile.launches.push(LaunchProfile {
                 kernel: name.to_string(),
                 index: self.launches,
@@ -396,80 +405,6 @@ impl Gpu {
             segs.cover(self.next_base);
         }
         tables
-    }
-
-    /// Fans `num_blocks` block interpreters over `threads` host threads,
-    /// each with its own segment table.
-    /// The calling thread is worker 0 and only `threads - 1` scoped
-    /// threads are spawned, so the minimum useful setting (2 threads) pays
-    /// for a single spawn instead of two spawns plus an idle caller.
-    /// Workers claim chunks of block ids from a shared atomic counter
-    /// (self-scheduling, so stragglers rebalance) and return `(block_id,
-    /// result)` pairs; the caller reassembles them into block-index order.
-    fn run_blocks_parallel<F>(
-        &mut self,
-        num_blocks: usize,
-        threads: usize,
-        run: BlockRun,
-        f: &F,
-    ) -> Vec<BlockOut>
-    where
-        F: Fn(&mut BlockCtx, usize) + Sync,
-    {
-        // Chunked claims amortize counter traffic; sizing for ~4 claims
-        // per worker keeps long-tailed blocks balanced without turning the
-        // counter into a hotspot on huge grids.
-        let chunk = (num_blocks / (threads * 4)).max(1);
-        let next = AtomicUsize::new(0);
-        let worker = |segs: &mut SegTable| {
-            let mut out: Vec<(usize, BlockOut)> = Vec::new();
-            loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= num_blocks {
-                    break;
-                }
-                for b in start..(start + chunk).min(num_blocks) {
-                    out.push((b, run.block(f, b, segs)));
-                }
-            }
-            out
-        };
-        let worker = &worker;
-        let mut slots: Vec<Option<BlockOut>> = Vec::with_capacity(num_blocks);
-        slots.resize_with(num_blocks, || None);
-        let (own, others) = self
-            .seg_tables(threads)
-            .split_first_mut()
-            .expect("at least one worker");
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = others
-                .iter_mut()
-                .map(|segs| scope.spawn(move || worker(segs)))
-                .collect();
-            // The caller works too; if its share panics, leaving the scope
-            // joins the spawned workers before the panic propagates.
-            for (b, result) in worker(own) {
-                slots[b] = Some(result);
-            }
-            for handle in handles {
-                match handle.join() {
-                    Ok(results) => {
-                        for (b, result) in results {
-                            slots[b] = Some(result);
-                        }
-                    }
-                    // Preserve the sequential path's behaviour: a panicking
-                    // kernel (e.g. a queue-overflow assert) panics the launch.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every block id claimed exactly once"))
-            .collect()
     }
 
     /// Simulated seconds elapsed across all launches since the last reset.
@@ -516,20 +451,101 @@ impl BlockRun {
     }
 }
 
-/// Greedy list scheduling: each block (in issue order) is placed on the SM
-/// with the least accumulated work — the behaviour of the hardware block
-/// dispatcher under the memory-bound assumption that co-resident blocks
-/// time-share an SM's bandwidth rather than multiply it.
-fn schedule_makespan(block_cycles: &[f64], num_sms: usize) -> f64 {
-    let mut sm_load = vec![0.0f64; num_sms.max(1)];
-    for &c in block_cycles {
-        let min = sm_load
-            .iter_mut()
-            .min_by(|a, b| a.partial_cmp(b).expect("no NaN loads"))
-            .expect("at least one SM");
-        *min += c;
+/// Runs `task(worker, i)` for every task `i` in `0..tasks`, one host
+/// worker per element of `workers` (its private state: a segment table
+/// for a launch, nothing for a native stage), and returns the results in
+/// task order.
+///
+/// One worker runs every task inline, in order, on the calling thread.
+/// Otherwise the caller is worker 0 and only `workers.len() - 1` scoped
+/// threads are spawned, so the minimum useful fan-out (2 workers) pays
+/// for a single spawn instead of two spawns plus an idle caller. Workers
+/// claim chunks of task ids from a shared atomic counter (self-scheduling,
+/// so stragglers rebalance) and the results are reassembled in task
+/// order: whichever worker ran a task, the caller sees the same vector.
+/// A panicking task panics the call, once every worker has stopped.
+pub fn fan_out<S, R, F>(tasks: usize, workers: &mut [S], task: F) -> Vec<R>
+where
+    S: Send,
+    R: Send,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
+    let (own, others) = workers.split_first_mut().expect("at least one worker");
+    if others.is_empty() {
+        return (0..tasks).map(|i| task(own, i)).collect();
     }
-    sm_load.iter().copied().fold(0.0, f64::max)
+    // Chunked claims amortize counter traffic; sizing for ~4 claims per
+    // worker keeps long-tailed tasks balanced without turning the counter
+    // into a hotspot on huge grids.
+    let chunk = (tasks / ((others.len() + 1) * 4)).max(1);
+    let next = AtomicUsize::new(0);
+    let worker = |state: &mut S| {
+        let mut out: Vec<(usize, R)> = Vec::new();
+        loop {
+            let start = next.fetch_add(chunk, Ordering::Relaxed);
+            if start >= tasks {
+                break;
+            }
+            for i in start..(start + chunk).min(tasks) {
+                out.push((i, task(state, i)));
+            }
+        }
+        out
+    };
+    let worker = &worker;
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(tasks);
+    slots.resize_with(tasks, || None);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = others
+            .iter_mut()
+            .map(|state| scope.spawn(move || worker(state)))
+            .collect();
+        // The caller works too; if its share panics, leaving the scope
+        // joins the spawned workers before the panic propagates.
+        for (i, result) in worker(own) {
+            slots[i] = Some(result);
+        }
+        for handle in handles {
+            match handle.join() {
+                Ok(results) => {
+                    for (i, result) in results {
+                        slots[i] = Some(result);
+                    }
+                }
+                // As on one worker: a panicking task (e.g. a kernel's
+                // queue-overflow assert) panics the call.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every task claimed exactly once"))
+        .collect()
+}
+
+/// Greedy list scheduling: each block (in issue order) is placed on the SM
+/// with the least accumulated work, the first such SM on a tie — the
+/// behaviour of the hardware block dispatcher under the memory-bound
+/// assumption that co-resident blocks time-share an SM's bandwidth rather
+/// than multiply it. Returns each block's `(sm, start)` placement in
+/// device cycles (block-id order) and the makespan.
+fn schedule(block_cycles: &[f64], num_sms: usize) -> (Vec<(u32, f64)>, f64) {
+    let mut sm_load = vec![0.0f64; num_sms.max(1)];
+    let placement = block_cycles
+        .iter()
+        .map(|&c| {
+            let (sm, load) = sm_load
+                .iter_mut()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN loads"))
+                .expect("at least one SM");
+            let start = *load;
+            *load += c;
+            (sm as u32, start)
+        })
+        .collect();
+    (placement, sm_load.iter().copied().fold(0.0, f64::max))
 }
 
 #[cfg(test)]
@@ -561,14 +577,19 @@ mod tests {
     }
 
     #[test]
-    fn makespan_is_balanced_over_sms() {
+    fn schedule_places_each_block_on_the_first_least_loaded_sm() {
         // 4 equal blocks on 2 SMs: makespan = 2 blocks' cycles.
         let cycles = vec![10.0, 10.0, 10.0, 10.0];
-        assert_eq!(schedule_makespan(&cycles, 2), 20.0);
+        assert_eq!(schedule(&cycles, 2).1, 20.0);
         // 2 blocks on 2 SMs: one each.
-        assert_eq!(schedule_makespan(&cycles[..2], 2), 10.0);
+        assert_eq!(schedule(&cycles[..2], 2).1, 10.0);
         // Greedy handles imbalance: big block first, the rest pack.
-        assert_eq!(schedule_makespan(&[30.0, 10.0, 10.0, 10.0], 2), 30.0);
+        assert_eq!(schedule(&[30.0, 10.0, 10.0, 10.0], 2).1, 30.0);
+        // Block 2 lands on the first SM to free up — both free at 10.0,
+        // the scheduler takes the first — and starts when it frees.
+        let (placement, makespan) = schedule(&[10.0, 10.0, 5.0], 2);
+        assert_eq!(placement, [(0, 0.0), (1, 0.0), (0, 10.0)]);
+        assert_eq!(makespan, 15.0);
     }
 
     #[test]
@@ -578,7 +599,7 @@ mod tests {
         let total = 120.0;
         let time = |b: usize| {
             let per = total / b as f64;
-            schedule_makespan(&vec![per; b], dev.num_sms)
+            schedule(&vec![per; b], dev.num_sms).1
         };
         assert!(time(2) < time(1), "2 blocks beat 1");
         // Beyond num_sms, no further gain (equal split keeps makespan flat).
@@ -745,7 +766,9 @@ mod tests {
             profiled: false,
             cache: None,
         };
-        let per_block = par_gpu.run_blocks_parallel(BLOCKS, 4, run, &f);
+        let per_block = fan_out(BLOCKS, par_gpu.seg_tables(4), |segs, b| {
+            run.block(&f, b, segs)
+        });
         let cycles: Vec<f64> = per_block.iter().map(|(c, _, _, _)| *c).collect();
         let stats: Vec<KernelStats> = per_block.iter().map(|(_, s, _, _)| *s).collect();
         assert_eq!(seq.block_cycles, cycles, "per-block cycles");

@@ -68,7 +68,7 @@ pub use cache::CacheConfig;
 pub use checker::{AccessKind, AtomicKind, CheckReport, DiagClass, Diagnostic, Severity};
 pub use cpu_model::OpCounter;
 pub use device::{CpuConfig, DeviceConfig};
-pub use grid::{Gpu, LaunchReport, LaunchSpan};
+pub use grid::{fan_out, Gpu, LaunchReport, LaunchSpan};
 pub use instruments::Instruments;
 pub use knob::{HOST_THREADS_ENV, MEMSIM_ENV, PROFILE_ENV, RACECHECK_ENV, TELEMETRY_ENV};
 pub use mem::{DeviceValue, GpuBuffer};

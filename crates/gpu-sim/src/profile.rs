@@ -532,8 +532,10 @@ fn json_buffer_misses(misses: &[(String, u64)]) -> String {
     out
 }
 
-/// JSON string literal with the escapes kernel/stage names can contain.
-fn json_string(s: &str) -> String {
+/// JSON string literal with the escapes kernel, stage, span and buffer
+/// names can contain: every JSON writer of the workspace but the lint
+/// report's uses this one.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -553,7 +555,7 @@ fn json_string(s: &str) -> String {
 }
 
 /// Finite JSON number (JSON has no NaN/Inf; clamp to null).
-fn json_number(x: f64) -> String {
+pub fn json_number(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
@@ -821,36 +823,6 @@ pub(crate) fn reduce_blocks(
         }
     }
     (stages, total)
-}
-
-/// Replays the greedy block scheduler (first least-loaded SM wins, issue
-/// order) to place each block on a timeline for the Chrome-trace sink.
-/// `cycles_to_s` converts device cycles to seconds; `start_s` is the
-/// simulated time the grid starts executing.
-pub(crate) fn block_spans(
-    block_cycles: &[f64],
-    num_sms: usize,
-    cycles_to_s: impl Fn(f64) -> f64,
-    start_s: f64,
-) -> Vec<BlockSpan> {
-    let mut sm_load = vec![0.0f64; num_sms.max(1)];
-    let mut spans = Vec::with_capacity(block_cycles.len());
-    for (b, &c) in block_cycles.iter().enumerate() {
-        let mut sm = 0usize;
-        for (i, &load) in sm_load.iter().enumerate() {
-            if load < sm_load[sm] {
-                sm = i;
-            }
-        }
-        spans.push(BlockSpan {
-            block: b as u32,
-            sm: sm as u32,
-            start_s: start_s + cycles_to_s(sm_load[sm]),
-            dur_s: cycles_to_s(c),
-        });
-        sm_load[sm] += c;
-    }
-    spans
 }
 
 #[cfg(test)]
@@ -1162,17 +1134,5 @@ mod tests {
             total.cache.l1_misses,
             "every L1 miss is exactly one L2 request at 32 B lines"
         );
-    }
-
-    #[test]
-    fn block_spans_replay_greedy_scheduling() {
-        let spans = block_spans(&[10.0, 10.0, 5.0], 2, |c| c, 1.0);
-        assert_eq!(spans[0].sm, 0);
-        assert_eq!(spans[1].sm, 1);
-        // Block 2 lands on the first SM to free up — both free at 10.0,
-        // the greedy scheduler takes the first.
-        assert_eq!(spans[2].sm, 0);
-        assert_eq!(spans[2].start_s, 11.0);
-        assert_eq!(spans[2].dur_s, 5.0);
     }
 }

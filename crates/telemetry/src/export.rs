@@ -1,40 +1,12 @@
 //! Exporters: unified Chrome/Perfetto trace (host pipeline spans + device
-//! kernel profiles on one timeline) and small hand-rolled JSON helpers.
+//! kernel profiles on one timeline).
 
 use std::fmt::Write as _;
 
+pub(crate) use dynbc_gpusim::profile::{json_number, json_string};
 use dynbc_gpusim::ProfileReport;
 
 use crate::trace::Trace;
-
-/// JSON string literal with the escapes phase names can contain.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finite JSON number (JSON has no NaN/Inf; clamp to null).
-pub(crate) fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Render the host-pipeline trace and any number of device kernel profiles
 /// as one Chrome trace-event JSON document.

@@ -119,6 +119,11 @@ echo "== interpreter golden counters: DYNBC_HOST_THREADS=1 =="
 DYNBC_HOST_THREADS=1 cargo test -q --test model_invariants \
     interpreter_counters_match_golden_values
 
+echo "== golden counters and profile: DYNBC_BACKEND=native =="
+# The golden tests pin the simulator backend themselves, so a native
+# backend selected in the environment must leave every pin in place.
+DYNBC_BACKEND=native cargo test -q --test model_invariants
+
 echo "== profile golden report: DYNBC_HOST_THREADS=1 =="
 # The golden stream's profile, with the profiler and the memsim cache
 # model on, on one host worker: its total and the hash of its JSON

@@ -182,7 +182,8 @@ fn deterministic_replay_of_a_full_experiment() {
 fn case1_updates_cost_orders_of_magnitude_less_than_worked_ones() {
     // A 4-cycle seen from one source: inserting the diagonal between the
     // two distance-1 vertices is Case 1 for it. Compare against a real
-    // Case 3 update on the same engine.
+    // Case 3 update on the same engine. Cost is a simulator claim: pin
+    // the backend so `DYNBC_BACKEND=native` cannot zero both sides.
     let el = EdgeList::from_pairs(4096, (0..4095).map(|i| (i, i + 1)));
     let sources = vec![0u32];
     let mut engine = GpuDynamicBc::new(
@@ -190,7 +191,8 @@ fn case1_updates_cost_orders_of_magnitude_less_than_worked_ones() {
         &sources,
         DeviceConfig::tesla_c2075(),
         Parallelism::Node,
-    );
+    )
+    .with_backend(Backend::Simulator);
     let worked = engine.insert_edge(1, 4000); // huge Case 3 shortcut
                                               // Vertices 2 and 4000 are now both at distance 2 from 0 → Case 1.
     let snapshot = engine.state_snapshot();
@@ -207,9 +209,10 @@ fn case1_updates_cost_orders_of_magnitude_less_than_worked_ones() {
 
 /// A fixed small engine stream (single inserts, single removals and one
 /// mixed batch) returning the device's cumulative work counters and its
-/// simulated clock.
+/// simulated clock. The simulator backend is pinned: the native backend
+/// charges no counters, so `DYNBC_BACKEND` must not pick it here.
 fn golden_stream(par: Parallelism) -> (KernelStats, u64) {
-    let engine = golden_engine(par, |_| {});
+    let engine = golden_engine(par, |engine| engine.set_backend(Backend::Simulator));
     (*engine.total_stats(), engine.elapsed_seconds().to_bits())
 }
 
