@@ -157,7 +157,7 @@ impl GpuDynamicBc {
             num_blocks,
             dedup: DedupStrategy::default(),
             force_general: false,
-            // Only the node-parallel kernels have native translations;
+            // Only the node-parallel kernels run on the native executor;
             // edge-parallel engines ignore the knob and stay on the
             // simulator.
             backend: if par == Parallelism::Node {

@@ -29,12 +29,13 @@
 
 use super::buffers::{ScratchBuffers, SlackGraphBuffers, StateBuffers};
 use super::engine::{DedupStrategy, Parallelism};
+use super::kernels::common::SeedMode;
 use super::kernels::{
-    case2_edge, case2_node, case3_edge, case3_node, common, delete, Ctx, GraphView,
+    case2_edge, case2_node, case3_edge, case3_node, common, delete, Ctx, Exec, GraphView,
 };
 use super::static_bc::static_source_edge;
 use crate::cases::InsertionCase;
-use crate::native;
+use crate::native::{self, HostExec};
 use crate::plan::PlannedOp;
 use dynbc_gpusim::{fan_out, BlockCtx, Gpu, GpuBuffer};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,19 +44,24 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// The SIMT interpreter is the measurement instrument: it charges the
 /// cost model, feeds the profiler, and serves as the bit-exactness
-/// oracle. The native backend (the crate-private `native` module) runs the same
-/// node-parallel kernels as plain Rust loops over the same buffers —
-/// no lockstep interpretation, no cost-model bookkeeping — for serving
-/// update streams at host speed. It runs small stages inline and fans
-/// big ones out over host threads, by a fixed rule on the stage's own
-/// work items.
+/// oracle. The native backend (the crate-private `native` module) runs the
+/// same node-parallel kernel bodies — each written once, generic over
+/// the [`Exec`](super::kernels::Exec) executor trait — on a host
+/// executor: plain Rust loops over the same buffers, no lockstep
+/// interpretation, no cost-model bookkeeping, for serving update
+/// streams at host speed. Only the init and commit have a body per
+/// backend (dense O(|V|) sweeps on the device, O(touched) on the host):
+/// one body would either drop the sweeps the cost model charges or make
+/// the host pay them. It runs small stages inline and
+/// fans big ones out over host threads, by a fixed rule on the stage's
+/// own work items.
 ///
 /// Both backends produce bit-identical BC scores, case tallies,
 /// and commit order for any `DYNBC_HOST_THREADS`: cross-block writes
 /// are disjoint by construction and the BC delta slab is drained in the
 /// same sequential commit order everywhere. Only the node-parallel
-/// decomposition has native kernels; edge-parallel engines always run
-/// on the simulator.
+/// decomposition runs natively; edge-parallel engines always run on the
+/// simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// The SIMT interpreter — cost model, profiler, oracle (default).
@@ -398,11 +404,9 @@ impl<'a> Stage<'a> {
             for &i in &self.by_block[b] {
                 let item = &self.items[i];
                 let ctx = item.ctx(bufs, cfg.num_blocks);
-                let t = match (item.kind(), cfg.par) {
-                    (ItemKind::Insert, _) => insert_item(block, &ctx, cfg, item.case),
-                    (ItemKind::D2, _) => delete_adjacent_item(block, &ctx, cfg),
-                    (ItemKind::D3, Parallelism::Node) => delete_distant_item(block, &ctx),
-                    (ItemKind::D3, Parallelism::Edge) => delete_fallback_item(block, &ctx),
+                let t = match cfg.par {
+                    Parallelism::Node => run_item(block, &ctx, cfg, item),
+                    Parallelism::Edge => run_edge_item(block, &ctx, cfg, item),
                 };
                 touched[i].store(t, Ordering::Relaxed);
             }
@@ -436,21 +440,20 @@ impl<'a> Stage<'a> {
         let run_block = |b: usize| {
             let owned = &self.by_block[b];
             let mut touched = Vec::with_capacity(owned.len());
-            let mut dirty = Vec::with_capacity(owned.len());
+            let mut ex = HostExec::default();
+            ex.dirty.reserve(owned.len());
             let mut wall = [0.0; 3];
             for &i in owned {
                 let item = &self.items[i];
-                let ctx = item.ctx(bufs, cfg.num_blocks);
                 // dynbc-lint: allow(no-wall-clock) — per-kind wall seconds are an observability-only telemetry tag; no model result reads them
                 let t0 = timed.then(std::time::Instant::now);
-                let (t, cells) = native::run_item(&ctx, cfg, item);
+                let t = run_item(&mut ex, &item.ctx(bufs, cfg.num_blocks), cfg, item);
                 if let Some(t0) = t0 {
                     wall[item.kind() as usize] += t0.elapsed().as_secs_f64();
                 }
                 touched.push((item.op_slot, item.row, t));
-                dirty.push((ctx.bc_slot, cells));
             }
-            (touched, dirty, wall)
+            (touched, ex.dirty, wall)
         };
         let busy: Vec<usize> = (0..cfg.num_blocks)
             .filter(|&b| !self.by_block[b].is_empty())
@@ -475,73 +478,92 @@ impl<'a> Stage<'a> {
     }
 }
 
-/// Insertion item: init (Alg 3) → shortest-path recount (Alg 4/5) →
-/// dependency accumulation (Alg 6/7) → commit (Alg 8), with the Case 3
-/// generalization substituted when distances move.
-fn insert_item(block: &mut BlockCtx, ctx: &Ctx<'_>, cfg: ExecConfig, case: InsertionCase) -> usize {
-    let general = case == InsertionCase::Distant || cfg.force_general;
-    let mode = if general {
-        common::SeedMode::General
-    } else {
-        common::SeedMode::InsertAdjacent
-    };
-    common::init_kernel(block, ctx, mode);
-    match (general, cfg.par) {
-        (false, Parallelism::Node) => {
-            let deepest = case2_node::sp_node(block, ctx, cfg.dedup);
-            case2_node::dep_node(block, ctx, deepest);
+/// Runs one node-parallel work item's kernel sequence on `ex` and
+/// returns its touched count — the one per-item dispatcher for both
+/// backends.
+///
+/// * Insertion: init (Alg 3) → shortest-path recount (Alg 5) →
+///   dependency accumulation (Alg 7) → commit (Alg 8), with the Case 3
+///   generalization substituted when distances move (or always, under
+///   `force_general`).
+/// * Case D2: Algorithm 2 machinery with a negative seed and the phantom
+///   retraction; the inserted-pair exclusion is disabled with an
+///   unmatchable pair for the dependency sweep.
+/// * Case D3: collect the lost subtree, settle its new levels, recount
+///   σ̂ below it (see [`delete`]), then the Case 3 closure, pull sweep
+///   and commit.
+fn run_item<X: Exec>(ex: &mut X, ctx: &Ctx<'_>, cfg: ExecConfig, item: &WorkItem) -> usize {
+    match item.kind() {
+        ItemKind::Insert if item.case == InsertionCase::Distant || cfg.force_general => {
+            ex.init(ctx, SeedMode::General);
+            let deepest = case3_node::phase1_node(ex, ctx);
+            let max_depth = case3_node::mark_node(ex, ctx, deepest);
+            case3_node::phase2_node(ex, ctx, max_depth);
+            ex.commit(ctx, true)
         }
-        (false, Parallelism::Edge) => {
-            let deepest = case2_edge::sp_edge(block, ctx);
-            case2_edge::dep_edge(block, ctx, deepest);
+        ItemKind::Insert => {
+            ex.init(ctx, SeedMode::InsertAdjacent);
+            let deepest = case2_node::sp_node(ex, ctx, cfg.dedup);
+            case2_node::dep_node(ex, ctx, deepest);
+            ex.commit(ctx, false)
         }
-        (true, Parallelism::Node) => {
-            let deepest = case3_node::phase1_node(block, ctx);
-            let max_depth = case3_node::mark_node(block, ctx, deepest);
-            case3_node::phase2_node(block, ctx, max_depth);
+        ItemKind::D2 => {
+            ex.init(ctx, SeedMode::DeleteAdjacent);
+            let deepest = case2_node::sp_node(ex, ctx, cfg.dedup);
+            delete::phantom_retraction(ex, ctx);
+            case2_node::dep_node(ex, &unmatchable_pair(ctx), deepest);
+            ex.commit(ctx, false)
         }
-        (true, Parallelism::Edge) => {
+        ItemKind::D3 => {
+            ex.init(ctx, SeedMode::General);
+            delete::d3_collect(ex, ctx);
+            delete::d3_settle(ex, ctx);
+            let deepest = delete::d3_recount(ex, ctx);
+            let max_depth = case3_node::mark_node(ex, ctx, deepest);
+            case3_node::phase2_node(ex, ctx, max_depth);
+            ex.commit(ctx, true)
+        }
+    }
+}
+
+/// The edge-parallel form of [`run_item`], on the simulator only: the
+/// same sequences through the edge-parallel kernels (Alg 4/6), except
+/// that a Case D3 item subtracts the old scores, recomputes its source
+/// from scratch and commits.
+fn run_edge_item(block: &mut BlockCtx, ctx: &Ctx<'_>, cfg: ExecConfig, item: &WorkItem) -> usize {
+    match item.kind() {
+        ItemKind::Insert if item.case == InsertionCase::Distant || cfg.force_general => {
+            common::init_kernel(block, ctx, SeedMode::General);
             let deepest = case3_edge::phase1_edge(block, ctx);
             let max_depth = case3_edge::mark_edge(block, ctx, deepest);
             case3_edge::phase2_edge(block, ctx, max_depth);
+            common::update_kernel(block, ctx, true)
         }
+        ItemKind::Insert => {
+            common::init_kernel(block, ctx, SeedMode::InsertAdjacent);
+            let deepest = case2_edge::sp_edge(block, ctx);
+            case2_edge::dep_edge(block, ctx, deepest);
+            common::update_kernel(block, ctx, false)
+        }
+        ItemKind::D2 => {
+            common::init_kernel(block, ctx, SeedMode::DeleteAdjacent);
+            let deepest = case2_edge::sp_edge(block, ctx);
+            delete::phantom_retraction(block, ctx);
+            case2_edge::dep_edge(block, &unmatchable_pair(ctx), deepest);
+            common::update_kernel(block, ctx, false)
+        }
+        ItemKind::D3 => delete_fallback_item(block, ctx),
     }
-    common::update_kernel(block, ctx, general)
 }
 
-/// Case D2 item: Algorithm 2 machinery with a negative seed and the
-/// phantom retraction; the inserted-pair exclusion is disabled with an
-/// unmatchable pair for the dependency sweep.
-fn delete_adjacent_item(block: &mut BlockCtx, ctx: &Ctx<'_>, cfg: ExecConfig) -> usize {
-    common::init_kernel(block, ctx, common::SeedMode::DeleteAdjacent);
-    let deepest = match cfg.par {
-        Parallelism::Node => case2_node::sp_node(block, ctx, cfg.dedup),
-        Parallelism::Edge => case2_edge::sp_edge(block, ctx),
-    };
-    delete::phantom_retraction(block, ctx);
-    let dep_ctx = Ctx {
+/// `ctx` with the inserted-pair exclusion disabled (a removal's
+/// dependency sweep).
+fn unmatchable_pair<'a>(ctx: &Ctx<'a>) -> Ctx<'a> {
+    Ctx {
         u_high: u32::MAX,
         u_low: u32::MAX,
         ..*ctx
-    };
-    match cfg.par {
-        Parallelism::Node => case2_node::dep_node(block, &dep_ctx, deepest),
-        Parallelism::Edge => case2_edge::dep_edge(block, &dep_ctx, deepest),
     }
-    common::update_kernel(block, ctx, false)
-}
-
-/// Node-parallel Case D3 item: collect the lost subtree, settle its new
-/// levels, recount σ̂ below it (see [`delete`]), then the Case 3 closure,
-/// pull sweep and commit.
-fn delete_distant_item(block: &mut BlockCtx, ctx: &Ctx<'_>) -> usize {
-    common::init_kernel(block, ctx, common::SeedMode::General);
-    delete::d3_collect(block, ctx);
-    delete::d3_settle(block, ctx);
-    let deepest = delete::d3_recount(block, ctx);
-    let max_depth = case3_node::mark_node(block, ctx, deepest);
-    case3_node::phase2_node(block, ctx, max_depth);
-    common::update_kernel(block, ctx, true)
 }
 
 /// Edge-parallel Case D3 item: subtract the old scores, recompute this

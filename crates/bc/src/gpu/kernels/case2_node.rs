@@ -6,35 +6,42 @@
 //! array each depth, filtering by `d[w] = current_depth` — the "small
 //! amount of extra work" the paper accepts in exchange for never touching
 //! vertices outside the update's footprint.
+//!
+//! Both kernels are generic over the [`Exec`]utor, so the simulator and
+//! the native backend run these bodies.
 
 use super::common::{advance_no_dedup, dedup_and_advance};
-use super::Ctx;
-use crate::gpu::buffers::{SLOT_Q2LEN, SLOT_QLEN, SLOT_QQLEN, T_DOWN, T_UNTOUCHED, T_UP};
+use super::{push_q2, Ctx, Exec, Gate, KernelLane, LevelOf};
+use crate::gpu::buffers::{SLOT_Q2LEN, SLOT_QLEN, SLOT_QQLEN, T_DOWN, T_UP};
 use crate::gpu::engine::DedupStrategy;
-use dynbc_gpusim::BlockCtx;
 
 /// Algorithm 5: node-parallel shortest-path recount. Returns the deepest
 /// touched level (the starting depth for dependency accumulation —
 /// Algorithm 5's closing `atomicMax` computes exactly this).
 ///
 /// `dedup` selects how duplicate frontier entries are avoided: the
-/// paper's sort/flag/scan pipeline, or the `atomicCAS` gate on `t[w]` it
-/// argues against (kept for the ablation study).
-pub fn sp_node(block: &mut BlockCtx, ctx: &Ctx<'_>, dedup: DedupStrategy) -> u32 {
-    block.label("case2_node::sp");
+/// paper's sort/flag/scan pipeline behind a [`Gate::TestAndSet`]
+/// discovery, or the [`Gate::Cas`] gate on `t[w]` it argues against
+/// (kept for the ablation study).
+pub fn sp_node<X: Exec>(ex: &mut X, ctx: &Ctx<'_>, dedup: DedupStrategy) -> u32 {
+    ex.label("case2_node::sp");
     // Seed: Q = QQ = [u_low] (lines 3–7).
     let u_low = ctx.u_low;
-    let d_low = block.read_scalar(&ctx.st.d, ctx.kn(u_low));
-    block.write_scalar(&ctx.scr.q, ctx.qi(0), u_low);
-    block.write_scalar(&ctx.scr.qq, ctx.qi(0), u_low);
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), 1);
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), 1);
+    let d_low = ex.read_scalar(&ctx.st.d, ctx.kn(u_low));
+    ex.write_scalar(&ctx.scr.q, ctx.qi(0), u_low);
+    ex.write_scalar(&ctx.scr.qq, ctx.qi(0), u_low);
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), 1);
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), 1);
+    let gate = match dedup {
+        DedupStrategy::SortScan => Gate::TestAndSet,
+        DedupStrategy::AtomicCas => Gate::Cas,
+    };
 
     let mut depth = d_low; // shared current_depth
     loop {
-        let q_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) as usize;
-        block.parallel_for(q_len, |lane, tid| {
+        let q_len = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) as usize;
+        ex.parallel_for(q_len, |lane, tid| {
             let v = lane.read(&ctx.scr.q, ctx.qi(tid));
             let sig_hat_v = lane.read(&ctx.scr.sigma_hat, ctx.sn(v));
             let sig_v = lane.read(&ctx.st.sigma, ctx.kn(v));
@@ -47,36 +54,17 @@ pub fn sp_node(block: &mut BlockCtx, ctx: &Ctx<'_>, dedup: DedupStrategy) -> u32
                 };
                 if lane.read(&ctx.st.d, ctx.kn(w)) == depth + 1 {
                     lane.prof_edges_passed(1);
-                    let discovered = match dedup {
-                        DedupStrategy::SortScan => {
-                            // Plain test-then-set: a benign race in CUDA
-                            // (duplicates are removed later), deterministic
-                            // here. Declared volatile for the racechecker.
-                            let untouched = lane.read(&ctx.scr.t, ctx.sn(w)) == T_UNTOUCHED;
-                            if untouched {
-                                lane.write_volatile(&ctx.scr.t, ctx.sn(w), T_DOWN);
-                            }
-                            untouched
-                        }
-                        DedupStrategy::AtomicCas => {
-                            lane.atomic_cas_u8(&ctx.scr.t, ctx.sn(w), T_UNTOUCHED, T_DOWN)
-                                == T_UNTOUCHED
-                        }
-                    };
-                    if discovered {
-                        let i = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 1);
-                        assert!((i as usize) < ctx.scr.qw, "Q2 overflow");
-                        lane.write(&ctx.scr.q2, ctx.qi(i as usize), w);
-                        lane.prof_queue_push(1);
+                    if lane.claim(ctx, w, T_DOWN, gate) {
+                        push_q2(lane, ctx, w);
                     }
                     lane.atomic_add_f64(&ctx.scr.sigma_hat, ctx.sn(w), push);
                 }
             }
         });
-        block.barrier();
+        ex.barrier();
         let found = match dedup {
-            DedupStrategy::SortScan => dedup_and_advance(block, ctx),
-            DedupStrategy::AtomicCas => advance_no_dedup(block, ctx),
+            DedupStrategy::SortScan => dedup_and_advance(ex, ctx),
+            DedupStrategy::AtomicCas => advance_no_dedup(ex, ctx),
         };
         if found == 0 {
             break;
@@ -90,20 +78,15 @@ pub fn sp_node(block: &mut BlockCtx, ctx: &Ctx<'_>, dedup: DedupStrategy) -> u32
 /// `deepest` and walking toward the source. Newly discovered
 /// ("up") predecessors are appended to `QQ` and participate in later
 /// (shallower) iterations.
-pub fn dep_node(block: &mut BlockCtx, ctx: &Ctx<'_>, deepest: u32) {
-    block.label("case2_node::dep");
+pub fn dep_node<X: Exec>(ex: &mut X, ctx: &Ctx<'_>, deepest: u32) {
+    ex.label("case2_node::dep");
     let u_high = ctx.u_high;
     let u_low = ctx.u_low;
+    let mut levels = X::Levels::from(LevelOf::D);
     let mut depth = deepest;
     while depth > 0 {
-        let qq_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
-        block.parallel_for(qq_len, |lane, tid| {
-            let w = lane.read(&ctx.scr.qq, ctx.qi(tid));
-            // Only this depth's vertices work; the rest of QQ is the
-            // node-parallel method's (small) futile scan.
-            if lane.read(&ctx.st.d, ctx.kn(w)) != depth {
-                return;
-            }
+        let qq_len = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
+        ex.for_level(&mut levels, ctx, qq_len, depth, |lane, w| {
             let sig_hat_w = lane.read(&ctx.scr.sigma_hat, ctx.sn(w));
             let del_hat_w = lane.read(&ctx.scr.delta_hat, ctx.sn(w));
             let sig_w = lane.read(&ctx.st.sigma, ctx.kn(w));
@@ -121,7 +104,7 @@ pub fn dep_node(block: &mut BlockCtx, ctx: &Ctx<'_>, deepest: u32) {
                 let mut dsv = 0.0;
                 // First toucher seeds δ̂[v] with the old dependency and
                 // publishes v for shallower iterations.
-                if lane.atomic_cas_u8(&ctx.scr.t, ctx.sn(v), T_UNTOUCHED, T_UP) == T_UNTOUCHED {
+                if lane.claim(ctx, v, T_UP, Gate::Cas) {
                     // dynbc-lint: allow(float-accumulation) — lane-local accumulator over the fixed adjacency order; single writer, drained via bc_delta
                     dsv += lane.read(&ctx.st.delta, ctx.kn(v));
                     let i = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 1);
@@ -139,11 +122,11 @@ pub fn dep_node(block: &mut BlockCtx, ctx: &Ctx<'_>, deepest: u32) {
                 lane.atomic_add_f64(&ctx.scr.delta_hat, ctx.sn(v), dsv);
             }
         });
-        block.barrier();
+        ex.barrier();
         // Lines 18–19: absorb the vertices discovered this round.
-        let added = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN));
-        block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), qq_len as u32 + added);
-        block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
+        let added = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN));
+        ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), qq_len as u32 + added);
+        ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
         depth -= 1;
     }
 }

@@ -21,31 +21,33 @@
 //!    recomputing each touched vertex's δ̂ from scratch out of its
 //!    new-DAG successors. No add/subtract bookkeeping: that is only sound
 //!    when levels are static.
+//!
+//! All three are generic over the [`Exec`]utor, so the simulator and the
+//! native backend run these bodies.
 
-use super::common::dedup_and_advance;
-use super::Ctx;
+use super::common::{advance, dedup_and_advance};
+use super::{push_q2, Ctx, Exec, Gate, KernelLane, LevelOf};
 use crate::gpu::buffers::{
     SLOT_DEPTH, SLOT_Q2LEN, SLOT_QLEN, SLOT_QQLEN, T_DOWN, T_UNTOUCHED, T_UP,
 };
-use dynbc_gpusim::BlockCtx;
 
 /// Phase 1: relocation + σ̂ recount. Returns the deepest down-level.
-pub fn phase1_node(block: &mut BlockCtx, ctx: &Ctx<'_>) -> u32 {
-    block.label("case3_node::phase1");
+pub fn phase1_node<X: Exec>(ex: &mut X, ctx: &Ctx<'_>) -> u32 {
+    ex.label("case3_node::phase1");
     let u_low = ctx.u_low;
-    let start = block.read_scalar(&ctx.scr.d_hat, ctx.sn(u_low));
-    block.write_scalar(&ctx.scr.q, ctx.qi(0), u_low);
-    block.write_scalar(&ctx.scr.qq, ctx.qi(0), u_low);
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), 1);
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), 1);
+    let start = ex.read_scalar(&ctx.scr.d_hat, ctx.sn(u_low));
+    ex.write_scalar(&ctx.scr.q, ctx.qi(0), u_low);
+    ex.write_scalar(&ctx.scr.qq, ctx.qi(0), u_low);
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), 1);
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), 1);
 
     let mut level = start;
     let mut deepest = start;
     loop {
-        let q_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) as usize;
+        let q_len = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) as usize;
         // Pull pass: recount σ̂ for the (final-position) frontier.
-        block.parallel_for(q_len, |lane, tid| {
+        ex.parallel_for(q_len, |lane, tid| {
             let v = lane.read(&ctx.scr.q, ctx.qi(tid));
             if lane.read(&ctx.scr.d_hat, ctx.sn(v)) != level {
                 return; // stale entry from before a relocation
@@ -57,19 +59,19 @@ pub fn phase1_node(block: &mut BlockCtx, ctx: &Ctx<'_>) -> u32 {
                 let Some(x) = ctx.g.slot(lane, &check, e) else {
                     continue;
                 };
-                if lane.read(&ctx.scr.d_hat, ctx.sn(x)) == level - 1 {
+                if lane.d_hat(ctx, x) == level - 1 {
                     lane.prof_edges_passed(1);
                     // Untouched x: σ̂ = σ from init. Touched x: final, its
                     // level is fully drained.
                     // dynbc-lint: allow(float-accumulation) — lane-local accumulator over the fixed adjacency order; single writer, drained via bc_delta
-                    sig += lane.read(&ctx.scr.sigma_hat, ctx.sn(x));
+                    sig += lane.sigma_hat(ctx, x);
                 }
             }
             lane.write(&ctx.scr.sigma_hat, ctx.sn(v), sig);
         });
-        block.barrier();
+        ex.barrier();
         // Expand pass: relocate and mark.
-        block.parallel_for(q_len, |lane, tid| {
+        ex.parallel_for(q_len, |lane, tid| {
             let v = lane.read(&ctx.scr.q, ctx.qi(tid));
             if lane.read(&ctx.scr.d_hat, ctx.sn(v)) != level {
                 return;
@@ -80,30 +82,20 @@ pub fn phase1_node(block: &mut BlockCtx, ctx: &Ctx<'_>) -> u32 {
                 let Some(w) = ctx.g.slot(lane, &check, e) else {
                     continue;
                 };
-                let dw = lane.read(&ctx.scr.d_hat, ctx.sn(w));
+                let dw = lane.d_hat(ctx, w);
                 if dw > level + 1 {
                     lane.prof_edges_passed(1);
-                    // Relocation (covers dw = ∞, the merge case). The
-                    // double write is a benign same-value race in CUDA;
-                    // volatile declares it to the racechecker.
-                    lane.write_volatile(&ctx.scr.d_hat, ctx.sn(w), level + 1);
-                    lane.write_volatile(&ctx.scr.t, ctx.sn(w), T_DOWN);
-                    let i = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 1);
-                    assert!((i as usize) < ctx.scr.qw, "Q2 overflow");
-                    lane.write(&ctx.scr.q2, ctx.qi(i as usize), w);
-                    lane.prof_queue_push(1);
-                } else if dw == level + 1 && lane.read(&ctx.scr.t, ctx.sn(w)) == T_UNTOUCHED {
+                    // Relocation (covers dw = ∞, the merge case).
+                    lane.relocate(ctx, w, level + 1);
+                    push_q2(lane, ctx, w);
+                } else if dw == level + 1 && lane.claim(ctx, w, T_DOWN, Gate::TestAndSet) {
                     lane.prof_edges_passed(1);
-                    lane.write_volatile(&ctx.scr.t, ctx.sn(w), T_DOWN);
-                    let i = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 1);
-                    assert!((i as usize) < ctx.scr.qw, "Q2 overflow");
-                    lane.write(&ctx.scr.q2, ctx.qi(i as usize), w);
-                    lane.prof_queue_push(1);
+                    push_q2(lane, ctx, w);
                 }
             }
         });
-        block.barrier();
-        let found = dedup_and_advance(block, ctx);
+        ex.barrier();
+        let found = dedup_and_advance(ex, ctx);
         if found == 0 {
             break;
         }
@@ -115,19 +107,19 @@ pub fn phase1_node(block: &mut BlockCtx, ctx: &Ctx<'_>) -> u32 {
 
 /// Phase 2a: mark the closure of dependency changes. Returns the deepest
 /// level over all touched vertices (down or up).
-pub fn mark_node(block: &mut BlockCtx, ctx: &Ctx<'_>, deepest_down: u32) -> u32 {
-    block.label("case3_node::mark");
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH), deepest_down);
+pub fn mark_node<X: Exec>(ex: &mut X, ctx: &Ctx<'_>, deepest_down: u32) -> u32 {
+    ex.label("case3_node::mark");
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH), deepest_down);
     // Round 0 walks everything already in QQ; later rounds walk the
     // newly-marked frontier in Q.
     let mut from_qq = true;
     loop {
         let list_len = if from_qq {
-            block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize
+            ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize
         } else {
-            block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) as usize
+            ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) as usize
         };
-        block.parallel_for(list_len, |lane, tid| {
+        ex.parallel_for(list_len, |lane, tid| {
             let w = if from_qq {
                 lane.read(&ctx.scr.qq, ctx.qi(tid))
             } else {
@@ -148,53 +140,35 @@ pub fn mark_node(block: &mut BlockCtx, ctx: &Ctx<'_>, deepest_down: u32) -> u32 
                 let dx = lane.read(&ctx.st.d, ctx.kn(x));
                 let new_pred = dw_new > 0 && dx == dw_new - 1;
                 let old_pred = dw_old != u32::MAX && dw_old > 0 && dx == dw_old - 1;
-                if (new_pred || old_pred)
-                    && lane.atomic_cas_u8(&ctx.scr.t, ctx.sn(x), T_UNTOUCHED, T_UP) == T_UNTOUCHED
-                {
+                if (new_pred || old_pred) && lane.claim_tested(ctx, x, T_UP) {
                     lane.prof_edges_passed(1);
                     lane.atomic_max_u32(&ctx.scr.lens, ctx.li(SLOT_DEPTH), dx);
-                    let i = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 1);
-                    assert!((i as usize) < ctx.scr.qw, "Q2 overflow");
-                    lane.write(&ctx.scr.q2, ctx.qi(i as usize), x);
-                    lane.prof_queue_push(1);
+                    push_q2(lane, ctx, x);
                 }
             }
         });
-        block.barrier();
+        ex.barrier();
         // CAS-gated marking produces no duplicates: move Q2 → Q directly
         // and append to QQ.
-        let added = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN)) as usize;
+        let added = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN)) as usize;
         if added == 0 {
             break;
         }
-        let qq_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
-        assert!(qq_len + added <= ctx.scr.qw, "QQ overflow");
-        block.parallel_for(added, |lane, i| {
-            let v = lane.read(&ctx.scr.q2, ctx.qi(i));
-            lane.write(&ctx.scr.q, ctx.qi(i), v);
-            lane.write(&ctx.scr.qq, ctx.qi(qq_len + i), v);
-            lane.prof_queue_push(2);
-        });
-        block.barrier();
-        block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), added as u32);
-        block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), (qq_len + added) as u32);
-        block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
+        advance(ex, ctx, added);
         from_qq = false;
     }
-    block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH))
+    ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH))
 }
 
 /// Phase 2b: pull-based dependency sweep by decreasing new level.
-pub fn phase2_node(block: &mut BlockCtx, ctx: &Ctx<'_>, max_depth: u32) {
-    block.label("case3_node::phase2");
-    let qq_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
+pub fn phase2_node<X: Exec>(ex: &mut X, ctx: &Ctx<'_>, max_depth: u32) {
+    ex.label("case3_node::phase2");
+    let qq_len = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
+    let mut levels = X::Levels::from(LevelOf::DHat);
     let mut depth = max_depth;
     loop {
-        block.parallel_for(qq_len, |lane, tid| {
-            let w = lane.read(&ctx.scr.qq, ctx.qi(tid));
-            if lane.read(&ctx.scr.d_hat, ctx.sn(w)) != depth {
-                return; // stale/duplicate entries: pull is idempotent
-            }
+        // Stale/duplicate entries fail the level test: pull is idempotent.
+        ex.for_level(&mut levels, ctx, qq_len, depth, |lane, w| {
             let sig_hat_w = lane.read(&ctx.scr.sigma_hat, ctx.sn(w));
             let (start_e, end_e, check) = ctx.g.row(lane, w);
             let mut acc = 0.0;
@@ -203,12 +177,12 @@ pub fn phase2_node(block: &mut BlockCtx, ctx: &Ctx<'_>, max_depth: u32) {
                 let Some(x) = ctx.g.slot(lane, &check, e) else {
                     continue;
                 };
-                if lane.read(&ctx.scr.d_hat, ctx.sn(x)) != depth + 1 {
+                if lane.d_hat(ctx, x) != depth + 1 {
                     continue;
                 }
                 lane.prof_edges_passed(1);
                 lane.compute(2);
-                let sig_x = lane.read(&ctx.scr.sigma_hat, ctx.sn(x));
+                let sig_x = lane.sigma_hat(ctx, x);
                 let del_x = if lane.read(&ctx.scr.t, ctx.sn(x)) != T_UNTOUCHED {
                     lane.read(&ctx.scr.delta_hat, ctx.sn(x))
                 } else {
@@ -219,7 +193,7 @@ pub fn phase2_node(block: &mut BlockCtx, ctx: &Ctx<'_>, max_depth: u32) {
             }
             lane.write(&ctx.scr.delta_hat, ctx.sn(w), acc);
         });
-        block.barrier();
+        ex.barrier();
         if depth == 0 {
             break;
         }

@@ -35,6 +35,10 @@
 //!    `u_high` as `up`: the removed edge hides its lost child from every
 //!    neighbour scan, so the closure below would miss it.
 //!
+//! All three steps and the phantom retraction are generic over the
+//! [`Exec`]utor, so the simulator and the native backend run these
+//! bodies.
+//!
 //! The item then ends like an insertion Case 3:
 //! [`mark_node`](super::case3_node::mark_node) →
 //! [`phase2_node`](super::case3_node::phase2_node) →
@@ -46,7 +50,7 @@
 //! global `BC` array receives exactly `δ_new − δ_old`.
 
 use super::common::advance_no_dedup;
-use super::Ctx;
+use super::{push_q2, Ctx, Exec, Gate, KernelLane, LevelOf};
 use crate::gpu::buffers::{
     SLOT_DEPTH, SLOT_Q2LEN, SLOT_QLEN, SLOT_QQLEN, T_DOWN, T_UNTOUCHED, T_UP,
 };
@@ -60,13 +64,13 @@ const INF: u32 = u32::MAX;
 ///
 /// Must run after the shortest-path stage (so `QQ_len` is final) and
 /// before dependency accumulation.
-pub fn phantom_retraction(block: &mut BlockCtx, ctx: &Ctx<'_>) {
-    block.label("delete::phantom_retraction");
+pub fn phantom_retraction<X: Exec>(ex: &mut X, ctx: &Ctx<'_>) {
+    ex.label("delete::phantom_retraction");
     let u_high = ctx.u_high;
     let u_low = ctx.u_low;
     // One-lane kernel: CAS the flag, seed, retract, enqueue.
-    block.parallel_for(1, |lane, _| {
-        if lane.atomic_cas_u8(&ctx.scr.t, ctx.sn(u_high), T_UNTOUCHED, T_UP) == T_UNTOUCHED {
+    ex.parallel_for(1, |lane, _| {
+        if lane.claim(ctx, u_high, T_UP, Gate::Cas) {
             let del_high = lane.read(&ctx.st.delta, ctx.kn(u_high));
             lane.write(&ctx.scr.delta_hat, ctx.sn(u_high), del_high);
             let i = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 1);
@@ -82,12 +86,12 @@ pub fn phantom_retraction(block: &mut BlockCtx, ctx: &Ctx<'_>) {
         let term = sig_high / sig_low * (1.0 + del_low);
         lane.atomic_add_f64(&ctx.scr.delta_hat, ctx.sn(u_high), -term);
     });
-    block.barrier();
+    ex.barrier();
     // Absorb the possible QQ append.
-    let qq_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN));
-    let added = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN));
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), qq_len + added);
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
+    let qq_len = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN));
+    let added = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN));
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), qq_len + added);
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
 }
 
 /// Case D3 step 1: collects the lost set `L` and its kept children.
@@ -98,20 +102,20 @@ pub fn phantom_retraction(block: &mut BlockCtx, ctx: &Ctx<'_>) {
 /// predecessors are lost is lost too (`d̂ ← ∞`, next frontier); otherwise
 /// it is a kept child and keeps `d̂ = d`. Every claimed vertex is appended
 /// to `QQ`, so on return `QQ` holds exactly `L` plus its kept children.
-pub fn d3_collect(block: &mut BlockCtx, ctx: &Ctx<'_>) {
-    block.label("delete::d3_collect");
+pub fn d3_collect<X: Exec>(ex: &mut X, ctx: &Ctx<'_>) {
+    ex.label("delete::d3_collect");
     let u_low = ctx.u_low;
-    block.write_scalar(&ctx.scr.d_hat, ctx.sn(u_low), INF);
-    block.write_scalar(&ctx.scr.q, ctx.qi(0), u_low);
-    block.write_scalar(&ctx.scr.qq, ctx.qi(0), u_low);
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), 1);
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), 1);
-    let mut level = block.read_scalar(&ctx.st.d, ctx.kn(u_low));
+    ex.write_scalar(&ctx.scr.d_hat, ctx.sn(u_low), INF);
+    ex.write_scalar(&ctx.scr.q, ctx.qi(0), u_low);
+    ex.write_scalar(&ctx.scr.qq, ctx.qi(0), u_low);
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), 1);
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), 1);
+    let mut level = ex.read_scalar(&ctx.st.d, ctx.kn(u_low));
     loop {
-        let q_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) as usize;
+        let q_len = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) as usize;
         // Claim every old child of this level's lost vertices.
-        block.parallel_for(q_len, |lane, tid| {
+        ex.parallel_for(q_len, |lane, tid| {
             let v = lane.read(&ctx.scr.q, ctx.qi(tid));
             let (start_e, end_e, check) = ctx.g.row(lane, v);
             for e in start_e..end_e {
@@ -120,27 +124,24 @@ pub fn d3_collect(block: &mut BlockCtx, ctx: &Ctx<'_>) {
                     continue;
                 };
                 if lane.read(&ctx.st.d, ctx.kn(w)) == level + 1
-                    && lane.atomic_cas_u8(&ctx.scr.t, ctx.sn(w), T_UNTOUCHED, T_DOWN) == T_UNTOUCHED
+                    && lane.claim(ctx, w, T_DOWN, Gate::Cas)
                 {
                     lane.prof_edges_passed(1);
-                    let i = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 1);
-                    assert!((i as usize) < ctx.scr.qw, "Q2 overflow");
-                    lane.write(&ctx.scr.q2, ctx.qi(i as usize), w);
-                    lane.prof_queue_push(1);
+                    push_q2(lane, ctx, w);
                 }
             }
         });
-        block.barrier();
-        let found = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN)) as usize;
+        ex.barrier();
+        let found = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN)) as usize;
         if found == 0 {
             break;
         }
-        let qq_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
+        let qq_len = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
         assert!(qq_len + found <= ctx.scr.qw, "QQ overflow");
-        block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), 0);
+        ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), 0);
         // Test each claimed child: lost iff every old predecessor is a
         // lost vertex (touched with d̂ = ∞; kept children have d̂ = d).
-        block.parallel_for(found, |lane, i| {
+        ex.parallel_for(found, |lane, i| {
             let w = lane.read(&ctx.scr.q2, ctx.qi(i));
             lane.write(&ctx.scr.qq, ctx.qi(qq_len + i), w);
             lane.prof_queue_push(1);
@@ -167,10 +168,10 @@ pub fn d3_collect(block: &mut BlockCtx, ctx: &Ctx<'_>) {
                 lane.prof_queue_push(1);
             }
         });
-        block.barrier();
-        block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), (qq_len + found) as u32);
-        block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
-        if block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) == 0 {
+        ex.barrier();
+        ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN), (qq_len + found) as u32);
+        ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
+        if ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) == 0 {
             break;
         }
         level += 1;
@@ -188,11 +189,14 @@ pub fn d3_collect(block: &mut BlockCtx, ctx: &Ctx<'_>) {
 /// writes `d̂ ← λ` — after a barrier, so no lane reads a level written in
 /// the same round. A round with no finite neighbour anywhere ends the
 /// walk; the vertices still pending are disconnected and get `σ̂ = 0`.
-pub fn d3_settle(block: &mut BlockCtx, ctx: &Ctx<'_>) {
-    block.label("delete::d3_settle");
-    let qq_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), 0);
-    block.parallel_for(qq_len, |lane, tid| {
+///
+/// `L` is touched, so its `d̂` cells are read directly; a neighbour may
+/// be untouched and is read through [`KernelLane::d_hat`].
+pub fn d3_settle<X: Exec>(ex: &mut X, ctx: &Ctx<'_>) {
+    ex.label("delete::d3_settle");
+    let qq_len = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN), 0);
+    ex.parallel_for(qq_len, |lane, tid| {
         let v = lane.read(&ctx.scr.qq, ctx.qi(tid));
         if lane.read(&ctx.scr.d_hat, ctx.sn(v)) == INF {
             let j = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_QLEN), 1);
@@ -200,11 +204,11 @@ pub fn d3_settle(block: &mut BlockCtx, ctx: &Ctx<'_>) {
             lane.prof_queue_push(1);
         }
     });
-    block.barrier();
-    let lost = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) as usize;
+    ex.barrier();
+    let lost = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QLEN)) as usize;
     loop {
-        block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH), INF);
-        block.parallel_for(lost, |lane, tid| {
+        ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH), INF);
+        ex.parallel_for(lost, |lane, tid| {
             let v = lane.read(&ctx.scr.q, ctx.qi(tid));
             if lane.read(&ctx.scr.d_hat, ctx.sn(v)) != INF {
                 return; // settled in an earlier round
@@ -216,7 +220,7 @@ pub fn d3_settle(block: &mut BlockCtx, ctx: &Ctx<'_>) {
                 let Some(x) = ctx.g.slot(lane, &check, e) else {
                     continue;
                 };
-                let dx = lane.read(&ctx.scr.d_hat, ctx.sn(x));
+                let dx = lane.d_hat(ctx, x);
                 if dx != INF {
                     lane.prof_edges_passed(1);
                     best = best.min(dx + 1);
@@ -226,12 +230,12 @@ pub fn d3_settle(block: &mut BlockCtx, ctx: &Ctx<'_>) {
                 lane.atomic_min_u32(&ctx.scr.lens, ctx.li(SLOT_DEPTH), best);
             }
         });
-        block.barrier();
-        let level = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH));
+        ex.barrier();
+        let level = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH));
         if level == INF {
             break;
         }
-        block.parallel_for(lost, |lane, tid| {
+        ex.parallel_for(lost, |lane, tid| {
             let v = lane.read(&ctx.scr.q, ctx.qi(tid));
             if lane.read(&ctx.scr.d_hat, ctx.sn(v)) != INF {
                 return;
@@ -242,33 +246,30 @@ pub fn d3_settle(block: &mut BlockCtx, ctx: &Ctx<'_>) {
                 let Some(x) = ctx.g.slot(lane, &check, e) else {
                     continue;
                 };
-                if lane.read(&ctx.scr.d_hat, ctx.sn(x)) == level - 1 {
+                if lane.d_hat(ctx, x) == level - 1 {
                     lane.prof_edges_passed(1);
-                    let i = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 1);
-                    assert!((i as usize) < ctx.scr.qw, "Q2 overflow");
-                    lane.write(&ctx.scr.q2, ctx.qi(i as usize), v);
-                    lane.prof_queue_push(1);
+                    push_q2(lane, ctx, v);
                     break;
                 }
             }
         });
-        block.barrier();
-        let settled = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN)) as usize;
-        block.parallel_for(settled, |lane, i| {
+        ex.barrier();
+        let settled = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN)) as usize;
+        ex.parallel_for(settled, |lane, i| {
             let v = lane.read(&ctx.scr.q2, ctx.qi(i));
             lane.write(&ctx.scr.d_hat, ctx.sn(v), level);
         });
-        block.barrier();
-        block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
+        ex.barrier();
+        ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 0);
     }
     // Never reached: the removal disconnected these (δ̂ is still 0).
-    block.parallel_for(lost, |lane, tid| {
+    ex.parallel_for(lost, |lane, tid| {
         let v = lane.read(&ctx.scr.q, ctx.qi(tid));
         if lane.read(&ctx.scr.d_hat, ctx.sn(v)) == INF {
             lane.write(&ctx.scr.sigma_hat, ctx.sn(v), 0.0);
         }
     });
-    block.barrier();
+    ex.barrier();
 }
 
 /// Case D3 step 3: recounts σ̂ by increasing new level and publishes
@@ -282,28 +283,25 @@ pub fn d3_settle(block: &mut BlockCtx, ctx: &Ctx<'_>) {
 /// level. The walk ends below the deepest touched level. Finally
 /// `u_high` is touched as `up` and appended to `QQ`; the depth is maxed
 /// with its level so the dependency sweep reaches it.
-pub fn d3_recount(block: &mut BlockCtx, ctx: &Ctx<'_>) -> u32 {
-    block.label("delete::d3_recount");
+pub fn d3_recount<X: Exec>(ex: &mut X, ctx: &Ctx<'_>) -> u32 {
+    ex.label("delete::d3_recount");
     let u_high = ctx.u_high;
-    block.write_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH), 0);
-    let qq_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
-    block.parallel_for(qq_len, |lane, tid| {
+    ex.write_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH), 0);
+    let qq_len = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
+    ex.parallel_for(qq_len, |lane, tid| {
         let v = lane.read(&ctx.scr.qq, ctx.qi(tid));
         let dv = lane.read(&ctx.scr.d_hat, ctx.sn(v));
         if dv != INF {
             lane.atomic_max_u32(&ctx.scr.lens, ctx.li(SLOT_DEPTH), dv);
         }
     });
-    block.barrier();
-    let mut level = block.read_scalar(&ctx.st.d, ctx.kn(ctx.u_low)) + 1;
-    while level <= block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH)) {
-        let qq_len = block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
+    ex.barrier();
+    let mut levels = X::Levels::from(LevelOf::DHat);
+    let mut level = ex.read_scalar(&ctx.st.d, ctx.kn(ctx.u_low)) + 1;
+    while level <= ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH)) {
+        let qq_len = ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_QQLEN)) as usize;
         // Pull pass: every predecessor sits at λ − 1 and is final.
-        block.parallel_for(qq_len, |lane, tid| {
-            let v = lane.read(&ctx.scr.qq, ctx.qi(tid));
-            if lane.read(&ctx.scr.d_hat, ctx.sn(v)) != level {
-                return;
-            }
+        ex.for_level(&mut levels, ctx, qq_len, level, |lane, v| {
             let (start_e, end_e, check) = ctx.g.row(lane, v);
             let mut sig = 0.0;
             for e in start_e..end_e {
@@ -311,47 +309,40 @@ pub fn d3_recount(block: &mut BlockCtx, ctx: &Ctx<'_>) -> u32 {
                 let Some(x) = ctx.g.slot(lane, &check, e) else {
                     continue;
                 };
-                if lane.read(&ctx.scr.d_hat, ctx.sn(x)) == level - 1 {
+                if lane.d_hat(ctx, x) == level - 1 {
                     lane.prof_edges_passed(1);
                     // dynbc-lint: allow(float-accumulation) — lane-local accumulator over the fixed adjacency order; single writer, drained via bc_delta
-                    sig += lane.read(&ctx.scr.sigma_hat, ctx.sn(x));
+                    sig += lane.sigma_hat(ctx, x);
                 }
             }
             lane.write(&ctx.scr.sigma_hat, ctx.sn(v), sig);
         });
-        block.barrier();
+        ex.barrier();
         // Expand pass: claim the untouched children below this level.
-        block.parallel_for(qq_len, |lane, tid| {
-            let v = lane.read(&ctx.scr.qq, ctx.qi(tid));
-            if lane.read(&ctx.scr.d_hat, ctx.sn(v)) != level {
-                return;
-            }
+        ex.for_level(&mut levels, ctx, qq_len, level, |lane, v| {
             let (start_e, end_e, check) = ctx.g.row(lane, v);
             for e in start_e..end_e {
                 lane.prof_edges_scanned(1);
                 let Some(w) = ctx.g.slot(lane, &check, e) else {
                     continue;
                 };
-                if lane.read(&ctx.scr.d_hat, ctx.sn(w)) == level + 1
+                if lane.d_hat(ctx, w) == level + 1
                     && lane.read(&ctx.scr.t, ctx.sn(w)) == T_UNTOUCHED
-                    && lane.atomic_cas_u8(&ctx.scr.t, ctx.sn(w), T_UNTOUCHED, T_DOWN) == T_UNTOUCHED
+                    && lane.claim_tested(ctx, w, T_DOWN)
                 {
                     lane.prof_edges_passed(1);
                     lane.atomic_max_u32(&ctx.scr.lens, ctx.li(SLOT_DEPTH), level + 1);
-                    let i = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 1);
-                    assert!((i as usize) < ctx.scr.qw, "Q2 overflow");
-                    lane.write(&ctx.scr.q2, ctx.qi(i as usize), w);
-                    lane.prof_queue_push(1);
+                    push_q2(lane, ctx, w);
                 }
             }
         });
-        block.barrier();
-        advance_no_dedup(block, ctx);
+        ex.barrier();
+        advance_no_dedup(ex, ctx);
         level += 1;
     }
     // The removed edge hid u_low from u_high's scans: touch it here.
-    block.parallel_for(1, |lane, _| {
-        if lane.atomic_cas_u8(&ctx.scr.t, ctx.sn(u_high), T_UNTOUCHED, T_UP) == T_UNTOUCHED {
+    ex.parallel_for(1, |lane, _| {
+        if lane.claim(ctx, u_high, T_UP, Gate::Cas) {
             let qq_len = lane.read(&ctx.scr.lens, ctx.li(SLOT_QQLEN));
             assert!((qq_len as usize) < ctx.scr.qw, "QQ overflow");
             lane.write(&ctx.scr.qq, ctx.qi(qq_len as usize), u_high);
@@ -361,8 +352,8 @@ pub fn d3_recount(block: &mut BlockCtx, ctx: &Ctx<'_>) -> u32 {
         let d_high = lane.read(&ctx.st.d, ctx.kn(u_high));
         lane.atomic_max_u32(&ctx.scr.lens, ctx.li(SLOT_DEPTH), d_high);
     });
-    block.barrier();
-    block.read_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH))
+    ex.barrier();
+    ex.read_scalar(&ctx.scr.lens, ctx.li(SLOT_DEPTH))
 }
 
 /// Fallback prologue (edge-parallel Case D3): `BC[v] −= δ_old[v]` for every `v ≠ s` (the new

@@ -1,10 +1,24 @@
 //! Device kernels for dynamic betweenness centrality (Algorithms 3–8 of
 //! the paper, plus our Case 3 generalization and the removal cases D2/D3).
 //!
-//! All kernels are written against `dynbc-gpusim`'s `BlockCtx`/`Lane`
-//! API: every global-memory access flows through a lane and is charged to
-//! the machine model, so the edge-vs-node comparison measures exactly the
-//! traffic each decomposition generates.
+//! On the simulator every global-memory access flows through a
+//! `dynbc-gpusim` [`Lane`] and is charged to the machine model, so the
+//! edge-vs-node comparison measures exactly the traffic each
+//! decomposition generates.
+//!
+//! The node-parallel traversals — `sp_node`, `dep_node`, `phase1_node`,
+//! `mark_node`, `phase2_node`, `phantom_retraction`, `d3_collect`,
+//! `d3_settle`, `d3_recount`, the Q2 → Q/QQ [`advance`](common::advance)
+//! and the [`bitonic_dedup`](common::bitonic_dedup) network — are
+//! written once, generic over an executor ([`Exec`], with
+//! [`KernelLane`] lanes): the simulator's [`BlockCtx`] runs them charged,
+//! the native backend's host executor runs them as plain loops. Only the
+//! per-item init and commit keep a body per executor ([`Exec::init`],
+//! [`Exec::commit`]): the dense [`init_kernel`](common::init_kernel) and
+//! [`update_kernel`](common::update_kernel) sweep all of |V|, which the
+//! cost model charges and the host exists to avoid. The edge-parallel
+//! kernels and the static fallback take a `BlockCtx` and run on the
+//! simulator only.
 //!
 //! Layout conventions: per-source state rows live at `src_row * n`, each
 //! block's scratch rows at `block_slot * n` (or `block_slot * qw` for
@@ -25,8 +39,10 @@ pub mod delete;
 use super::buffers::{
     ScratchBuffers, SlackGraphBuffers, StateBuffers, ADJ_BORN_SHIFT, ADJ_VERTEX_MASK,
     DEV_BORN_MASK, DEV_BORN_SHIFT, DEV_DIRTY_BIT, DEV_LEN_MASK, DEV_SKIPS_BIT, SKIP_WORDS,
+    SLOT_Q2LEN, T_DOWN, T_UNTOUCHED,
 };
-use dynbc_gpusim::{DeviceValue, GpuBuffer, Lane};
+use common::SeedMode;
+use dynbc_gpusim::{BlockCtx, DeviceValue, GpuBuffer, Lane};
 use dynbc_graph::slack::epoch_visible;
 use dynbc_graph::VertexId;
 
@@ -41,7 +57,7 @@ use dynbc_graph::VertexId;
 ///
 /// Row scans go through [`GraphView::row`], which grades each row once
 /// per header read ([`RowCheck`]); every word it and [`GraphView::slot`]
-/// read comes through a [`Load`], charged on the device and free on the
+/// read comes through a [`KernelLane`], charged on the device and free on the
 /// host:
 ///
 /// * **packed** — the row is *soft* (no tombstones, staged deaths, or
@@ -83,9 +99,14 @@ impl<'a> GraphView<'a> {
     /// one 32-byte segment (the old CSR `R` pair took two loads). A
     /// view below the row's max staged born additionally loads the
     /// staged-skip words when the header offers them.
-    #[inline]
-    pub fn row<L: Load>(&self, ld: &mut L, v: VertexId) -> (usize, usize, RowCheck) {
-        let header = ld.load(&self.store.row_pack, v as usize);
+    ///
+    /// Always inlined: every traversal opens one row per frontier vertex,
+    /// and the host executor's largest loop bodies (the level walks of
+    /// `dep_node`, `phase2_node`, `d3_recount`) otherwise call it out of
+    /// line, which cost the native replay about 4% of its samples.
+    #[inline(always)]
+    pub fn row<L: KernelLane>(&self, ld: &mut L, v: VertexId) -> (usize, usize, RowCheck) {
+        let header = ld.read(&self.store.row_pack, v as usize);
         let start = header as u32 as usize;
         let meta = (header >> 32) as u32;
         let end = start + (meta & DEV_LEN_MASK) as usize;
@@ -97,7 +118,7 @@ impl<'a> GraphView<'a> {
         } else {
             let mut mask = [0u64; 4];
             for w in 0..SKIP_WORDS {
-                let word = ld.load(&self.store.staged_skips, SKIP_WORDS * v as usize + w);
+                let word = ld.read(&self.store.staged_skips, SKIP_WORDS * v as usize + w);
                 if !self.collect_skips(word, &mut mask) {
                     break;
                 }
@@ -132,22 +153,22 @@ impl<'a> GraphView<'a> {
     /// the epoch grade the epoch word is checked first and the
     /// adjacency word only read (and charged) for visible slots.
     #[inline]
-    pub fn slot<L: Load>(&self, ld: &mut L, check: &RowCheck, e: usize) -> Option<VertexId> {
+    pub fn slot<L: KernelLane>(&self, ld: &mut L, check: &RowCheck, e: usize) -> Option<VertexId> {
         match check {
             RowCheck::Packed => {
-                let w = ld.load(&self.store.adj, e);
+                let w = ld.read(&self.store.adj, e);
                 (w >> ADJ_BORN_SHIFT <= self.ver).then_some(w & ADJ_VERTEX_MASK)
             }
             RowCheck::SkipAt { start, mask } => {
                 if skipped(*start, mask, e) {
                     None // invisible staged slot: stepped over, never read
                 } else {
-                    Some(ld.load(&self.store.adj, e) & ADJ_VERTEX_MASK)
+                    Some(ld.read(&self.store.adj, e) & ADJ_VERTEX_MASK)
                 }
             }
             RowCheck::Epoch => self
                 .live(ld, e)
-                .then(|| ld.load(&self.store.adj, e) & ADJ_VERTEX_MASK),
+                .then(|| ld.read(&self.store.adj, e) & ADJ_VERTEX_MASK),
         }
     }
 
@@ -162,34 +183,286 @@ impl<'a> GraphView<'a> {
     /// Whether slot `e` is visible at this view's version, loading its
     /// epoch word through `ld`. Gap and tombstone slots are never visible.
     #[inline]
-    pub fn live<L: Load>(&self, ld: &mut L, e: usize) -> bool {
-        epoch_visible(ld.load(&self.store.epochs, e), self.ver)
+    pub fn live<L: KernelLane>(&self, ld: &mut L, e: usize) -> bool {
+        epoch_visible(ld.read(&self.store.epochs, e), self.ver)
     }
 }
 
-/// How a [`GraphView`] loads a store word: a device [`Lane`] read, which
-/// charges the cost model, or a [`Host`] read, which charges nothing (the
-/// native backend). The view decodes the packed, skip-at and epoch
-/// grades once, for either.
-pub trait Load {
-    /// Loads `buf[i]`.
-    fn load<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T;
+/// How a kernel claims an untouched vertex (`t ← flag`) on the device.
+/// The host executor runs one lane at a time, so there both gates are
+/// the same test-and-set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// `atomicCAS(t, untouched, flag)`: exactly one lane wins.
+    Cas,
+    /// Plain test, then a volatile set: a benign race in CUDA (every
+    /// racing lane sets the same flag; the duplicates they enqueue are
+    /// removed later), deterministic here. Volatile declares it to the
+    /// racechecker.
+    TestAndSet,
 }
 
-impl Load for Lane<'_> {
+/// One lane of an [`Exec`]: the per-lane operations a kernel body issues.
+///
+/// On the device ([`Lane`]) every access is charged and the `prof_*` and
+/// [`compute`](KernelLane::compute) annotations feed the profiler and the
+/// cost model; on the host (the native backend's `Host`) accesses are
+/// plain `host_get`/`host_set`, atomics plain read-modify-writes (a host
+/// block runs its lanes one after another), and the annotations are
+/// no-ops.
+///
+/// The scratch rows `σ̂`/`δ̂`/`d̂` are valid on the host only for touched
+/// vertices: the host skips the dense init. A body therefore reads them
+/// with [`read`](KernelLane::read) only for a vertex it knows is touched,
+/// and through [`sigma_hat`](KernelLane::sigma_hat) /
+/// [`d_hat`](KernelLane::d_hat) otherwise; every transition out of
+/// `T_UNTOUCHED` goes through [`claim`](KernelLane::claim),
+/// [`claim_tested`](KernelLane::claim_tested) or
+/// [`relocate`](KernelLane::relocate).
+pub trait KernelLane {
+    /// Reads `buf[i]`.
+    fn read<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T;
+    /// Writes `buf[i] = v`.
+    fn write<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize, v: T);
+    /// `atomicAdd` on an `f64` cell; returns the previous value.
+    fn atomic_add_f64(&mut self, buf: &GpuBuffer<f64>, i: usize, v: f64) -> f64;
+    /// `atomicAdd` on a `u32` cell; returns the previous value.
+    fn atomic_add_u32(&mut self, buf: &GpuBuffer<u32>, i: usize, v: u32) -> u32;
+    /// `atomicMax` on a `u32` cell; returns the previous value.
+    fn atomic_max_u32(&mut self, buf: &GpuBuffer<u32>, i: usize, v: u32) -> u32;
+    /// `atomicMin` on a `u32` cell; returns the previous value.
+    fn atomic_min_u32(&mut self, buf: &GpuBuffer<u32>, i: usize, v: u32) -> u32;
+    /// Charges `units` of arithmetic (device only).
     #[inline]
-    fn load<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T {
-        self.read(buf, i)
+    fn compute(&mut self, _units: u32) {}
+    /// Profiler: `n` edges examined (device only).
+    #[inline]
+    fn prof_edges_scanned(&mut self, _n: u32) {}
+    /// Profiler: `n` edges passed the frontier test (device only).
+    #[inline]
+    fn prof_edges_passed(&mut self, _n: u32) {}
+    /// Profiler: `n` frontier-queue pushes (device only).
+    #[inline]
+    fn prof_queue_push(&mut self, _n: u32) {}
+    /// Profiler: `n` duplicate-removal operations (device only).
+    #[inline]
+    fn prof_dedup_ops(&mut self, _n: u32) {}
+    /// Claims `v` if untouched (`t[v] ← flag`) through `gate`; returns
+    /// whether this lane claimed it. The host seeds `v`'s scratch cells
+    /// with what the dense init left there.
+    fn claim(&mut self, ctx: &Ctx<'_>, v: VertexId, flag: u8, gate: Gate) -> bool;
+    /// [`claim`](KernelLane::claim) through [`Gate::Cas`] of a vertex
+    /// this lane has just read as untouched. The device still races other
+    /// lanes for it; on the host no other lane ran in between, so the
+    /// claim always wins and skips the test.
+    fn claim_tested(&mut self, ctx: &Ctx<'_>, v: VertexId, flag: u8) -> bool;
+    /// Case 3 relocation: `d̂[v] ← level`, `t[v] ← down`, both volatile
+    /// (racing lanes write the same values).
+    fn relocate(&mut self, ctx: &Ctx<'_>, v: VertexId, level: u32);
+    /// `σ̂[v]` of a vertex that may be untouched.
+    fn sigma_hat(&mut self, ctx: &Ctx<'_>, v: VertexId) -> f64;
+    /// `d̂[v]` of a vertex that may be untouched.
+    fn d_hat(&mut self, ctx: &Ctx<'_>, v: VertexId) -> u32;
+}
+
+impl KernelLane for Lane<'_> {
+    #[inline]
+    fn read<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T {
+        Lane::read(self, buf, i)
+    }
+    #[inline]
+    fn write<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize, v: T) {
+        Lane::write(self, buf, i, v);
+    }
+    #[inline]
+    fn atomic_add_f64(&mut self, buf: &GpuBuffer<f64>, i: usize, v: f64) -> f64 {
+        Lane::atomic_add_f64(self, buf, i, v)
+    }
+    #[inline]
+    fn atomic_add_u32(&mut self, buf: &GpuBuffer<u32>, i: usize, v: u32) -> u32 {
+        Lane::atomic_add_u32(self, buf, i, v)
+    }
+    #[inline]
+    fn atomic_max_u32(&mut self, buf: &GpuBuffer<u32>, i: usize, v: u32) -> u32 {
+        Lane::atomic_max_u32(self, buf, i, v)
+    }
+    #[inline]
+    fn atomic_min_u32(&mut self, buf: &GpuBuffer<u32>, i: usize, v: u32) -> u32 {
+        Lane::atomic_min_u32(self, buf, i, v)
+    }
+    #[inline]
+    fn compute(&mut self, units: u32) {
+        Lane::compute(self, units);
+    }
+    #[inline]
+    fn prof_edges_scanned(&mut self, n: u32) {
+        Lane::prof_edges_scanned(self, n);
+    }
+    #[inline]
+    fn prof_edges_passed(&mut self, n: u32) {
+        Lane::prof_edges_passed(self, n);
+    }
+    #[inline]
+    fn prof_queue_push(&mut self, n: u32) {
+        Lane::prof_queue_push(self, n);
+    }
+    #[inline]
+    fn prof_dedup_ops(&mut self, n: u32) {
+        Lane::prof_dedup_ops(self, n);
+    }
+    #[inline]
+    fn claim(&mut self, ctx: &Ctx<'_>, v: VertexId, flag: u8, gate: Gate) -> bool {
+        let i = ctx.sn(v);
+        match gate {
+            Gate::Cas => self.atomic_cas_u8(&ctx.scr.t, i, T_UNTOUCHED, flag) == T_UNTOUCHED,
+            Gate::TestAndSet => {
+                let untouched = self.read(&ctx.scr.t, i) == T_UNTOUCHED;
+                if untouched {
+                    Lane::write_volatile(self, &ctx.scr.t, i, flag);
+                }
+                untouched
+            }
+        }
+    }
+    #[inline]
+    fn claim_tested(&mut self, ctx: &Ctx<'_>, v: VertexId, flag: u8) -> bool {
+        self.claim(ctx, v, flag, Gate::Cas)
+    }
+    #[inline]
+    fn relocate(&mut self, ctx: &Ctx<'_>, v: VertexId, level: u32) {
+        Lane::write_volatile(self, &ctx.scr.d_hat, ctx.sn(v), level);
+        Lane::write_volatile(self, &ctx.scr.t, ctx.sn(v), T_DOWN);
+    }
+    #[inline]
+    fn sigma_hat(&mut self, ctx: &Ctx<'_>, v: VertexId) -> f64 {
+        self.read(&ctx.scr.sigma_hat, ctx.sn(v))
+    }
+    #[inline]
+    fn d_hat(&mut self, ctx: &Ctx<'_>, v: VertexId) -> u32 {
+        self.read(&ctx.scr.d_hat, ctx.sn(v))
     }
 }
 
-/// Uncharged host-side loads, for the native backend's plain loops.
-pub struct Host;
+/// Pushes `v` onto this block's `Q2` (tail allocated by `atomicAdd`).
+#[inline]
+pub fn push_q2<L: KernelLane>(lane: &mut L, ctx: &Ctx<'_>, v: VertexId) {
+    let i = lane.atomic_add_u32(&ctx.scr.lens, ctx.li(SLOT_Q2LEN), 1);
+    assert!((i as usize) < ctx.scr.qw, "Q2 overflow");
+    lane.write(&ctx.scr.q2, ctx.qi(i as usize), v);
+    lane.prof_queue_push(1);
+}
 
-impl Load for Host {
+/// The executor a kernel body runs on: the simulator's [`BlockCtx`],
+/// which interprets lanes in lockstep and charges the machine model, or
+/// the native backend's host block (`HostExec`), which runs them as
+/// plain loops. Each node-parallel traversal kernel is written once, generic
+/// over this trait, and monomorphized per executor.
+///
+/// Besides the lane and scalar operations, an executor provides the
+/// steps whose two forms cannot share a body without changing one
+/// side's charges or costs: the per-item init and commit (dense O(|V|)
+/// sweeps on the device, O(touched) on the host) and the frontier at a
+/// level ([`Exec::for_level`]).
+pub trait Exec {
+    /// One lane.
+    type Lane<'l>: KernelLane;
+    /// One kernel's walk of `QQ` by level ([`Exec::for_level`]), made
+    /// from the distance that levels its entries.
+    type Levels: From<LevelOf>;
+    /// Tags what follows with a kernel-phase label (device only).
+    fn label(&mut self, label: &'static str);
+    /// Runs `f(lane, i)` for every `i in 0..n`, in `i` order.
+    fn parallel_for<F: FnMut(&mut Self::Lane<'_>, usize)>(&mut self, n: usize, f: F);
+    /// Block barrier (device only).
+    fn barrier(&mut self);
+    /// Single-thread read of `buf[i]`.
+    fn read_scalar<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T;
+    /// Single-thread write of `buf[i] = v`.
+    fn write_scalar<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize, v: T);
+    /// Runs `f(lane, w)` for every entry `w` of `QQ[..len]` whose level
+    /// under `levels` is `level`, in `QQ` order. The device scans all of
+    /// `QQ[..len]` with a charged level test per lane — the
+    /// node-parallel method's small futile scan; the host files entries
+    /// into per-level buckets as `QQ` grows and visits one bucket. A
+    /// kernel must not change the level of an entry once it is in `QQ`.
+    fn for_level<F: FnMut(&mut Self::Lane<'_>, VertexId)>(
+        &mut self,
+        levels: &mut Self::Levels,
+        ctx: &Ctx<'_>,
+        len: usize,
+        level: u32,
+        f: F,
+    );
+    /// Algorithm 3, the per-item init.
+    fn init(&mut self, ctx: &Ctx<'_>, mode: SeedMode);
+    /// Algorithm 8, the per-item commit; returns the touched count.
+    fn commit(&mut self, ctx: &Ctx<'_>, case3: bool) -> usize;
+}
+
+impl Exec for BlockCtx {
+    type Lane<'l> = Lane<'l>;
+    type Levels = LevelOf;
     #[inline]
-    fn load<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T {
-        buf.host_get(i)
+    fn label(&mut self, label: &'static str) {
+        BlockCtx::label(self, label);
+    }
+    #[inline]
+    fn parallel_for<F: FnMut(&mut Lane<'_>, usize)>(&mut self, n: usize, f: F) {
+        BlockCtx::parallel_for(self, n, f);
+    }
+    #[inline]
+    fn barrier(&mut self) {
+        BlockCtx::barrier(self);
+    }
+    #[inline]
+    fn read_scalar<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T {
+        BlockCtx::read_scalar(self, buf, i)
+    }
+    #[inline]
+    fn write_scalar<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize, v: T) {
+        BlockCtx::write_scalar(self, buf, i, v);
+    }
+    fn for_level<F: FnMut(&mut Lane<'_>, VertexId)>(
+        &mut self,
+        levels: &mut LevelOf,
+        ctx: &Ctx<'_>,
+        len: usize,
+        level: u32,
+        mut f: F,
+    ) {
+        BlockCtx::parallel_for(self, len, |lane, tid| {
+            let w = lane.read(&ctx.scr.qq, ctx.qi(tid));
+            if levels.of(lane, ctx, w) == level {
+                f(lane, w);
+            }
+        });
+    }
+    fn init(&mut self, ctx: &Ctx<'_>, mode: SeedMode) {
+        common::init_kernel(self, ctx, mode);
+    }
+    fn commit(&mut self, ctx: &Ctx<'_>, case3: bool) -> usize {
+        common::update_kernel(self, ctx, case3)
+    }
+}
+
+/// Which distance files a `QQ` entry under a level in [`Exec::for_level`]
+/// — the device's whole level walk, which rescans `QQ` per level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LevelOf {
+    /// The committed distance `d` (Case 2: levels are static).
+    D,
+    /// The new distance `d̂` (Case 3 and D3: every `QQ` entry is touched).
+    DHat,
+}
+
+impl LevelOf {
+    /// `QQ` entry `w`'s level, loaded through `ld`.
+    #[inline]
+    pub fn of<L: KernelLane>(self, ld: &mut L, ctx: &Ctx<'_>, w: VertexId) -> u32 {
+        match self {
+            LevelOf::D => ld.read(&ctx.st.d, ctx.kn(w)),
+            LevelOf::DHat => ld.read(&ctx.scr.d_hat, ctx.sn(w)),
+        }
     }
 }
 

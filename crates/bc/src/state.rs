@@ -71,8 +71,13 @@ impl BcState {
 /// ranks it lower. O(n log k) time and O(k) memory, where a full sort
 /// would pay O(n log n) to return `k` entries.
 ///
+/// `#[inline]`, so it compiles into its caller's crate (the serve
+/// read path): compiled here, its code and speed shifted with every
+/// edit to this crate's kernels, which share its codegen units.
+///
 /// # Panics
 /// Panics if any score is NaN.
+#[inline]
 pub fn top_k(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
     let mut kept = BinaryHeap::with_capacity(k.min(scores.len()));
     for (v, &score) in scores.iter().enumerate() {

@@ -5,13 +5,19 @@
 //! per-source touched statistics — on mixed insert/delete streams, for
 //! any host-thread count.
 //!
-//! The simulator is the oracle: it interprets every kernel lane against
-//! the machine model, so agreement here certifies the plain-loop
-//! translations in `bc/src/native` statement by statement.
+//! Both backends run the same node-parallel kernel bodies
+//! (`bc/src/gpu/kernels`, generic over an executor), so agreement here
+//! certifies what the two executors do differently: charged lane
+//! accesses versus plain host loads and stores, claiming a vertex, lazy
+//! reads of untouched scratch cells, the frontier at a level, and the
+//! one step that keeps two bodies because one would change the
+//! simulator's charges or the host's cost — the dense versus sparse init
+//! and commit. A bug in a shared body makes both backends wrong alike;
+//! the Brandes-tracking and golden-counter tests catch that.
 
 use dynbc_bc::brandes::brandes_state;
 use dynbc_bc::dynamic::{OpOutcome, SourceOutcome};
-use dynbc_bc::gpu::{Backend, GpuDynamicBc, Parallelism};
+use dynbc_bc::gpu::{Backend, DedupStrategy, GpuDynamicBc, Parallelism};
 use dynbc_gpusim::DeviceConfig;
 use dynbc_graph::{gen, Csr, EdgeList, EdgeOp};
 use proptest::prelude::*;
@@ -78,11 +84,14 @@ fn run_single(
     ops: &[EdgeOp],
     backend: Backend,
     threads: usize,
+    (dedup, force_general): (DedupStrategy, bool),
 ) -> (Vec<u64>, Vec<OpOutcome>) {
     let mut eng = GpuDynamicBc::new(el, &sources_for(el), DeviceConfig::test_tiny(), {
         Parallelism::Node
     })
-    .with_backend(backend);
+    .with_backend(backend)
+    .with_dedup_strategy(dedup)
+    .with_force_general(force_general);
     eng.set_host_threads(threads);
     let br = eng.apply_batch(ops);
     (bits(&eng.state_snapshot().bc), br.per_op)
@@ -95,25 +104,32 @@ proptest! {
     fn native_backend_is_bit_identical_to_simulator(el in arb_graph(), seed in 0u64..1_000, len in 2usize..8) {
         let ops = op_stream(&el, seed, len);
         if ops.is_empty() { return Ok(()); }
-        let (oracle_bits, oracle_ops) = run_single(&el, &ops, Backend::Simulator, 1);
-
-        for threads in [1usize, 2, 8] {
-            let (got_bits, got_ops) = run_single(&el, &ops, Backend::Native, threads);
-            prop_assert_eq!(got_ops.len(), oracle_ops.len());
-            for (i, (got, want)) in got_ops.iter().zip(&oracle_ops).enumerate() {
-                prop_assert_eq!(
-                    got.cases, want.cases,
-                    "native t{}: op {} case tallies", threads, i
-                );
-                prop_assert_eq!(
-                    &got.per_source, &want.per_source,
-                    "native t{}: op {} per-source outcomes", threads, i
-                );
+        // Every configuration the per-item dispatch branches on: both
+        // frontier dedup strategies, and Case 2 insertions on their own
+        // kernels or forced through the general ones.
+        for dedup in [DedupStrategy::SortScan, DedupStrategy::AtomicCas] {
+            for force_general in [false, true] {
+                let cfg = (dedup, force_general);
+                let (oracle_bits, oracle_ops) = run_single(&el, &ops, Backend::Simulator, 1, cfg);
+                for threads in [1usize, 2, 8] {
+                    let (got_bits, got_ops) = run_single(&el, &ops, Backend::Native, threads, cfg);
+                    prop_assert_eq!(got_ops.len(), oracle_ops.len());
+                    for (i, (got, want)) in got_ops.iter().zip(&oracle_ops).enumerate() {
+                        prop_assert_eq!(
+                            got.cases, want.cases,
+                            "native {:?} t{}: op {} case tallies", cfg, threads, i
+                        );
+                        prop_assert_eq!(
+                            &got.per_source, &want.per_source,
+                            "native {:?} t{}: op {} per-source outcomes", cfg, threads, i
+                        );
+                    }
+                    prop_assert_eq!(
+                        got_bits, oracle_bits.clone(),
+                        "native {:?} t{}: BC bits vs simulator", cfg, threads
+                    );
+                }
             }
-            prop_assert_eq!(
-                got_bits, oracle_bits.clone(),
-                "native t{}: BC bits vs simulator", threads
-            );
         }
     }
 }

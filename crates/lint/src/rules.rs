@@ -229,7 +229,8 @@ fn unused_allows(file: &SourceFile, allows: &[Allow], findings: &mut Vec<Finding
 // ---------------------------------------------------------------------
 
 /// Paths whose iteration order feeds committed scores or exported
-/// reports: the batch commit/exec layer, the native kernels, the
+/// reports: the batch commit/exec layer, the kernel bodies and the
+/// native executor, the
 /// simulator's profile and memsim reductions, the telemetry aggregation
 /// and exporters, and the serve layer (whose
 /// tenant iteration order feeds the Prometheus exposition and shutdown
@@ -237,6 +238,7 @@ fn unused_allows(file: &SourceFile, allows: &[Allow], findings: &mut Vec<Finding
 fn ordered_iteration_scope(path: &str) -> bool {
     path == "crates/bc/src/gpu/exec.rs"
         || path == "crates/bc/src/gpu/engine.rs"
+        || path.starts_with("crates/bc/src/gpu/kernels/")
         || path.starts_with("crates/bc/src/native/")
         || path == "crates/gpu-sim/src/profile.rs"
         || path == "crates/gpu-sim/src/cache.rs"
@@ -505,8 +507,8 @@ fn safety_comment_adjacent(lines: &[Line], i: usize) -> bool {
 // Rule 5: float-accumulation
 // ---------------------------------------------------------------------
 
-/// The parallel kernel paths: simulator kernels, the fused exec layer,
-/// and the native re-implementations.
+/// The parallel kernel paths: the kernel bodies, the fused exec layer,
+/// and the native executor.
 fn float_accumulation_scope(path: &str) -> bool {
     path.starts_with("crates/bc/src/gpu/kernels/")
         || path == "crates/bc/src/gpu/exec.rs"
@@ -629,13 +631,15 @@ fn statement_has_named(lines: &[Line], i: usize) -> bool {
 // Rule 7: hot-path-rebuild
 // ---------------------------------------------------------------------
 
-/// The batch-update hot paths: the fused exec layer, the engines, and
-/// the native backend. Graph construction, tests, and oracle
+/// The batch-update hot paths: the fused exec layer, the engines, the
+/// kernel bodies both backends run, and the native executor. Graph
+/// construction, tests, and oracle
 /// recomputation live elsewhere — or carry an annotation saying why a
 /// full canonicalization is off the per-op path.
 fn hot_path_rebuild_scope(path: &str) -> bool {
     path == "crates/bc/src/gpu/exec.rs"
         || path == "crates/bc/src/gpu/engine.rs"
+        || path.starts_with("crates/bc/src/gpu/kernels/")
         || path.starts_with("crates/bc/src/native/")
 }
 
