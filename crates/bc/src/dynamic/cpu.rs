@@ -31,13 +31,13 @@ use crate::brandes::brandes_state;
 use crate::cases::InsertionCase;
 use crate::dynamic::mlq::MultiLevelQueue;
 use crate::dynamic::result::{BatchResult, OpOutcome, SourceOutcome, UpdateResult};
-use crate::obs::batch_observation;
+use crate::lifecycle::{secs_since, Collector};
 use crate::plan;
 use crate::state::BcState;
-use dynbc_gpusim::{CpuConfig, Instruments, OpCounter};
+use dynbc_gpusim::{CpuConfig, OpCounter};
 use dynbc_graph::slack::{DEFAULT_COMPACT_PCT, DEFAULT_SLACK_PCT};
 use dynbc_graph::{Csr, EdgeList, EdgeOp, SlackCsr, VertexId};
-use dynbc_telemetry::{Span, Telemetry};
+use dynbc_telemetry::{CacheCounters, Span, Telemetry};
 use std::collections::VecDeque;
 
 pub(super) const T_UNTOUCHED: u8 = 0;
@@ -132,7 +132,7 @@ pub struct CpuDynamicBc {
     /// Cumulative modeled seconds across all updates — the CPU analogue of
     /// the GPU engines' device clock, giving telemetry spans a timeline.
     model_clock_s: f64,
-    telemetry: Option<Box<Telemetry>>,
+    telemetry: Collector,
 }
 
 impl CpuDynamicBc {
@@ -149,9 +149,7 @@ impl CpuDynamicBc {
             scratch: Scratch::new(el.vertex_count()),
             total_ops: OpCounter::new(),
             model_clock_s: 0.0,
-            telemetry: Instruments::from_env()
-                .telemetry
-                .then(|| Box::new(Telemetry::new())),
+            telemetry: Collector::from_env(),
         }
     }
 
@@ -161,29 +159,23 @@ impl CpuDynamicBc {
     /// spans into [`telemetry_report`](Self::telemetry_report); results
     /// are unaffected.
     pub fn set_telemetry(&mut self, on: bool) {
-        if on {
-            if self.telemetry.is_none() {
-                self.telemetry = Some(Box::new(Telemetry::new()));
-            }
-        } else {
-            self.telemetry = None;
-        }
+        self.telemetry.set(on)
     }
 
     /// True when batches record telemetry.
     pub fn telemetry(&self) -> bool {
-        self.telemetry.is_some()
+        self.telemetry.on()
     }
 
     /// The telemetry accumulated by batches applied with telemetry on.
     pub fn telemetry_report(&self) -> Option<&Telemetry> {
-        self.telemetry.as_deref()
+        self.telemetry.report()
     }
 
     /// Drains the accumulated telemetry, leaving a fresh collector behind
     /// (scrape-and-continue, like a Prometheus endpoint would).
     pub fn take_telemetry_report(&mut self) -> Option<Telemetry> {
-        self.telemetry.as_mut().map(|t| std::mem::take(&mut **t))
+        self.telemetry.take()
     }
 
     /// Current BC state (scores + per-source trees).
@@ -227,29 +219,16 @@ impl CpuDynamicBc {
     /// out-of-range endpoint, is a self loop, a duplicate insertion, or a
     /// removal of an absent edge.
     pub fn apply_batch(&mut self, batch: &[EdgeOp]) -> BatchResult {
-        // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-        let wall_start = std::time::Instant::now();
-        let tel_on = self.telemetry.is_some();
-        let g = &self.graph;
-        plan::validate_batch(g.vertex_count(), |u, v| g.has_edge(u, v), batch)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let validate_wall = if tel_on {
-            wall_start.elapsed().as_secs_f64()
-        } else {
-            0.0
-        };
-        let clock_before = self.model_clock_s;
+        let mut trace = self.telemetry.begin(&self.graph, batch, self.model_clock_s);
 
-        // Counters accumulate per op (`op_ops`) and fold into the batch
+        // Counters accumulate per op (`ops`) and fold into the batch
         // total; the counter sums — and therefore the modeled seconds —
         // are exactly what one shared accumulator produced, while the
         // per-op subtotals give telemetry spans their durations.
         let mut batch_ops = OpCounter::new();
-        let mut op_spans: Vec<Span> = Vec::new();
         let mut per_op = Vec::with_capacity(batch.len());
         for (op_idx, &op) in batch.iter().enumerate() {
-            // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-            let op_t = tel_on.then(std::time::Instant::now);
+            let op_t = trace.stopwatch();
             let mut ops = OpCounter::new();
             let committed = match op {
                 EdgeOp::Insert(u, v) => self.graph.insert_edge(u, v),
@@ -324,17 +303,15 @@ impl CpuDynamicBc {
                 cases: planned.cases,
                 per_source,
             });
-            if tel_on {
-                let op_model = self.cpu.model_seconds(&ops);
-                let op_wall = op_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-                op_spans.push(
+            if trace.timed() {
+                trace.push(
                     Span::new(
                         format!("op#{op_idx}"),
                         1,
-                        clock_before + self.cpu.model_seconds(&batch_ops),
-                        op_model,
+                        trace.start_s + self.cpu.model_seconds(&batch_ops),
+                        self.cpu.model_seconds(&ops),
                     )
-                    .wall(op_wall)
+                    .wall(secs_since(op_t))
                     .arg("sources", per_op[op_idx].per_source.len() as f64),
                 );
             }
@@ -345,38 +322,11 @@ impl CpuDynamicBc {
         self.graph.take_deltas();
         self.total_ops.add(&batch_ops);
         let model_seconds = self.cpu.model_seconds(&batch_ops);
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
         self.model_clock_s += model_seconds;
-
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.push_span(
-                Span::new("update", 0, clock_before, model_seconds)
-                    .wall(wall_seconds)
-                    .arg("ops", batch.len() as f64),
-            );
-            tel.push_span(Span::instant("validate", 1, clock_before, validate_wall));
-            for s in op_spans {
-                tel.push_span(s);
-            }
-            let n = self.state.bc.len();
-            // The CPU baseline has no cache model: empty counters keep the
-            // memsim families undefined in its telemetry.
-            tel.record_update(&batch_observation(
-                &per_op,
-                n,
-                model_seconds,
-                wall_seconds,
-                batch_ops.queue_ops,
-                0,
-                dynbc_telemetry::CacheCounters::default(),
-            ));
-        }
-
-        BatchResult {
-            per_op,
-            model_seconds,
-            wall_seconds,
-        }
+        // The CPU baseline has no cache model: empty counters keep the
+        // memsim families undefined in its telemetry.
+        let counters = || (batch_ops.queue_ops, 0, CacheCounters::default());
+        trace.finish(&mut self.telemetry, per_op, model_seconds, counters)
     }
 }
 

@@ -42,7 +42,7 @@ use super::buffers::{ScratchBuffers, SlackGraphBuffers, StateBuffers};
 use super::exec::{self, Backend, ExecConfig, StageBufs};
 use crate::brandes::brandes_state;
 use crate::dynamic::result::{BatchResult, OpOutcome, SourceOutcome, UpdateResult};
-use crate::obs::batch_observation;
+use crate::lifecycle::{secs_since, Collector};
 use crate::plan::{self, PlannedOp};
 use crate::state::BcState;
 use dynbc_gpusim::{
@@ -111,7 +111,7 @@ pub struct GpuDynamicBc {
     /// backend reads adjacency through this one store, via per-op
     /// versioned views.
     store: SlackGraphBuffers,
-    telemetry: Option<Box<Telemetry>>,
+    telemetry: Collector,
 }
 
 impl GpuDynamicBc {
@@ -144,10 +144,6 @@ impl GpuDynamicBc {
         );
         let st = StateBuffers::upload(&mut gpu, &state);
         let case_buf = gpu.alloc(sources.len(), 0).named("case");
-        let telemetry = gpu
-            .instruments()
-            .telemetry
-            .then(|| Box::new(Telemetry::new()));
         Self {
             gpu,
             par,
@@ -167,7 +163,7 @@ impl GpuDynamicBc {
             },
             slack,
             store,
-            telemetry,
+            telemetry: Collector::from_env(),
         }
     }
 
@@ -294,30 +290,23 @@ impl GpuDynamicBc {
     /// unaffected and the model-clock metrics are bit-identical for any
     /// host-thread count.
     pub fn set_telemetry(&mut self, on: bool) {
-        self.gpu.instruments_mut().telemetry = on;
-        if on {
-            if self.telemetry.is_none() {
-                self.telemetry = Some(Box::new(Telemetry::new()));
-            }
-        } else {
-            self.telemetry = None;
-        }
+        self.telemetry.set(on)
     }
 
     /// True when batches record telemetry.
     pub fn telemetry(&self) -> bool {
-        self.telemetry.is_some()
+        self.telemetry.on()
     }
 
     /// The telemetry accumulated by batches applied with telemetry on.
     pub fn telemetry_report(&self) -> Option<&Telemetry> {
-        self.telemetry.as_deref()
+        self.telemetry.report()
     }
 
     /// Drains the accumulated telemetry, leaving a fresh collector behind
     /// (scrape-and-continue, like a Prometheus endpoint would).
     pub fn take_telemetry_report(&mut self) -> Option<Telemetry> {
-        self.telemetry.as_mut().map(|t| std::mem::take(&mut **t))
+        self.telemetry.take()
     }
 
     /// The decomposition this engine uses.
@@ -393,39 +382,21 @@ impl GpuDynamicBc {
     /// out-of-range endpoint, is a self loop, a duplicate insertion, or a
     /// removal of an absent edge.
     pub fn apply_batch(&mut self, batch: &[EdgeOp]) -> BatchResult {
-        // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-        let wall_start = std::time::Instant::now();
-        let tel_on = self.telemetry.is_some();
-        let g = &self.slack;
-        plan::validate_batch(g.vertex_count(), |u, v| g.has_edge(u, v), batch)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let validate_wall = if tel_on {
-            wall_start.elapsed().as_secs_f64()
-        } else {
-            0.0
-        };
-        let clock_before = self.gpu.elapsed_seconds();
+        let clock = self.gpu.elapsed_seconds();
+        let mut trace = self.telemetry.begin(&self.slack, batch, clock);
         let prof_launches_before = self.gpu.profile_report().launches.len();
-        let mut stage_spans: Vec<Span> = Vec::new();
-        if tel_on {
-            // Launches before this batch (e.g. the initial upload path)
-            // belong to no lifecycle span; drop them.
-            self.gpu.take_launch_spans();
-        }
 
         let mut per_op: Vec<OpOutcome> = Vec::with_capacity(batch.len());
         let mut next = 0;
         let mut stage_idx = 0usize;
         while next < batch.len() {
-            // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-            let plan_t = tel_on.then(std::time::Instant::now);
+            let plan_t = trace.stopwatch();
             let stage_base = next;
             let stage = self.plan_stage(batch, &mut next);
 
-            let plan_wall = plan_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
+            let plan_wall = secs_since(plan_t);
             let stage_clock0 = self.gpu.elapsed_seconds();
-            // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-            let exec_t = tel_on.then(std::time::Instant::now);
+            let exec_t = trace.stopwatch();
 
             // Scratch sized by batch width: queue rows for the widest
             // snapshot, one BC-delta slab row per (op, block) pair.
@@ -451,7 +422,7 @@ impl GpuDynamicBc {
                 bufs,
                 &stage,
                 stage_idx,
-                tel_on,
+                trace.timed(),
             );
             // Stage epilogue: normalize the stage's epochs to settled
             // live/tombstone form — compacting deterministically when the
@@ -461,9 +432,8 @@ impl GpuDynamicBc {
             self.slack.settle();
             self.store.sync(&mut self.gpu, &mut self.slack);
             let stage_clock1 = self.gpu.elapsed_seconds();
-            let exec_wall = exec_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-            // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-            let commit_t = tel_on.then(std::time::Instant::now);
+            let exec_wall = secs_since(exec_t);
+            let commit_t = trace.stopwatch();
 
             for planned in &stage {
                 per_op.push(OpOutcome {
@@ -483,9 +453,8 @@ impl GpuDynamicBc {
                 per_op[stage_base + op_slot].per_source[row].touched = t;
             }
 
-            if tel_on {
-                let launches = self.gpu.take_launch_spans();
-                let commit_wall = commit_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
+            if trace.timed() {
+                let commit_wall = secs_since(commit_t);
                 let [ins, d2, d3] = run.kinds;
                 let mut span = Span::new(
                     format!("stage#{stage_idx}"),
@@ -504,19 +473,15 @@ impl GpuDynamicBc {
                         .arg("wall_d2_s", d2)
                         .arg("wall_d3_s", d3);
                 }
-                stage_spans.push(span);
-                stage_spans.push(
+                trace.push(span);
+                trace.push(
                     Span::instant("plan", 2, stage_clock0, plan_wall)
                         .arg("stage", stage_idx as f64),
                 );
-                for ls in launches {
-                    stage_spans.push(
-                        Span::new(ls.kernel, 2, ls.start_s, ls.dur_s)
-                            .wall(ls.wall_s)
-                            .arg("num_blocks", ls.num_blocks as f64),
-                    );
+                for kernel in run.kernels {
+                    trace.push(kernel);
                 }
-                stage_spans.push(
+                trace.push(
                     Span::instant("commit", 2, stage_clock1, commit_wall)
                         .arg("stage", stage_idx as f64),
                 );
@@ -524,21 +489,11 @@ impl GpuDynamicBc {
             stage_idx += 1;
         }
 
-        let model_seconds = self.gpu.elapsed_seconds() - clock_before;
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.push_span(
-                Span::new("update", 0, clock_before, model_seconds)
-                    .wall(wall_seconds)
-                    .arg("ops", batch.len() as f64),
-            );
-            tel.push_span(Span::instant("validate", 1, clock_before, validate_wall));
-            for s in stage_spans {
-                tel.push_span(s);
-            }
-            // Queue/dedup volume and cache counters come from the
-            // profiler's kernel-annotated counters: attributed to this
-            // batch via the launches it added.
+        let model_seconds = self.gpu.elapsed_seconds() - trace.start_s;
+        // Queue/dedup volume and cache counters come from the profiler's
+        // kernel-annotated counters: attributed to this batch via the
+        // launches it added.
+        let counters = || {
             let mut cache = CacheCounters::default();
             let (queue_ops, dedup_ops) = self.gpu.profile_report().launches[prof_launches_before..]
                 .iter()
@@ -546,22 +501,9 @@ impl GpuDynamicBc {
                     cache.merge(&l.total.cache);
                     (q + l.total.queue_pushes, d + l.total.dedup_ops)
                 });
-            tel.record_update(&batch_observation(
-                &per_op,
-                self.st.n,
-                model_seconds,
-                wall_seconds,
-                queue_ops,
-                dedup_ops,
-                cache,
-            ));
-        }
-
-        BatchResult {
-            per_op,
-            model_seconds,
-            wall_seconds,
-        }
+            (queue_ops, dedup_ops, cache)
+        };
+        trace.finish(&mut self.telemetry, per_op, model_seconds, counters)
     }
 
     /// The dispatch knobs every stage of this engine runs under.

@@ -38,6 +38,7 @@ use crate::cases::InsertionCase;
 use crate::native::{self, HostExec};
 use crate::plan::PlannedOp;
 use dynbc_gpusim::{fan_out, BlockCtx, Gpu, GpuBuffer};
+use dynbc_telemetry::Span;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which engine executes a stage's fused work items.
@@ -234,6 +235,7 @@ fn stage_items(stage: &[PlannedOp]) -> Vec<WorkItem> {
 /// into one per stage.
 fn charge_classification(
     gpu: &mut Gpu,
+    kernels: Option<&mut Vec<Span>>,
     bufs: StageBufs<'_>,
     stage: &[PlannedOp],
     stage_idx: usize,
@@ -248,7 +250,8 @@ fn charge_classification(
     let k = st.k;
     // The stage ordinal lands in the launch name so profiles attribute
     // work to individual pipeline stages of a batch (`#0`, `#1`, …).
-    gpu.launch_named(&format!("batch::classify#{stage_idx}"), 1, |block, _| {
+    let name = format!("batch::classify#{stage_idx}");
+    launch(gpu, kernels, &name, 1, |block, _| {
         block.label("batch::classify");
         for (slot, planned) in stage.iter().enumerate() {
             let (u, v) = planned.op.endpoints();
@@ -283,6 +286,26 @@ fn charge_classification(
     });
 }
 
+/// Launches kernel `name` over `num_blocks` blocks and, when `kernels`
+/// collects them, appends its depth-2 span (model-clock start and
+/// duration, wall time, grid size).
+fn launch<F>(gpu: &mut Gpu, kernels: Option<&mut Vec<Span>>, name: &str, num_blocks: usize, f: F)
+where
+    F: Fn(&mut BlockCtx, usize) + Sync,
+{
+    let start_s = gpu.elapsed_seconds();
+    // dynbc-lint: allow(no-wall-clock) — a kernel span's wall time is an observability-only telemetry field; no model result reads it
+    let t0 = kernels.is_some().then(std::time::Instant::now);
+    let report = gpu.launch_named(name, num_blocks, f);
+    if let (Some(kernels), Some(t0)) = (kernels, t0) {
+        kernels.push(
+            Span::new(name, 2, start_s, report.seconds)
+                .wall(t0.elapsed().as_secs_f64())
+                .arg("num_blocks", num_blocks as f64),
+        );
+    }
+}
+
 /// The engine's device-resident buffers a stage reads and writes.
 #[derive(Clone, Copy)]
 pub(crate) struct StageBufs<'a> {
@@ -305,6 +328,9 @@ pub(crate) struct StageRun {
     /// — telemetry only, never read by the kernels. `None` on the
     /// simulator.
     pub(crate) kind_wall: Option<[f64; 3]>,
+    /// On the simulator, the span of each kernel the stage launched, in
+    /// launch order (empty unless `timed`).
+    pub(crate) kernels: Vec<Span>,
 }
 
 /// Executes every non-trivial `(source, op)` work item of the stage on
@@ -318,8 +344,8 @@ pub(crate) struct StageRun {
 /// runs each block's items as plain loops — inline, or fanned out over
 /// [`fan_out`] when [`native::stage_workers`] finds enough work for more
 /// than one of the device's [`Gpu::host_workers`] — and drains only the
-/// slab cells its items dirtied. `timed` collects the native per-kind
-/// wall seconds.
+/// slab cells its items dirtied. `timed` collects the simulator's kernel
+/// spans and the native per-kind wall seconds.
 pub(super) fn run_stage(
     gpu: &mut Gpu,
     backend: Backend,
@@ -329,13 +355,15 @@ pub(super) fn run_stage(
     stage_idx: usize,
     timed: bool,
 ) -> StageRun {
+    let mut kernels = Vec::new();
+    let mut traced = timed.then_some(&mut kernels);
     if backend == Backend::Simulator {
-        charge_classification(gpu, bufs, stage, stage_idx);
+        charge_classification(gpu, traced.as_deref_mut(), bufs, stage, stage_idx);
     }
     let work = Stage::new(cfg, bufs, stage);
     let kinds = kind_counts(&work.items);
     let (touched, kind_wall) = match backend {
-        Backend::Simulator => (work.simulate(gpu, stage_idx), None),
+        Backend::Simulator => (work.simulate(gpu, traced, stage_idx), None),
         Backend::Native => {
             let workers = native::stage_workers(&work.items, gpu.host_workers());
             let (touched, wall) = work.run_native(workers, timed);
@@ -346,6 +374,7 @@ pub(super) fn run_stage(
         touched,
         kinds,
         kind_wall,
+        kernels,
     }
 }
 
@@ -386,7 +415,12 @@ impl<'a> Stage<'a> {
 
     /// Runs the items in one fused grid on the simulator, then drains the
     /// full slab.
-    fn simulate(&self, gpu: &mut Gpu, stage_idx: usize) -> Vec<(usize, usize, usize)> {
+    fn simulate(
+        &self,
+        gpu: &mut Gpu,
+        kernels: Option<&mut Vec<Span>>,
+        stage_idx: usize,
+    ) -> Vec<(usize, usize, usize)> {
         if self.items.is_empty() {
             return Vec::new();
         }
@@ -400,7 +434,7 @@ impl<'a> Stage<'a> {
             Parallelism::Node => format!("batch::fused::node#{stage_idx}"),
             Parallelism::Edge => format!("batch::fused::edge#{stage_idx}"),
         };
-        gpu.launch_named(&fused_name, cfg.num_blocks, |block, b| {
+        launch(gpu, kernels, &fused_name, cfg.num_blocks, |block, b| {
             for &i in &self.by_block[b] {
                 let item = &self.items[i];
                 let ctx = item.ctx(bufs, cfg.num_blocks);

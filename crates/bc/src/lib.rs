@@ -21,6 +21,8 @@
 //! * `native` (private) — direct host execution of the node-parallel
 //!   kernels: the serving backend behind [`gpu::Backend`], bit-identical
 //!   to the simulator;
+//! * `lifecycle` (private) — how every engine records one update batch
+//!   (validation, telemetry, [`telemetry_from_env`]);
 //! * [`accuracy`] — comparison utilities (error norms, rank correlation).
 
 #![forbid(unsafe_code)]
@@ -31,8 +33,8 @@ pub mod brandes;
 pub mod cases;
 pub mod dynamic;
 pub mod gpu;
+pub(crate) mod lifecycle;
 pub(crate) mod native;
-pub(crate) mod obs;
 pub mod plan;
 pub mod reference;
 pub mod state;
@@ -41,4 +43,5 @@ pub mod topology;
 pub use brandes::{brandes_approx, brandes_exact, brandes_state, sample_sources};
 pub use cases::{classify, CaseCounts, Classified, InsertionCase};
 pub use dynamic::{BatchResult, CpuDynamicBc, OpOutcome, SourceOutcome, UpdateResult};
+pub use lifecycle::telemetry_from_env;
 pub use state::{top_k, BcState};

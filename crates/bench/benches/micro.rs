@@ -1,14 +1,16 @@
 //! Criterion microbenches of the substrate layers: graph traversal,
-//! Brandes passes, a dynamic update, and the host-parallel launch path of
-//! the simulator itself.
+//! Brandes passes, a dynamic update, the host-parallel launch path of
+//! the simulator itself, and what engine telemetry costs a replayed
+//! update stream.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dynbc_bc::brandes::{sample_sources, source_pass};
 use dynbc_bc::dynamic::CpuDynamicBc;
-use dynbc_bench::HarnessReport;
+use dynbc_bc::gpu::{Backend, GpuDynamicBc, Parallelism};
+use dynbc_bench::{stream, HarnessReport};
 use dynbc_gpusim::{DeviceConfig, Gpu, Instruments};
 use dynbc_graph::algo::bfs;
-use dynbc_graph::{gen, Csr};
+use dynbc_graph::{gen, Csr, EdgeList, EdgeOp, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -87,24 +89,9 @@ fn c2075_with(set: impl FnOnce(&mut Instruments)) -> Gpu {
     gpu
 }
 
-/// [`scaling_launch`] with the telemetry span log toggled explicitly —
-/// the disabled/enabled pair the `telemetry_overhead` harness compares.
-/// Sanity-checks that the span log captured exactly the one launch when
-/// enabled and nothing when disabled.
-fn scaling_launch_telemetry(span_log: bool) -> (f64, Vec<u32>, Vec<u32>) {
-    let gpu = c2075_with(|i| {
-        i.host_threads = 1;
-        i.telemetry = span_log;
-    });
-    let (r, g) = scaling_launch_on(gpu, 56);
-    assert_eq!(g.launch_spans().len(), usize::from(span_log));
-    r
-}
-
 /// Runs the fixed hash-and-histogram launch over `blocks` blocks on a
 /// pre-configured simulator, returning the produced results plus the
-/// simulator itself (so callers can inspect its telemetry span log or
-/// profile report).
+/// simulator itself (so callers can inspect its profile report).
 fn scaling_launch_on(mut g: Gpu, blocks: usize) -> ((f64, Vec<u32>, Vec<u32>), Gpu) {
     const ROW: usize = 512;
     let rows = g.alloc::<u32>(blocks * ROW, 1);
@@ -260,63 +247,92 @@ fn bench_racecheck_overhead(c: &mut Criterion) {
     report.write_default();
 }
 
-/// Wall-clock cost of the telemetry span log on the same fixed launch.
-/// Three modes share one interleaved timing loop (so load spikes hit all
-/// of them equally): `baseline` is the plain launch with no telemetry
-/// knob touched, `disabled` sets the knob off explicitly (the
-/// one-predictable-branch path every production run takes), `enabled`
-/// records a span per launch. Telemetry never changes what the simulator
-/// computes, so the modes are first compared bit-for-bit and then timed.
+/// The fixed update stream `bench_telemetry_overhead` replays: a
+/// 400-vertex small-world graph, 16 sources, and 16 single-op batches
+/// that remove 8 random edges, each re-added two events later.
+fn telemetry_stream() -> (EdgeList, Vec<VertexId>, Vec<EdgeOp>) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let el = gen::ws(&mut rng, 400, 3, 0.1);
+    let sources = sample_sources(&mut rng, 400, 16);
+    let ops = stream::interleaved(&el, 8, 2, &stream::spanning_forest_tabu(&el), &mut rng);
+    (el, sources, ops)
+}
+
+/// Replays `ops` one per batch through a fresh one-host-thread,
+/// node-parallel simulator engine with telemetry set to `telemetry`
+/// (`None`: the default), timing only the replay. Returns its wall and
+/// model seconds, the final BC bits and the batches telemetry recorded.
+fn telemetry_replay(
+    (el, sources, ops): &(EdgeList, Vec<VertexId>, Vec<EdgeOp>),
+    telemetry: Option<bool>,
+) -> (f64, f64, Vec<u64>, Option<u64>) {
+    let mut e = GpuDynamicBc::new(el, sources, DeviceConfig::tesla_c2075(), Parallelism::Node)
+        .with_backend(Backend::Simulator);
+    e.set_host_threads(1);
+    if let Some(on) = telemetry {
+        e.set_telemetry(on);
+    }
+    let t0 = Instant::now();
+    let model: f64 = ops
+        .iter()
+        .map(|&op| e.apply_batch(&[op]).model_seconds)
+        .sum();
+    let wall = t0.elapsed().as_secs_f64();
+    let bits = e.bc_scores().iter().map(|x| x.to_bits()).collect();
+    (wall, model, bits, e.telemetry_report().map(|t| t.updates()))
+}
+
+/// Wall-clock cost of engine telemetry on a replayed update stream
+/// through `GpuDynamicBc::apply_batch` on the simulator: `baseline`
+/// never touches the switch, `disabled` turns it off explicitly (the
+/// production path), `enabled` records every batch's spans and metrics.
+/// Telemetry changes no result, so the modes are first compared
+/// bit-for-bit, then timed.
 fn bench_telemetry_overhead(c: &mut Criterion) {
-    let baseline = scaling_launch_mode(1, false);
-    for span_log in [false, true] {
-        let got = scaling_launch_telemetry(span_log);
+    let stream = telemetry_stream();
+    let (_, base_model, base_bits, _) = telemetry_replay(&stream, None);
+    for (on, updates) in [(false, None), (true, Some(stream.2.len() as u64))] {
+        let (_, model, bits, recorded) = telemetry_replay(&stream, Some(on));
         assert_eq!(
-            got.0.to_bits(),
-            baseline.0.to_bits(),
-            "span_log={span_log}: seconds"
+            model.to_bits(),
+            base_model.to_bits(),
+            "telemetry={on}: seconds"
         );
-        assert_eq!(got.1, baseline.1, "span_log={span_log}: rows");
-        assert_eq!(got.2, baseline.2, "span_log={span_log}: histogram");
+        assert_eq!(bits, base_bits, "telemetry={on}: BC bits");
+        assert_eq!(recorded, updates, "telemetry={on}: recorded batches");
     }
 
-    type Mode = (&'static str, fn() -> (f64, Vec<u32>, Vec<u32>));
-    let modes: [Mode; 3] = [
-        ("baseline", || scaling_launch_mode(1, false)),
-        ("disabled", || scaling_launch_telemetry(false)),
-        ("enabled", || scaling_launch_telemetry(true)),
+    // Three modes share one interleaved timing loop, so load spikes hit
+    // all of them equally.
+    let modes = [
+        ("baseline", None),
+        ("disabled", Some(false)),
+        ("enabled", Some(true)),
     ];
-    let iters = 12;
     let mut walls = [const { Vec::new() }; 3];
-    for (_, run) in &modes {
-        black_box(run()); // warm-up, untimed
-    }
-    for _ in 0..iters {
-        for (m, (_, run)) in modes.iter().enumerate() {
-            let t0 = Instant::now();
-            black_box(run());
-            walls[m].push(t0.elapsed().as_secs_f64());
+    for round in 0..=12 {
+        for (m, &(_, telemetry)) in modes.iter().enumerate() {
+            let wall = telemetry_replay(&stream, telemetry).0;
+            if round > 0 {
+                walls[m].push(wall); // round 0 is the untimed warm-up
+            }
         }
     }
     let mean = |w: &[f64]| w.iter().sum::<f64>() / w.len() as f64;
     let min = |w: &[f64]| w.iter().copied().fold(f64::INFINITY, f64::min);
-    let (base_mean, base_min) = (mean(&walls[0]), min(&walls[0]));
-
     let mut report = HarnessReport::new("telemetry_overhead");
-    let mut min_ratios = [f64::NAN; 3];
-    for (m, (engine, run)) in modes.iter().enumerate() {
-        min_ratios[m] = min(&walls[m]) / base_min;
-        report.push_row("blocks56", engine, baseline.0, mean(&walls[m]));
-        report.annotate("overhead_vs_baseline", mean(&walls[m]) / base_mean);
+    let min_ratios = walls.each_ref().map(|w| min(w) / min(&walls[0]));
+    for (m, &(engine, telemetry)) in modes.iter().enumerate() {
+        report.push_row("ws400_k16_16ops", engine, base_model, mean(&walls[m]));
+        report.annotate("overhead_vs_baseline", mean(&walls[m]) / mean(&walls[0]));
         report.annotate("min_overhead_vs_baseline", min_ratios[m]);
-        c.bench_function(&format!("telemetry_overhead_56blocks_{engine}"), |b| {
-            b.iter(|| black_box(run()))
+        c.bench_function(&format!("telemetry_overhead_ws400_{engine}"), |b| {
+            b.iter(|| black_box(telemetry_replay(&stream, telemetry)))
         });
     }
-    // Budgets (noise-robust minimum-over-iterations ratios, as in
-    // `bench_racecheck_overhead`): the disabled path adds only one
-    // predictable branch per launch, the enabled path two clock reads and
-    // one Vec push.
+    // Budgets on the noise-robust minimum-over-rounds ratios: disabled
+    // adds a few predictable branches per batch, enabled a few clock
+    // reads and span pushes per stage and one metrics record per batch.
     assert!(
         min_ratios[1] <= 1.10,
         "disabled-telemetry overhead {:.3}x exceeds the 1.10x budget",

@@ -53,26 +53,6 @@ pub struct LaunchReport {
     pub stats: KernelStats,
 }
 
-/// Lightweight record of one kernel launch for telemetry span logs: just
-/// the timeline placement, no counters. Collected when
-/// [`Instruments::telemetry`] is on (far cheaper than full profiling) and
-/// drained by the engines into their lifecycle traces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaunchSpan {
-    /// Kernel name as passed to `launch_named`/`launch_checked`.
-    pub kernel: String,
-    /// Ordinal of this launch on its `Gpu` (0-based).
-    pub index: u64,
-    /// Grid size in blocks.
-    pub num_blocks: usize,
-    /// Simulated clock when the launch started (seconds).
-    pub start_s: f64,
-    /// Simulated duration (makespan + launch overhead, seconds).
-    pub dur_s: f64,
-    /// Host wall-clock duration of the launch, seconds (nondeterministic).
-    pub wall_s: f64,
-}
-
 /// What one finished block hands back to the launch reducer: cycles,
 /// work counters, and the optional checked-mode / profiling shadow logs.
 pub(crate) type BlockOut = (
@@ -100,7 +80,6 @@ pub struct Gpu {
     check_warnings: u64,
     checked_launches: u64,
     profile: ProfileReport,
-    launch_spans: Vec<LaunchSpan>,
     /// The device's shared L2 tag array: created on the first memsim
     /// launch, persists across launches (cross-launch locality is the
     /// point), only ever probed single-threaded during launch reduction.
@@ -127,7 +106,6 @@ impl Gpu {
             check_warnings: 0,
             checked_launches: 0,
             profile: ProfileReport::new(),
-            launch_spans: Vec::new(),
             l2: None,
             next_base: FIRST_BASE,
             seg_tables: Vec::new(),
@@ -190,18 +168,6 @@ impl Gpu {
     /// (harnesses profile one phase, take the report, and continue).
     pub fn take_profile_report(&mut self) -> ProfileReport {
         std::mem::take(&mut self.profile)
-    }
-
-    /// Launch spans accumulated since the last drain (empty unless
-    /// [`Instruments::telemetry`] is on).
-    pub fn launch_spans(&self) -> &[LaunchSpan] {
-        &self.launch_spans
-    }
-
-    /// Drains the accumulated launch spans (engines drain once per
-    /// pipeline stage to nest them under the stage's span).
-    pub fn take_launch_spans(&mut self) -> Vec<LaunchSpan> {
-        std::mem::take(&mut self.launch_spans)
     }
 
     /// The device configuration.
@@ -283,7 +249,6 @@ impl Gpu {
         let Instruments {
             profiling,
             memsim: cached,
-            telemetry: span_log,
             cache: cfg,
             ..
         } = self.instruments;
@@ -296,11 +261,10 @@ impl Gpu {
         } else {
             self.host_workers().min(num_blocks)
         };
-        // Wall timing only when something records it (profiling or the
-        // telemetry span log): the disabled path stays branch-predictable
-        // with no clock syscalls.
-        // dynbc-lint: allow(no-wall-clock) — wall_s feeds the profile/span sinks only; simulated seconds come from the cost model
-        let wall_t = (profiled || span_log).then(std::time::Instant::now);
+        // Wall timing only when the profile records it: the disabled path
+        // stays branch-predictable with no clock syscalls.
+        // dynbc-lint: allow(no-wall-clock) — wall_s feeds the profile only; simulated seconds come from the cost model
+        let wall_t = profiled.then(std::time::Instant::now);
         let run = BlockRun {
             dev: self.dev,
             record,
@@ -327,18 +291,8 @@ impl Gpu {
         }
         let (placement, makespan_cycles) = schedule(&block_cycles, self.dev.num_sms);
         let seconds = self.dev.cycles_to_seconds(makespan_cycles) + self.dev.launch_overhead_s;
-        let wall_s = wall_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        if span_log {
-            self.launch_spans.push(LaunchSpan {
-                kernel: name.to_string(),
-                index: self.launches,
-                num_blocks,
-                start_s: self.elapsed_s,
-                dur_s: seconds,
-                wall_s,
-            });
-        }
         if profiled {
+            let wall_s = wall_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
             // Memsim's shared-L2 replay runs inside the reduction:
             // single-threaded, against the device's persistent L2. A
             // geometry change since the last memsim launch starts a cold

@@ -8,7 +8,7 @@
 //! count; only host wall-clock pays.
 
 use crate::cache::CacheConfig;
-use crate::knob::{self, HOST_THREADS_ENV, MEMSIM_ENV, PROFILE_ENV, RACECHECK_ENV, TELEMETRY_ENV};
+use crate::knob::{self, HOST_THREADS_ENV, MEMSIM_ENV, PROFILE_ENV, RACECHECK_ENV};
 
 /// The instrumentation switches of one simulated device.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -32,11 +32,6 @@ pub struct Instruments {
     /// reduction. Implies profiling; the cache counters ride in each
     /// launch's profile and never feed the cost clock.
     pub memsim: bool,
-    /// The telemetry span log: every launch appends a
-    /// [`LaunchSpan`](crate::LaunchSpan) for the engines to drain into
-    /// their lifecycle traces (engines also key their telemetry
-    /// collectors on it).
-    pub telemetry: bool,
     /// The modeled cache geometry. Changing it takes effect at the next
     /// memsim launch, which rebuilds the persistent L2 cold.
     pub cache: CacheConfig,
@@ -45,9 +40,9 @@ pub struct Instruments {
 impl Instruments {
     /// Reads the switches from `DYNBC_HOST_THREADS` (unset, `0` or
     /// unparsable: the machine's available cores), `DYNBC_RACECHECK`,
-    /// `DYNBC_PROFILE`, `DYNBC_MEMSIM` and `DYNBC_TELEMETRY` (the
-    /// [`knob::flag_from_env`] grammar), with the default cache geometry.
-    /// The workspace's only reader of those five variables.
+    /// `DYNBC_PROFILE` and `DYNBC_MEMSIM` (the [`knob::flag_from_env`]
+    /// grammar), with the default cache geometry. The workspace's only
+    /// reader of those four variables.
     pub fn from_env() -> Self {
         let threads = knob::parse_from_env(HOST_THREADS_ENV, 0usize);
         Self {
@@ -55,7 +50,6 @@ impl Instruments {
             racecheck: knob::flag_from_env(RACECHECK_ENV),
             profiling: knob::flag_from_env(PROFILE_ENV),
             memsim: knob::flag_from_env(MEMSIM_ENV),
-            telemetry: knob::flag_from_env(TELEMETRY_ENV),
             cache: CacheConfig::default(),
         }
     }

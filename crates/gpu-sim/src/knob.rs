@@ -39,9 +39,9 @@ pub const RACECHECK_ENV: &str = "DYNBC_RACECHECK";
 /// `1`/`true` (any case) enables; unset, empty, `0`, or `false` disables.
 pub const PROFILE_ENV: &str = "DYNBC_PROFILE";
 
-/// Environment variable enabling telemetry for every engine (and the
-/// launch span log of every `Gpu`) created afterwards. `1`/`true` (any
-/// case) enables; unset, empty, `0`, or `false` disables.
+/// Environment variable enabling update-lifecycle telemetry for every
+/// engine created afterwards (read by `dynbc-bc`). `1`/`true` (any case)
+/// enables; unset, empty, `0`, or `false` disables.
 pub const TELEMETRY_ENV: &str = "DYNBC_TELEMETRY";
 
 /// Environment variable selecting the execution backend

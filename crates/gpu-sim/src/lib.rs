@@ -17,7 +17,8 @@
 //!   `max(compute, memory)` intervals;
 //! * [`Gpu`] — kernel launches, greedy block-to-SM scheduling, a simulated
 //!   clock, and one [`Instruments`] switch set (read from the environment
-//!   once, at construction) that selects what a launch records;
+//!   once, at construction) that selects what a launch records (engine
+//!   telemetry times its own launches from each [`LaunchReport`]);
 //! * [`checker`] — `dynbc-racecheck`, a `cuda-memcheck --tool racecheck`
 //!   analogue: checked launches ([`Gpu::launch_checked`], or every launch
 //!   under [`Instruments::racecheck`] / `DYNBC_RACECHECK=1`) record
@@ -68,7 +69,7 @@ pub use cache::CacheConfig;
 pub use checker::{AccessKind, AtomicKind, CheckReport, DiagClass, Diagnostic, Severity};
 pub use cpu_model::OpCounter;
 pub use device::{CpuConfig, DeviceConfig};
-pub use grid::{fan_out, Gpu, LaunchReport, LaunchSpan};
+pub use grid::{fan_out, Gpu, LaunchReport};
 pub use instruments::Instruments;
 pub use knob::{HOST_THREADS_ENV, MEMSIM_ENV, PROFILE_ENV, RACECHECK_ENV, TELEMETRY_ENV};
 pub use mem::{DeviceValue, GpuBuffer};

@@ -351,7 +351,6 @@ fn run_program(program: &[Step], run: Run, lane_loop: bool) -> Outcome {
     let ins = gpu.instruments_mut();
     ins.host_threads = 1;
     ins.racecheck = false;
-    ins.telemetry = false;
     ins.profiling = matches!(run, Run::Instrumented);
     ins.memsim = matches!(run, Run::Instrumented);
     // An L1 and L2 far smaller than the script buffers: hits, misses and

@@ -27,7 +27,9 @@
 //!
 //! Configuration comes from the `DYNBC_SERVE_*` knobs registered in
 //! `dynbc_gpusim::knob` (queue capacity, max batch width), plus
-//! `DYNBC_TELEMETRY` for per-shard update-lifecycle spans.
+//! `DYNBC_TELEMETRY` ([`dynbc_bc::telemetry_from_env`]) for the engine's
+//! update-lifecycle telemetry, which [`Shard::spawn`] switches on or off
+//! to match [`ServeConfig::telemetry`].
 
 mod service;
 mod shard;
@@ -39,7 +41,7 @@ pub use service::BcService;
 pub use shard::{RankChange, RankWatcher, Shard, ShardEngine, SubmitError};
 pub use snapshot::{Snapshot, SnapshotHandle, SnapshotReader};
 
-use dynbc_gpusim::{knob, Instruments};
+use dynbc_gpusim::knob;
 
 /// Configuration of a shard's ingest and batching behaviour.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +52,7 @@ pub struct ServeConfig {
     /// Upper bound on the adaptive batch width drained into
     /// `apply_batch` (`DYNBC_SERVE_BATCH_MAX`).
     pub batch_max: usize,
-    /// Enable engine update-lifecycle telemetry (`DYNBC_TELEMETRY`).
+    /// Engine update-lifecycle telemetry (`DYNBC_TELEMETRY`), set both ways.
     pub telemetry: bool,
 }
 
@@ -72,7 +74,7 @@ impl ServeConfig {
         Self {
             queue_cap: knob::parse_from_env(knob::SERVE_QUEUE_CAP_ENV, d.queue_cap).max(1),
             batch_max: knob::parse_from_env(knob::SERVE_BATCH_MAX_ENV, d.batch_max).max(1),
-            telemetry: Instruments::from_env().telemetry,
+            telemetry: dynbc_bc::telemetry_from_env(),
         }
     }
 }

@@ -189,13 +189,12 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Spawns a shard around `engine`: seeds epoch 0 with the engine's
-    /// current scores, then serves submissions on a worker thread.
+    /// Spawns a shard around `engine`: sets the engine's telemetry to
+    /// `cfg.telemetry`, seeds epoch 0 with the engine's current scores,
+    /// then serves submissions on a worker thread.
     pub fn spawn(mut engine: ShardEngine, cfg: &ServeConfig) -> Self {
         let (tx, rx) = mpsc::sync_channel(cfg.queue_cap);
-        if cfg.telemetry {
-            engine.set_telemetry(true);
-        }
+        engine.set_telemetry(cfg.telemetry);
         let (publisher, snapshots) = chain(Snapshot::new(0, 0, engine.scores().into()));
         let metrics = Arc::new(Metrics {
             depth: AtomicUsize::new(0),
@@ -274,9 +273,10 @@ impl Shard {
         self.metrics.epoch.load(Ordering::Relaxed)
     }
 
-    /// The merged engine update-lifecycle telemetry (spans, case
-    /// counters), if the shard was spawned with telemetry enabled and
-    /// at least one batch has committed.
+    /// The engine update-lifecycle telemetry (spans, case counters) of
+    /// every committed batch, merged in commit order (its event log
+    /// numbers the batches 1, 2, …), if the shard was spawned with
+    /// telemetry enabled and at least one batch has committed.
     pub fn telemetry_report(&self) -> Option<Telemetry> {
         self.metrics
             .stats
@@ -392,10 +392,7 @@ fn worker_loop(
             st.ingest_wait.observe(wait_s);
             st.commit_wall.observe(commit_s);
             if let Some(t) = engine.take_telemetry_report() {
-                match st.engine.as_mut() {
-                    Some(acc) => acc.merge_from(&t),
-                    None => st.engine = Some(t),
-                }
+                st.engine.get_or_insert_with(Telemetry::new).merge_from(&t);
             }
         }
         width.observe(batch.len());
@@ -589,6 +586,57 @@ mod tests {
     fn shard_errors_display() -> String {
         assert_eq!(SubmitError::Closed.to_string(), "shard is shut down");
         SubmitError::Backpressure.to_string()
+    }
+
+    /// Blocks until the worker has folded `n` batches into its stats
+    /// (the engine report of a batch is merged in the same step).
+    fn wait_for_batches(shard: &Shard, n: u64) {
+        while shard.metrics.stats.lock().unwrap().batch_width.count() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn merged_event_log_numbers_committed_batches_from_one() {
+        let el = path_graph(6);
+        let cfg = ServeConfig {
+            telemetry: true,
+            ..ServeConfig::default()
+        };
+        let shard = Shard::spawn(cpu_engine(&el), &cfg);
+        let ops = [(0, 2), (1, 4), (0, 5), (2, 5)];
+        for (i, &(u, v)) in ops.iter().enumerate() {
+            shard.submit(EdgeOp::Insert(u, v)).unwrap();
+            wait_for_batches(&shard, i as u64 + 1);
+        }
+        let report = shard.telemetry_report().expect("telemetry on");
+        assert_eq!(report.updates(), ops.len() as u64);
+        let log = report.events_jsonl();
+        let seqs: Vec<&str> = log.lines().map(|l| l.split(", ").nth(1).unwrap()).collect();
+        assert_eq!(
+            seqs,
+            ["\"seq\": 1", "\"seq\": 2", "\"seq\": 3", "\"seq\": 4"]
+        );
+        assert!(log
+            .lines()
+            .all(|l| l[1..].starts_with("\"event\": \"update\", ")));
+    }
+
+    #[test]
+    fn config_turns_engine_telemetry_off() {
+        let el = path_graph(5);
+        let sources: Vec<u32> = (0..5).collect();
+        let mut engine = CpuDynamicBc::new(&el, &sources);
+        engine.set_telemetry(true);
+        let shard = Shard::spawn(ShardEngine::cpu(engine), &ServeConfig::default());
+        shard.submit(EdgeOp::Insert(0, 2)).unwrap();
+        wait_for_batches(&shard, 1);
+        assert_eq!(shard.telemetry_report(), None);
+        let (engine, _) = shard.shutdown();
+        let ShardEngine::Cpu(engine) = engine else {
+            unreachable!("spawned on the CPU engine")
+        };
+        assert!(!engine.telemetry());
     }
 
     #[test]

@@ -124,7 +124,6 @@ pub struct Telemetry {
     registry: Registry,
     trace: Trace,
     events: EventLog,
-    updates: u64,
 }
 
 impl Default for Telemetry {
@@ -179,14 +178,12 @@ impl Telemetry {
             registry: r,
             trace: Trace::new(),
             events: EventLog::default(),
-            updates: 0,
         }
     }
 
     /// Record one batch: increments counters, feeds the histograms, and
     /// appends a JSON Lines event record.
     pub fn record_update(&mut self, obs: &UpdateObservation) {
-        self.updates += 1;
         let r = &mut self.registry;
         r.inc(BATCHES_TOTAL, &[], 1);
         r.inc(OPS_TOTAL, &[], obs.ops);
@@ -209,10 +206,9 @@ impl Telemetry {
         let mut rec = String::with_capacity(160);
         let _ = write!(
             rec,
-            "{{\"event\": \"update\", \"seq\": {}, \"ops\": {}, \"model_seconds\": {}, \
+            "\"ops\": {}, \"model_seconds\": {}, \
              \"wall_seconds\": {}, \"case_same\": {}, \"case_adjacent\": {}, \
              \"case_distant\": {}, \"max_touched_fraction\": {}",
-            self.updates,
             obs.ops,
             export::json_number(obs.model_seconds),
             export::json_number(obs.wall_seconds),
@@ -229,8 +225,7 @@ impl Telemetry {
                 export::json_number(obs.cache.l2_hit_rate()),
             );
         }
-        rec.push('}');
-        self.events.push(rec);
+        self.events.push("update", rec);
     }
 
     /// Feeds one batch's cache counters into the `dynbc_memsim_*`
@@ -286,33 +281,20 @@ impl Telemetry {
             &[("level", "l2")],
             cache.l2_evictions,
         );
-        let l1_hits = r
-            .counter_value(MEMSIM_L1_TOTAL, &[("outcome", "hit")])
-            .unwrap_or(0);
-        let l1_misses = r
-            .counter_value(MEMSIM_L1_TOTAL, &[("outcome", "miss")])
-            .unwrap_or(0);
-        if l1_hits + l1_misses > 0 {
-            r.set_gauge(
-                MEMSIM_L1_HIT_RATIO,
-                &[],
-                l1_hits as f64 / (l1_hits + l1_misses) as f64,
-            );
+        let outcome = |fam: &str, o: &str| r.counter_value(fam, &[("outcome", o)]).unwrap_or(0);
+        let total = CacheCounters {
+            l1_hits: outcome(MEMSIM_L1_TOTAL, "hit"),
+            l1_misses: outcome(MEMSIM_L1_TOTAL, "miss"),
+            l2_hits: outcome(MEMSIM_L2_TOTAL, "hit"),
+            l2_misses: outcome(MEMSIM_L2_TOTAL, "miss"),
+            l2_sector_fills: outcome(MEMSIM_L2_TOTAL, "sector_fill"),
+            ..CacheCounters::default()
+        };
+        if total.l1_requests() > 0 {
+            r.set_gauge(MEMSIM_L1_HIT_RATIO, &[], total.l1_hit_rate());
         }
-        let l2_hits = r
-            .counter_value(MEMSIM_L2_TOTAL, &[("outcome", "hit")])
-            .unwrap_or(0);
-        let l2_other = r
-            .counter_value(MEMSIM_L2_TOTAL, &[("outcome", "miss")])
-            .unwrap_or(0)
-            + r.counter_value(MEMSIM_L2_TOTAL, &[("outcome", "sector_fill")])
-                .unwrap_or(0);
-        if l2_hits + l2_other > 0 {
-            r.set_gauge(
-                MEMSIM_L2_HIT_RATIO,
-                &[],
-                l2_hits as f64 / (l2_hits + l2_other) as f64,
-            );
+        if total.l2_requests() > 0 {
+            r.set_gauge(MEMSIM_L2_HIT_RATIO, &[], total.l2_hit_rate());
         }
     }
 
@@ -323,7 +305,7 @@ impl Telemetry {
 
     /// Batches recorded so far.
     pub fn updates(&self) -> u64 {
-        self.updates
+        self.registry.counter_value(BATCHES_TOTAL, &[]).unwrap_or(0)
     }
 
     /// The metrics registry.
@@ -376,7 +358,6 @@ impl Telemetry {
         self.registry.merge(other.registry());
         self.trace.extend_from(other.trace());
         self.events.extend_from(other.events());
-        self.updates += other.updates;
     }
 }
 

@@ -7,6 +7,8 @@
 //! (validate, plan, commit) carry a zero model duration and export as
 //! instant events, with their wall-clock cost attached as an argument.
 
+use std::fmt::Write as _;
+
 /// One span (or instant marker) on the update-lifecycle timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
@@ -95,12 +97,14 @@ impl Trace {
 
 /// Bounded ring buffer of JSON Lines event records.
 ///
-/// Each record is one pre-rendered JSON object (no trailing newline). When
+/// Each record is an event kind plus its pre-rendered JSON members. When
 /// the buffer is full the oldest record is dropped and counted, so a
 /// long-running service keeps a recent window at fixed memory cost.
+/// Records are numbered when rendered, so a log merged from many
+/// collectors numbers its events 1, 2, … in merge order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventLog {
-    records: std::collections::VecDeque<String>,
+    records: std::collections::VecDeque<(&'static str, String)>,
     capacity: usize,
     dropped: u64,
 }
@@ -124,14 +128,15 @@ impl EventLog {
         }
     }
 
-    /// Append one pre-rendered JSON object, evicting the oldest record
-    /// when full.
-    pub fn push(&mut self, record: String) {
+    /// Append one `event` record whose other JSON members are `fields`
+    /// (rendered, comma-separated, without braces), evicting the oldest
+    /// record when full.
+    pub fn push(&mut self, event: &'static str, fields: String) {
         if self.records.len() == self.capacity {
             self.records.pop_front();
             self.dropped += 1;
         }
-        self.records.push_back(record);
+        self.records.push_back((event, fields));
     }
 
     /// Records currently held, oldest first.
@@ -149,22 +154,24 @@ impl EventLog {
         self.dropped
     }
 
-    /// Render the retained window as JSON Lines (one object per line).
+    /// Render the retained window as JSON Lines, one object per line:
+    /// `{"event": …, "seq": …, <fields>}`, where `seq` counts every record
+    /// ever pushed, dropped ones included.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for r in &self.records {
-            out.push_str(r);
-            out.push('\n');
+        for (pos, (event, fields)) in self.records.iter().enumerate() {
+            let seq = self.dropped + pos as u64 + 1;
+            let _ = writeln!(out, "{{\"event\": \"{event}\", \"seq\": {seq}, {fields}}}");
         }
         out
     }
 
-    /// Merge another log's records after this one's (device-order merge);
-    /// the capacity bound still applies.
+    /// Merge another log's records after this one's; the capacity bound
+    /// still applies, and the other log's drops count as this one's.
     pub fn extend_from(&mut self, other: &EventLog) {
         self.dropped += other.dropped;
-        for r in &other.records {
-            self.push(r.clone());
+        for (event, fields) in &other.records {
+            self.push(event, fields.clone());
         }
     }
 }
@@ -176,12 +183,35 @@ mod tests {
     #[test]
     fn event_log_is_bounded_and_counts_drops() {
         let mut log = EventLog::with_capacity(2);
-        log.push("{\"a\":1}".into());
-        log.push("{\"a\":2}".into());
-        log.push("{\"a\":3}".into());
+        log.push("e", "\"a\": 1".into());
+        log.push("e", "\"a\": 2".into());
+        log.push("e", "\"a\": 3".into());
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 1);
-        assert_eq!(log.to_jsonl(), "{\"a\":2}\n{\"a\":3}\n");
+        assert_eq!(
+            log.to_jsonl(),
+            "{\"event\": \"e\", \"seq\": 2, \"a\": 2}\n{\"event\": \"e\", \"seq\": 3, \"a\": 3}\n"
+        );
+    }
+
+    #[test]
+    fn merged_logs_number_events_in_merge_order() {
+        let mut merged = EventLog::default();
+        for a in 1..=3 {
+            let mut one = EventLog::default();
+            one.push("e", format!("\"a\": {a}"));
+            merged.extend_from(&one);
+        }
+        merged.push("e", "\"a\": 4".into());
+        let jsonl = merged.to_jsonl();
+        let seqs: Vec<&str> = jsonl
+            .lines()
+            .map(|l| l.split(", ").nth(1).unwrap())
+            .collect();
+        assert_eq!(
+            seqs,
+            ["\"seq\": 1", "\"seq\": 2", "\"seq\": 3", "\"seq\": 4"]
+        );
     }
 
     #[test]

@@ -86,6 +86,14 @@ for marker in '"traceEvents"' '"displayTimeUnit"' '"host pipeline"' \
     grep -q "$marker" "$PROF_DIR/unified_trace.json" || {
         echo "unified_trace.json missing $marker"; exit 1; }
 done
+# The engine's kernel spans ride on the host pipeline track: the exec
+# layer records one per launch it issues, beside the device's own
+# launch events.
+for kernel in 'batch::classify#0' 'batch::fused::node#0'; do
+    grep -q "\"name\": \"$kernel\", \"cat\": \"pipeline\"" \
+        "$PROF_DIR/unified_trace.json" || {
+        echo "unified_trace.json missing the $kernel span on the host pipeline"; exit 1; }
+done
 grep -q '"event": "update"' "$PROF_DIR/events.jsonl" || {
     echo "events.jsonl missing update events"; exit 1; }
 rm -rf "$PROF_DIR"

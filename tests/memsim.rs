@@ -5,7 +5,9 @@
 //! bit-determinism under host-parallel execution and beside other
 //! engines running concurrently.
 
-use dynbc::gpusim::{DeviceConfig, ProfileReport, MEMSIM_ENV};
+mod common;
+
+use dynbc::gpusim::{knob, DeviceConfig, ProfileReport, MEMSIM_ENV};
 use dynbc::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -179,10 +181,15 @@ fn concurrently_built_engines_report_what_an_engine_run_alone_reports() {
 
 #[test]
 fn memsim_env_knob_enables_collection_and_implies_profiling() {
+    // The knob is set only in a child process running this test alone.
+    if !knob::flag_from_env(MEMSIM_ENV) {
+        return common::run_with_knob(
+            "memsim_env_knob_enables_collection_and_implies_profiling",
+            MEMSIM_ENV,
+        );
+    }
     let el = EdgeList::from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-    std::env::set_var(MEMSIM_ENV, "1");
     let mut eng = GpuDynamicBc::new(&el, &[0, 3], DeviceConfig::test_tiny(), Parallelism::Node);
-    std::env::remove_var(MEMSIM_ENV);
     assert!(eng.instruments().memsim);
     // Profiling was never switched on, yet memsim launches still record
     // profiles (cache counters ride in LaunchProfile).

@@ -4,7 +4,9 @@
 //! determinism of full-engine profiles under host-parallel block
 //! execution.
 
-use dynbc::gpusim::{DeviceConfig, ProfileReport, PROFILE_ENV};
+mod common;
+
+use dynbc::gpusim::{knob, DeviceConfig, ProfileReport, PROFILE_ENV};
 use dynbc::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,12 +100,12 @@ fn engine_profile_is_bit_identical_across_host_threads() {
 
 #[test]
 fn profile_env_knob_enables_collection() {
-    // Env mutation: run serially with respect to other env-reading tests
-    // by using a process-local lock on the variable name.
+    // The knob is set only in a child process running this test alone.
+    if !knob::flag_from_env(PROFILE_ENV) {
+        return common::run_with_knob("profile_env_knob_enables_collection", PROFILE_ENV);
+    }
     let el = EdgeList::from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-    std::env::set_var(PROFILE_ENV, "1");
     let mut eng = GpuDynamicBc::new(&el, &[0, 3], DeviceConfig::test_tiny(), Parallelism::Node);
-    std::env::remove_var(PROFILE_ENV);
     assert!(eng.instruments().profiling);
     eng.insert_edge(0, 5);
     assert!(!eng.profile_report().launches.is_empty());

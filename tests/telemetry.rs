@@ -4,6 +4,8 @@
 //! behaviour, the `DYNBC_TELEMETRY` environment knob, span tracing over
 //! the batched update lifecycle, and the Prometheus exposition shape.
 
+mod common;
+
 use dynbc::gpusim::{DeviceConfig, TELEMETRY_ENV};
 use dynbc::prelude::*;
 use dynbc::telemetry::{
@@ -11,11 +13,6 @@ use dynbc::telemetry::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
-
-/// Serializes the env-knob test against the tests that assert telemetry
-/// is *off* by default (`std::env` is process-global).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// The fixed workload every test drives: a small-world graph, 8 sources,
 /// and 12 mixed insert/delete ops (same stream as `tests/profiling.rs`).
@@ -123,7 +120,6 @@ fn cpu_and_gpu_agree_on_model_clock_families() {
 
 #[test]
 fn disabled_mode_is_a_no_op() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let (el, sources) = workload();
     let mut plain = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node);
     let mut telem = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node);
@@ -151,11 +147,12 @@ fn disabled_mode_is_a_no_op() {
 
 #[test]
 fn telemetry_env_knob_enables_collection() {
-    let _guard = ENV_LOCK.lock().unwrap();
+    // The knob is set only in a child process running this test alone.
+    if !dynbc::bc::telemetry_from_env() {
+        return common::run_with_knob("telemetry_env_knob_enables_collection", TELEMETRY_ENV);
+    }
     let el = EdgeList::from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-    std::env::set_var(TELEMETRY_ENV, "1");
     let mut eng = GpuDynamicBc::new(&el, &[0, 3], DeviceConfig::test_tiny(), Parallelism::Node);
-    std::env::remove_var(TELEMETRY_ENV);
     assert!(eng.telemetry());
     eng.insert_edge(0, 5);
     let tel = eng.telemetry_report().unwrap();
@@ -244,4 +241,95 @@ fn stage_spans_split_items_and_native_wall_by_kind() {
             .all(|s| s.args.iter().any(|(k, _)| *k == "wall_d3_s"));
         assert_eq!(timed, backend == Backend::Native, "{backend}");
     }
+}
+
+/// The update lifecycle's spans and deterministic metrics are pinned
+/// bit for bit: for one seeded mixed insert/remove stream, applied in
+/// batches of 1–4 ops, on the CPU engine and on the simulator's node-
+/// (profiled) and edge-parallel engines, every span's name, depth,
+/// model-clock start and duration bits and non-wall arguments, plus
+/// the `prometheus_deterministic()` text, hash to golden values.
+#[test]
+fn lifecycle_spans_and_model_metrics_match_golden_values() {
+    let (el, sources) = workload();
+    let batches = {
+        let mut g = el.clone();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut batches = Vec::new();
+        for width in [1usize, 3, 2, 4, 1, 3] {
+            let mut batch: Vec<EdgeOp> = Vec::new();
+            while batch.len() < width {
+                let (a, b) = (rng.gen_range(0..150u32), rng.gen_range(0..150u32));
+                if a == b || batch.iter().any(|op| op.endpoints() == (a, b)) {
+                    continue;
+                }
+                let op = if g.contains(a, b) {
+                    EdgeOp::Remove(a, b)
+                } else {
+                    EdgeOp::Insert(a, b)
+                };
+                assert!(g.apply_op(op));
+                batch.push(op);
+            }
+            batches.push(batch);
+        }
+        batches
+    };
+    let mut cpu = CpuDynamicBc::new(&el, &sources);
+    cpu.set_telemetry(true);
+    for b in &batches {
+        cpu.apply_batch(b);
+    }
+    let gpu = |par: Parallelism, profiled: bool| {
+        let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), par)
+            .with_backend(Backend::Simulator);
+        eng.set_profiling(profiled);
+        eng.set_memsim(false);
+        eng.set_telemetry(true);
+        for b in &batches {
+            eng.apply_batch(b);
+        }
+        eng.take_telemetry_report().unwrap()
+    };
+    let reports = [
+        ("cpu", cpu.take_telemetry_report().unwrap()),
+        ("node", gpu(Parallelism::Node, true)),
+        ("edge", gpu(Parallelism::Edge, false)),
+    ];
+    // FNV-1a over the canonical rendering.
+    let fnv = |text: &str| {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    };
+    let mut got = Vec::new();
+    for (label, tel) in &reports {
+        let mut spans = String::new();
+        for s in tel.trace().spans() {
+            spans.push_str(&format!(
+                "{} {} {:016x} {:016x}",
+                s.name,
+                s.depth,
+                s.start_s.to_bits(),
+                s.dur_s.to_bits()
+            ));
+            for (k, v) in s.args.iter().filter(|(k, _)| !k.starts_with("wall")) {
+                spans.push_str(&format!(" {k}={:016x}", v.to_bits()));
+            }
+            spans.push('\n');
+        }
+        let metrics = tel.prometheus_deterministic();
+        got.push((
+            *label,
+            tel.trace().spans().len(),
+            fnv(&spans),
+            fnv(&metrics),
+        ));
+    }
+    let golden: [(&str, usize, u64, u64); 3] = [
+        ("cpu", 26, 4872621721076264709, 9497250926132023186),
+        ("node", 77, 1138312470984410465, 11238417467305371270),
+        ("edge", 77, 11893987161052150058, 12838189324286840641),
+    ];
+    assert_eq!(got, golden);
 }
